@@ -29,13 +29,13 @@ identities below take their cleanest form in that scaling.
 from __future__ import annotations
 
 import itertools
-import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .holonomy import AlgebraKind, cached_algebra, sharp
-from .tensors import Bivector, ComplexTensor, EuclideanSpace, wedge_pairs
+from .tensors import Bivector, ComplexTensor, EuclideanSpace, _write_json, nullspace, wedge_pairs
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -69,16 +69,10 @@ __all__ = [
     "curvature_from_json",
 ]
 
-log = logging.getLogger(__name__)
-
 
 def _kahler_form_array(space):
     """omega_{ab} = g(J e_a, e_b), the Kahler 2-form of the complex structure."""
     return space.j_matrix().T
-
-
-def _structure_form_array(A):
-    return np.asarray(A).T
 
 
 def _bianchi_residual(arr):
@@ -183,9 +177,6 @@ class CurvatureOperator:
         M = 0.5 * (M + M.T)
         M.setflags(write=False)
         self.matrix = M
-
-    def apply(self, L):
-        return Bivector(L.space, self.matrix @ L.coeffs)
 
     def norm2(self):
         """Squared Frobenius norm |R|^2; satisfies |Rm|^2 = 4 |R|^2."""
@@ -331,7 +322,7 @@ def quaternionic_projective_model(space):
     g = np.eye(space.dim)
     arr = 0.5 * kulkarni_nomizu(g, g)
     for A in space.quaternionic_structure:
-        om = _structure_form_array(A)
+        om = np.asarray(A).T
         arr = arr + 0.5 * kulkarni_nomizu(om, om) + 2.0 * _outer22(om, om)
     return AlgebraicCurvatureTensor(space, arr, quaternion=True, validate=False)
 
@@ -599,20 +590,20 @@ def _sp_m_span(space):
     """Span of the skew commutant of {I, J, K}: the sp(m) block alone."""
     key = space
     if key not in _SPM_SPAN_CACHE:
-        from .holonomy import _skew_commutant, gram_schmidt
+        from .holonomy import _sp_m_commutant, gram_schmidt
 
-        I, J, K = space.quaternionic_structure
-        rows = gram_schmidt(list(_skew_commutant(space, [I, J])))
+        rows = gram_schmidt(list(_sp_m_commutant(space)))
         _SPM_SPAN_CACHE[key] = _BivectorSpan(space, rows)
     return _SPM_SPAN_CACHE[key]
 
 
-def _supported_curvature_basis(algebra, ricci_flat=False):
+def _supported_curvature_basis(algebra, ricci_flat, expected_dim):
     """Basis tensors of {Rm supported on the algebra, Bianchi, (Ricci-flat)}.
 
     Parametrizes symmetric forms on the algebra by their upper triangle,
     imposes the linear constraints and returns, for each nullspace
-    direction, the corresponding rank-4 tensor.  Cached per algebra.
+    direction, the corresponding rank-4 tensor; the nullspace must have
+    the known dimension `expected_dim`.  Cached per algebra.
     """
     key = (algebra, ricci_flat)
     if key in _SUPPORTED_BASIS_CACHE:
@@ -637,10 +628,7 @@ def _supported_curvature_basis(algebra, ricci_flat=False):
             rc = np.einsum("iyiw->yw", t)
             row.extend(rc[i, j] for i in range(d) for j in range(i, d))
         rows.append(np.array(row))
-    A = np.array(rows)
-    u, s, vh = np.linalg.svd(A.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 1.0)))
-    null = vh[rank:]
+    null = nullspace(np.array(rows).T, expected_dim)
     basis = []
     for coeffs in null:
         arr = np.zeros((d, d, d, d))
@@ -651,8 +639,9 @@ def _supported_curvature_basis(algebra, ricci_flat=False):
     return basis
 
 
-def _random_supported(algebra, rng, ricci_flat, kahler=False, quaternion=False, scale=1.0):
-    basis = _supported_curvature_basis(algebra, ricci_flat=ricci_flat)
+def _random_supported(algebra, rng, ricci_flat, expected_dim, kahler=False, quaternion=False,
+                      scale=1.0):
+    basis = _supported_curvature_basis(algebra, ricci_flat, expected_dim)
     coeffs = rng.standard_normal(len(basis)) * scale
     arr = np.zeros((algebra.space.dim,) * 4)
     for c, t in zip(coeffs, basis):
@@ -665,14 +654,17 @@ def random_kahler_curvature(space, rng, algebra=None, scale=1.0):
     """Random Kahler curvature tensor: u(n)-supported symmetric form with Bianchi."""
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.U)
-    return _random_supported(algebra, rng, ricci_flat=False, kahler=True, scale=scale)
+    n = space.dim // 2
+    return _random_supported(algebra, rng, False, (n * (n + 1) // 2) ** 2, kahler=True,
+                             scale=scale)
 
 
 def random_hyperkahler_curvature(space, rng, scale=1.0):
     """Random Ricci-flat curvature tensor supported on sp(m) alone."""
     if space.quaternionic_structure is None:
         raise ValueError("hyperkahler generator needs a quaternionic structure")
-    return _random_supported(_sp_m_span(space), rng, ricci_flat=True,
+    m = space.dim // 4
+    return _random_supported(_sp_m_span(space), rng, True, math.comb(2 * m + 3, 4),
                              quaternion=True, scale=scale)
 
 
@@ -723,11 +715,7 @@ def curvature_from_json(obj, validate=True):
 
 
 def save_curvature(rm_tensor, path):
-    import json as _json
-
-    with open(path, "w") as fh:
-        _json.dump(curvature_to_json(rm_tensor), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(curvature_to_json(rm_tensor), path)
 
 
 def load_curvature(path, validate=True):

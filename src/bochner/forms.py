@@ -26,13 +26,14 @@ import math
 
 import numpy as np
 
+from .criteria import serre_remap
 from .holonomy import AlgebraKind, cached_algebra, sharp
 from .tensors import (
     Bivector,
     ComplexTensor,
-    act_on_tensor,
     alternate,
     hermitian_inner,
+    nullspace,
     pullback,
 )
 
@@ -55,7 +56,6 @@ __all__ = [
     "stratum_basis",
     "random_pq_form",
     "random_stratum_form",
-    "serre_remap",
     "pqform_to_json",
     "pqform_from_json",
 ]
@@ -279,7 +279,7 @@ def sharp_norm_coefficient_check(phi, algebra=None):
     if p + q > n:
         # duality preserves the primitive content (p-k, q-k), so the
         # stratum index shifts along with the type
-        pr, qr = serre_remap(n, p, q)
+        pr, qr, _ = serre_remap(n, p, q)
         kr = k - (p + q - n)
         log.info("remapping (p, q, k) = (%d, %d, %d) to the complementary (%d, %d, %d)",
                  p, q, k, pr, qr, kr)
@@ -304,12 +304,12 @@ def sharp_norm_coefficient_check(phi, algebra=None):
     }
 
 
-def action_bound_check(phi, samples=200, rng=None, seed=0, algebra=None):
-    """Sample |L phi|^2 / ((p+q-2k) |L|^2 |circ(phi)|^2) over unit L in u(n).
+def action_bound_check(phi, algebra=None):
+    """sup over unit L in u(n) of |L phi|^2 / ((p+q-2k) |L|^2 |circ(phi)|^2).
 
-    Returns the maximal ratio; the bound predicts it never exceeds one.
-    Degenerate strata (p + q = 2k) and forms with vanishing reduced part
-    report as vacuous.
+    The supremum is exact (`SharpDecomposition.max_action_norm2`); the
+    bound predicts it never exceeds one.  Degenerate strata (p + q = 2k)
+    and forms with vanishing reduced part report as vacuous.
     """
     if phi.k is None:
         raise ValueError("action bound check needs a declared stratum index k")
@@ -318,17 +318,11 @@ def action_bound_check(phi, samples=200, rng=None, seed=0, algebra=None):
     weight = p + q - 2 * k
     ringed2 = circ(phi).norm2()
     if weight == 0 or ringed2 < 1e-14 * max(phi.norm2(), 1e-300):
-        return {"p": p, "q": q, "k": k, "samples": 0, "max_ratio": 0.0, "vacuous": True}
+        return {"p": p, "q": q, "k": k, "max_ratio": 0.0, "vacuous": True}
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.U)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        L = algebra.random_element(rng, unit=True)
-        num = act_on_tensor(L, phi.tensor).norm2()
-        worst = max(worst, num / (weight * ringed2))
-    return {"p": p, "q": q, "k": k, "samples": samples, "max_ratio": worst, "vacuous": False}
+    ratio = sharp(phi.tensor, algebra).max_action_norm2() / (weight * ringed2)
+    return {"p": p, "q": q, "k": k, "max_ratio": ratio, "vacuous": False}
 
 
 def _omega_contraction_matrix(space, basis):
@@ -348,10 +342,10 @@ def primitive_pq_basis(space, p, q):
         # nothing to contract against omega; already primitive
         return [PQForm(space, p, q, f.tensor * (1.0 / math.sqrt(f.tensor.norm2())),
                        k=0, validate=False) for f in basis]
-    C = _omega_contraction_matrix(space, basis)
-    u, s, vh = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 1.0)))
-    null = vh[rank:].conj()
+    n = space.n
+    lowered = math.comb(n, p - 1) * math.comb(n, q - 1) if p and q else 0
+    null = nullspace(_omega_contraction_matrix(space, basis),
+                     max(0, math.comb(n, p) * math.comb(n, q) - lowered))
     out = []
     for coeffs in null:
         T = ComplexTensor(space, sum(c * f.tensor.components for c, f in zip(coeffs, basis)))
@@ -382,16 +376,12 @@ def random_pq_form(space, p, q, rng, k=0):
 def random_stratum_form(space, p, q, k, rng):
     """Random element of the exact stratum Omega^k ^ primitive (p-k, q-k)."""
     basis = stratum_basis(space, p, q, k)
+    if not basis:
+        raise ValueError(f"stratum Omega^{k} ^ primitive({p - k}, {q - k}) is empty "
+                         f"at n = {space.n}")
     coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     T = ComplexTensor(space, sum(c * f.tensor.components for c, f in zip(coeffs, basis)))
     return PQForm(space, p, q, T, k=k, validate=False)
-
-
-def serre_remap(n, p, q):
-    """Map (p, q) with p + q > n to the complementary type (n-p, n-q)."""
-    if p + q > n:
-        return n - p, n - q
-    return p, q
 
 
 def pqform_to_json(phi):

@@ -8,7 +8,6 @@ Lambda^2 V and computes, for a tensor T, the family of slices
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +18,7 @@ from .tensors import (
     ComplexTensor,
     act_on_tensor,
     lie_bracket,
+    nullspace,
     wedge_pairs,
 )
 
@@ -31,9 +31,6 @@ __all__ = [
     "project_bivector",
     "gram_schmidt",
 ]
-
-log = logging.getLogger(__name__)
-
 
 class AlgebraKind(str, Enum):
     SO = "so"
@@ -137,19 +134,18 @@ def _expected_dim(space, kind):
     return m * (2 * m + 1) + 3
 
 
-def _skew_commutant(space, mats):
-    """Orthonormal wedge-coefficient basis of {A skew : [A, X] = 0 for X in mats}."""
+def _sp_m_commutant(space):
+    """Orthonormal wedge-coefficient basis of sp(m) = {A skew : [A, I] = [A, J] = 0}."""
     d = space.dim
+    m = d // 4
+    I, J, _ = space.quaternionic_structure
     rows = []
     for (i, j) in wedge_pairs(d):
         S = np.zeros((d, d))
         S[j, i] = 1.0
         S[i, j] = -1.0
-        rows.append(np.concatenate([(S @ X - X @ S).ravel() for X in mats]))
-    A = np.array(rows)
-    u, s, vh = np.linalg.svd(A.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 1.0)))
-    return vh[rank:]
+        rows.append(np.concatenate([(S @ X - X @ S).ravel() for X in (I, J)]))
+    return nullspace(np.array(rows).T, m * (2 * m + 1))
 
 
 def _u_spanning_set(space, permutation=None):
@@ -216,7 +212,7 @@ def build_algebra(space, kind, permutation=None):
     I, J, K = space.quaternionic_structure
     sp1 = [structure_two_form_bivector(space, A) for A in (I, J, K)]
     sp1_rows = [b.coeffs / b.norm() for b in sp1]
-    commutant = _skew_commutant(space, [I, J])
+    commutant = _sp_m_commutant(space)
     if permutation is not None:
         commutant = commutant[list(permutation)]
     spm_rows = gram_schmidt(list(commutant), against=sp1_rows)
@@ -256,6 +252,16 @@ class SharpDecomposition:
     def as_array(self):
         """Stacked slice components, axis 0 indexed by the basis."""
         return np.stack([s.components for s in self.slices])
+
+    def pairings(self):
+        """Hermitian slice Gram matrix P_ab = <Xi_a T, Xi_b T>."""
+        flat = self.as_array().reshape(len(self.slices), -1)
+        return flat @ np.conj(flat.T)
+
+    def max_action_norm2(self):
+        """Exact sup |L T|^2 over unit L = sum_a c_a Xi_a in the algebra:
+        |L T|^2 = c^T (Re P) c, so it is the top eigenvalue of Re P."""
+        return float(np.linalg.eigvalsh(self.pairings().real)[-1])
 
     def evaluate(self, L, multi_index):
         """g(L, T^g(multi_index)) for a bivector L, by expanding over the basis."""

@@ -41,6 +41,7 @@ __all__ = [
     "alternate",
     "pullback",
     "wedge_pairs",
+    "nullspace",
     "tensor_to_json",
     "tensor_from_json",
 ]
@@ -439,6 +440,25 @@ def alternate(T):
     return ComplexTensor(T.space, out / math.factorial(k))
 
 
+def nullspace(A, expected_dim):
+    """Orthonormal rows spanning {x : A x = 0}, checked against a known dimension.
+
+    The rank counts the singular values above 1e-9 times the largest.  A
+    nullspace of another dimension than `expected_dim` raises, naming the
+    singular values on either side of the expected rank (the gap).
+    """
+    u, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 1.0)))
+    null = vh[rank:].conj()
+    if len(null) != expected_dim:
+        rel = np.concatenate([s, np.zeros(vh.shape[0] - s.size)]) / (s[0] if s.size else 1.0)
+        r = max(vh.shape[0] - expected_dim, 0)
+        around = ", ".join(f"{v:.3e}" for v in rel[max(r - 1, 0):r + 1])
+        raise ValueError(f"nullspace has dimension {len(null)}, expected {expected_dim}; "
+                         f"relative singular values at rank {r}: {around} (cutoff 1e-9)")
+    return null
+
+
 def pullback(T, A):
     """Componentwise pullback T(A X_1, ..., A X_k) by a linear map A."""
     arr = T.components
@@ -486,10 +506,16 @@ def tensor_from_json(obj, space=None):
     return ComplexTensor(space, comps.reshape((d,) * k))
 
 
-def save_tensor(T, path):
+def _write_json(obj, path):
+    """Write one JSON document as the file formats expect: indent 2,
+    sorted keys, a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(tensor_to_json(T), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_tensor(T, path):
+    _write_json(tensor_to_json(T), path)
 
 
 def load_tensor(path, space=None):

@@ -19,14 +19,13 @@ direct Gram contraction).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curvature import AlgebraicCurvatureTensor, CurvatureOperator, ricci, to_operator
 from .holonomy import sharp
-from .tensors import ComplexTensor, act_on_tensor, hermitian_inner
+from .tensors import ComplexTensor, hermitian_inner
 
 __all__ = [
     "weitzenbock_ric",
@@ -38,8 +37,6 @@ __all__ = [
     "HODGE_CONSTANT",
     "CURVATURE_TENSOR_CONSTANT",
 ]
-
-log = logging.getLogger(__name__)
 
 # Lichnerowicz scaling presets: 1 for the Hodge Laplacian on forms,
 # 1/2 for curvature-type tensors.
@@ -119,9 +116,7 @@ def curvature_term(op, algebra, T):
     gram = op.restricted_gram(algebra)
     sh = sharp(T, algebra)
     stack = sh.as_array()
-    flat = stack.reshape(len(algebra.basis), -1)
-    pairings = flat @ np.conj(flat.T)
-    gram_value_c = complex(np.sum(gram * pairings))
+    gram_value_c = complex(np.sum(gram * sh.pairings()))
     vals, vecs = np.linalg.eigh(gram)
     per = []
     value = 0.0
@@ -166,23 +161,14 @@ def verify_weitzenbock_restriction(rm_tensor, algebra, T, leak_tol=1e-6):
     }
 
 
-def _measured_action_ratio(algebra, T, sharp_norm2, samples, rng):
-    """max over random unit L of |L T|^2 / (|T^g|^2 |L|^2)."""
-    worst = 0.0
-    for _ in range(samples):
-        L = algebra.random_element(rng, unit=True)
-        worst = max(worst, act_on_tensor(L, T).norm2() / sharp_norm2)
-    return worst
-
-
-def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors,
-                                l_samples=50, rng=None, seed=0, slack=1e-10):
+def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors, slack=1e-10):
     """Check the eigenvalue partial-sum lower bound on admitted tensors.
 
     Hypothesis: |L T|^2 <= (1/C) |T^g|^2 |L|^2 for all L in the algebra,
-    tested on `l_samples` random unit directions; tensors violating the
-    measured bound are rejected rather than rescaled.  Conclusion
-    checked on every admitted tensor:
+    tested exactly through the supremum over unit L
+    (`SharpDecomposition.max_action_norm2`); tensors violating it are
+    rejected rather than rescaled.  Conclusion checked on every admitted
+    tensor:
 
     * if mu_1 + ... + mu_ell + (C - ell) mu_{ell+1} >= kappa (ell + 1)
       then g(R(T^g), conj T^g) >= kappa (ell + 1) / C |T^g|^2,
@@ -201,16 +187,13 @@ def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors,
         raise ValueError(f"ell = {ell} outside [1, floor(C)] = [1, {int(np.floor(C))}]")
     if kappa > 0:
         raise ValueError("kappa must be nonpositive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     spectrum = np.linalg.eigvalsh(gram)
     premise_value = float(np.sum(spectrum[:ell]) + (C - ell) * spectrum[ell]
                           if ell < len(spectrum) else np.sum(spectrum[:ell]))
     premise = premise_value >= kappa * (ell + 1)
     strict_premise = premise_value > 0
     cases = []
-    admitted = 0
-    rejected = 0
+    admitted = rejected = 0
     all_pass = True
     for idx, T in enumerate(tensors):
         sh = sharp(T, algebra)
@@ -218,14 +201,12 @@ def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors,
         if tg2 < 1e-300:
             rejected += 1
             continue
-        ratio = _measured_action_ratio(algebra, T, tg2, l_samples, rng)
+        ratio = sh.max_action_norm2() / tg2
         if ratio > 1.0 / C + 1e-9:
             rejected += 1
             continue
         admitted += 1
-        stack = sh.as_array().reshape(len(algebra.basis), -1)
-        pairings = stack @ np.conj(stack.T)
-        term = float(np.sum(gram * pairings).real)
+        term = float(np.sum(gram * sh.pairings()).real)
         bound = kappa * (ell + 1) / C * tg2
         ok = True
         if premise:

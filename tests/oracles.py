@@ -150,3 +150,19 @@ def quaternion_sharp_constant_naive(algebra):
 
     zeros = [0] * (m - 1)
     return c_V * casimir_weight([4] + zeros) / casimir_weight([1] + zeros)
+
+
+def action_supremum_naive(algebra, arr):
+    """sup |L T|^2 over unit L in the algebra, by the literal Gram matrix.
+
+    Builds each slice M_a T with the loop action above from the basis
+    matrix M_a, fills Re <M_a T, M_b T> entry by entry and takes its top
+    eigenvalue: for L = sum_a c_a M_a with |c| = 1, |L T|^2 = c^T Re(P) c.
+    """
+    slices = [act_matrix_naive(b.matrix(), arr) for b in algebra.basis]
+    N = len(slices)
+    P = np.zeros((N, N))
+    for a in range(N):
+        for b in range(N):
+            P[a, b] = np.sum(slices[a] * np.conj(slices[b])).real
+    return float(np.linalg.eigvalsh(P)[-1])

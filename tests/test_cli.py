@@ -336,3 +336,31 @@ def test_verify_suites_pass(capsys):
         assert code == 0, (suite, err)
         rep = json.loads(out)
         assert rep["all_pass"], suite
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "pq", "--n", "2", "--p", "1", "--kappa", "0", "--model", "chsc", "--c", "4"],
+     "requires --q"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "hpm"], "requires --m"),
+    (["check", "lq", "--n", "3", "--spectrum", "no-such-spectrum.json"], "no-such-spectrum"),
+    (["check", "quaternion", "--m", "2", "--model", "chsc"], "residual"),
+    (["check", "quaternion", "--m", "2", "--k", "0.6", "--Q", "2", "--model", "chsc"],
+     "residual"),
+])
+def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    # malformed input and models that leak off the algebra exit 1 with an
+    # error line and no verdict, never a traceback
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_verify_prop28_samples_forms(capsys):
+    code, out, _ = run_cli(capsys, "verify", "prop28", "--samples", "2", "--seed", "7")
+    assert code == 0
+    rep = json.loads(out)
+    ids = [c["id"] for c in rep["cases"]]
+    assert "prop28/n2p1q0k0/sample001" in ids
+    assert all(c["lhs"] <= 1.0 + 1e-12 for c in rep["cases"])

@@ -215,6 +215,20 @@ def test_random_hyperkahler_properties(h2, rng):
         assert scalar_curvature(r0) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_supported_bases_have_the_known_dimension(c2, c3, h2):
+    # Kahler curvature: (n(n+1)/2)^2; hyperkahler: C(2m+3, 4) = 35 at m = 2
+    from bochner.curvature import _sp_m_span, _supported_curvature_basis
+    from bochner.holonomy import build_algebra
+
+    for space in (c2, c3):
+        dim = (space.n * (space.n + 1) // 2) ** 2
+        assert len(_supported_curvature_basis(cached_algebra(space, "u"), False, dim)) == dim
+        # a fresh algebra misses the cache, so a wrong dimension is caught
+        with pytest.raises(ValueError, match="nullspace has dimension"):
+            _supported_curvature_basis(build_algebra(space, "u"), False, 1)
+    assert len(_supported_curvature_basis(_sp_m_span(h2), True, 35)) == 35
+
+
 # ---------------------------------------------------------------------------
 # Kahler decomposition
 

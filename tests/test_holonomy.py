@@ -15,7 +15,7 @@ from bochner import (
 )
 from bochner.forms import dz_covector, kahler_form
 
-from oracles import gram_projection_naive
+from oracles import action_supremum_naive, gram_projection_naive
 
 
 def test_dimensions(c3, h2):
@@ -169,3 +169,30 @@ def test_wedge_projects_into_u2_with_norm_at_most_one(c2):
     L = Bivector.wedge(c2, 0, 1)
     proj = project_bivector(L, u)
     assert 0.0 < proj.norm() <= 1.0 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact supremum of |L T|^2 over unit L
+
+
+@pytest.mark.parametrize("kind,size", [("u", 2), ("u", 3), ("sp", 2)])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_max_action_norm2_is_the_supremum(kind, size, rank):
+    rng = np.random.default_rng(100 * size + 10 * rank + len(kind))
+    space = (EuclideanSpace.complex_space(size) if kind == "u"
+             else EuclideanSpace.quaternionic_space(size))
+    algebra = build_algebra(space, kind)
+    T = ComplexTensor.random(space, rank, rng)
+    dec = sharp(T, algebra)
+    sup = dec.max_action_norm2()
+    # agrees with the loop-built Gram matrix
+    assert sup == pytest.approx(action_supremum_naive(algebra, T.components), rel=1e-10)
+    # attained by the L of the top eigenvector
+    vals, vecs = np.linalg.eigh(dec.pairings().real)
+    L = algebra.element(vecs[:, -1])
+    assert L.norm() == pytest.approx(1.0, rel=1e-12)
+    assert act_on_tensor(L, T).norm2() == pytest.approx(sup, rel=1e-10)
+    # no random unit direction exceeds it
+    sampled = max(act_on_tensor(algebra.random_element(rng, unit=True), T).norm2()
+                  for _ in range(200))
+    assert sampled <= sup * (1 + 1e-12)

@@ -22,7 +22,12 @@ from bochner.forms import kahler_form, random_pq_form, random_stratum_form
 from bochner.holonomy import cached_algebra
 from bochner.criteria import stratum_constant, form_constant
 
-from oracles import curvature_term_naive, weitzenbock_naive
+from oracles import (
+    act_matrix_naive,
+    action_supremum_naive,
+    curvature_term_naive,
+    weitzenbock_naive,
+)
 
 
 def test_flat_gives_zero(c2, rng):
@@ -190,7 +195,7 @@ def test_eigenvalue_sum_bound_nonnegative_spectrum(c2, rng):
     u = cached_algebra(c2, "u")
     G = np.diag([0.0, 0.5, 1.0, 2.0])
     tensors = [random_pq_form(c2, 1, 0, rng).tensor for _ in range(20)]
-    r = verify_eigenvalue_sum_bound(G, u, C=2.0, ell=1, kappa=0.0, tensors=tensors, rng=rng)
+    r = verify_eigenvalue_sum_bound(G, u, C=2.0, ell=1, kappa=0.0, tensors=tensors)
     assert r["premise_holds"]
     assert r["all_pass"]
     assert r["admitted"] == 20
@@ -203,7 +208,7 @@ def test_eigenvalue_sum_bound_chsc_one_zero_forms(c2, rng):
     u = cached_algebra(c2, "u")
     rm = chsc_model(c2, 4.0)
     tensors = [random_pq_form(c2, 1, 0, rng).tensor for _ in range(20)]
-    r = verify_eigenvalue_sum_bound(rm, u, C=2.0, ell=2, kappa=-1.0, tensors=tensors, rng=rng)
+    r = verify_eigenvalue_sum_bound(rm, u, C=2.0, ell=2, kappa=-1.0, tensors=tensors)
     assert r["premise_holds"] and r["strict_premise"]
     assert r["admitted"] == 20
     assert r["all_pass"]
@@ -213,7 +218,7 @@ def test_eigenvalue_sum_bound_zero_spectrum(c2, rng):
     u = cached_algebra(c2, "u")
     G = np.zeros((4, 4))
     tensors = [random_pq_form(c2, 1, 0, rng).tensor for _ in range(5)]
-    r = verify_eigenvalue_sum_bound(G, u, C=2.0, ell=1, kappa=0.0, tensors=tensors, rng=rng)
+    r = verify_eigenvalue_sum_bound(G, u, C=2.0, ell=1, kappa=0.0, tensors=tensors)
     assert r["premise_holds"]
     for case in r["cases"]:
         assert case["lhs"] == pytest.approx(0.0, abs=1e-15)
@@ -221,8 +226,8 @@ def test_eigenvalue_sum_bound_zero_spectrum(c2, rng):
 
 
 def test_eigenvalue_sum_bound_rejects_bad_tensors(c2, rng):
-    # symmetric 2-tensors anti-invariant under J achieve the action ratio
-    # 1 in some direction, violating the hypothesis at C = 2
+    # symmetric 2-tensors anti-invariant under J mostly have an action
+    # ratio sup |L T|^2 / |T^g|^2 above 1/2, violating the hypothesis at C = 2
     u = cached_algebra(c2, "u")
     J = c2.j_matrix()
     G = np.eye(4)
@@ -232,9 +237,28 @@ def test_eigenvalue_sum_bound_rejects_bad_tensors(c2, rng):
         h = h + h.T
         anti = 0.5 * (h - J.T @ h @ J)
         bad.append(ComplexTensor(c2, anti.astype(complex)))
-    r = verify_eigenvalue_sum_bound(G, u, C=2.0, ell=1, kappa=0.0, tensors=bad,
-                                    l_samples=100, rng=rng)
+    r = verify_eigenvalue_sum_bound(G, u, C=2.0, ell=1, kappa=0.0, tensors=bad)
     assert r["rejected"] > 0
+
+
+def test_eigenvalue_sum_bound_admits_exactly_the_hypothesis(c2):
+    # rank-2 tensors at n = 2 with C = 3: admitted iff the exact action
+    # ratio sup |L T|^2 / |T^g|^2 is at most 1/3, both sides from the oracle
+    rng = np.random.default_rng(20240802)
+    u = cached_algebra(c2, "u")
+    tensors = [ComplexTensor.random(c2, 2, rng) for _ in range(100)]
+    expected = set()
+    for idx, T in enumerate(tensors):
+        tg2 = sum(np.sum(np.abs(act_matrix_naive(b.matrix(), T.components)) ** 2)
+                  for b in u.basis)
+        ratio = action_supremum_naive(u, T.components) / tg2
+        assert abs(ratio - 1.0 / 3.0) > 1e-6  # no tensor sits on the boundary
+        if ratio <= 1.0 / 3.0:
+            expected.add(idx)
+    r = verify_eigenvalue_sum_bound(np.eye(4), u, C=3.0, ell=1, kappa=0.0, tensors=tensors)
+    assert {case["id"] for case in r["cases"]} == expected
+    assert r["admitted"] + r["rejected"] == 100
+    assert 0 < len(expected) < 100
 
 
 def test_eigenvalue_sum_bound_argument_validation(c2):
