@@ -50,7 +50,7 @@ def _space_for(args, need=None):
         if need == "complex" or (need is None and d % 2 == 0):
             return EuclideanSpace.complex_space(d // 2)
         return EuclideanSpace.euclidean(d)
-    raise SystemExit("one of --n, --m, --d is required")
+    raise ValueError("one of --n, --m, --d is required")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,8 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"verify --samples must be at least 1, got {args.samples}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     exit_code = 0
     for name in names:
@@ -330,22 +332,20 @@ def cmd_verify(args):
 def cmd_model(args):
     if args.kind == "hpm":
         if args.m is None:
-            raise SystemExit("model hpm requires --m")
+            raise ValueError("model hpm requires --m")
         space = EuclideanSpace.quaternionic_space(args.m)
         rm = curv.quaternionic_projective_model(space)
     elif args.kind == "chsc":
         if args.n is None:
-            raise SystemExit("model chsc requires --n")
+            raise ValueError("model chsc requires --n")
         space = EuclideanSpace.complex_space(args.n)
         rm = curv.chsc_model(space, args.c)
     elif args.kind == "cs":
         space = _space_for(args)
         rm = curv.constant_sectional_model(space, args.c)
-    elif args.kind == "flat":
+    else:
         space = _space_for(args)
         rm = curv.flat_model(space)
-    else:
-        raise SystemExit(f"unknown model kind {args.kind!r}")
     obj = curv.curvature_to_json(rm)
     if args.out:
         _write_json(obj, args.out)
@@ -425,9 +425,11 @@ def cmd_sharp_norm(args):
 
 
 def cmd_weitz(args):
-    rm = curv.load_curvature(args.input)
     if args.action in ("ric", "term") and not args.tensor:
-        raise SystemExit(f"weitz {args.action} requires -t TENSOR")
+        raise ValueError(f"weitz {args.action} requires -t TENSOR")
+    if args.action == "verify" and args.target is None:
+        raise ValueError("weitz verify requires a target: prop24 or lemma26")
+    rm = curv.load_curvature(args.input)
     if args.action == "ric":
         T = load_tensor(args.tensor, space=rm.space)
         if args.c is not None:
@@ -469,15 +471,14 @@ def cmd_weitz(args):
                               "rhs": r["rhs"], "deviation": r["deviation"], "pass": passed})
         _emit({"check": "prop24", "seed": args.seed, "cases": cases, "all_pass": ok})
         return 0 if ok else 1
-    if args.target == "lemma26":
-        tensors = [ComplexTensor.random(rm.space, args.rank, rng) for _ in range(args.samples)]
-        r = wb.verify_eigenvalue_sum_bound(rm, algebra, args.C, args.ell, args.kappa,
-                                           tensors, slack=tol)
-        r["check"] = "lemma26"
-        r["seed"] = args.seed
-        _emit(r)
-        return 0 if r["all_pass"] else 1
-    raise SystemExit(f"unknown weitz verify target {args.target!r}")
+    # target == "lemma26"
+    tensors = [ComplexTensor.random(rm.space, args.rank, rng) for _ in range(args.samples)]
+    r = wb.verify_eigenvalue_sum_bound(rm, algebra, args.C, args.ell, args.kappa,
+                                       tensors, slack=tol)
+    r["check"] = "lemma26"
+    r["seed"] = args.seed
+    _emit(r)
+    return 0 if r["all_pass"] else 1
 
 
 def cmd_forms(args):
@@ -506,16 +507,15 @@ def cmd_forms(args):
         _note(f"coefficient check: {len(reports)} forms, worst relative deviation {worst:.3e} "
               "(products mixing wedge strata deviate by design; stratum forms are exact)")
         return 0
-    if args.what == "check-prop28":
-        reports = [fms.action_bound_check(_random_prop28_form(space, args.p, args.q, args.k, rng),
-                                          algebra=algebra) for _ in range(args.samples)]
-        worst = max((r["max_ratio"] for r in reports), default=0.0)
-        vacuous = all(r["vacuous"] for r in reports)
-        _emit({"check": "prop28", "n": args.n, "p": args.p, "q": args.q, "k": args.k,
-               "seed": args.seed, "samples": args.samples, "max_ratio": worst,
-               "vacuous": vacuous})
-        return 0 if vacuous or worst <= 1.0 + 1e-9 else 1
-    raise SystemExit(f"unknown forms action {args.what!r}")
+    # what == "check-prop28"
+    reports = [fms.action_bound_check(_random_prop28_form(space, args.p, args.q, args.k, rng),
+                                      algebra=algebra) for _ in range(args.samples)]
+    worst = max((r["max_ratio"] for r in reports), default=0.0)
+    vacuous = all(r["vacuous"] for r in reports)
+    _emit({"check": "prop28", "n": args.n, "p": args.p, "q": args.q, "k": args.k,
+           "seed": args.seed, "samples": args.samples, "max_ratio": worst,
+           "vacuous": vacuous})
+    return 0 if vacuous or worst <= 1.0 + 1e-9 else 1
 
 
 def _spectrum_from_args(args, algebra_kind):
@@ -535,7 +535,7 @@ def _spectrum_from_args(args, algebra_kind):
             else:
                 space = EuclideanSpace.complex_space(args.n)
         else:
-            raise SystemExit(f"unknown model {args.model!r}")
+            raise ValueError(f"unknown model {args.model!r}")
         rm = curv.model(args.model, space, c=args.c)
         algebra = cached_algebra(space, algebra_kind)
         vals, leak = curv.restricted_spectrum(curv.to_operator(rm), algebra)
@@ -543,7 +543,7 @@ def _spectrum_from_args(args, algebra_kind):
             raise ValueError(f"model {args.model} does not vanish on the complement of "
                              f"{algebra_kind.value}: residual {leak:.3e}")
         return [float(v) for v in vals]
-    raise SystemExit("provide --spectrum FILE or --model KIND")
+    raise ValueError("provide --spectrum FILE or --model KIND")
 
 
 def _require(args, *names):

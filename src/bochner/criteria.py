@@ -223,8 +223,11 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None, lq_finite=True)
     harmonic-field bound concludes vanishing.  A declared stratum index
     k switches the constant to the stratum variant.  Types with p = q
     only apply to forms orthogonal to the Kahler form power, which the
-    notes record.
+    notes record.  A type outside 0 <= p, q <= n, p + q >= 1 raises
+    ValueError.
     """
+    if not (0 <= p <= n and 0 <= q <= n) or p + q < 1:
+        raise ValueError(f"form type ({p}, {q}) out of range for n = {n}")
     notes = []
     p0, q0 = p, q
     p, q, remapped = serre_remap(n, p, q)

@@ -214,18 +214,16 @@ def to_operator(rm_tensor, atol=1e-8):
 
 
 def from_operator(op, kahler=False, quaternion=False, validate=True):
-    """Rank-4 tensor of a symmetric operator on Lambda^2 V."""
+    """Rank-4 tensor of a symmetric operator on Lambda^2 V; inverse of `to_operator`."""
     d = op.space.dim
-    pl = wedge_pairs(d)
+    k, l = np.array(wedge_pairs(d)).T
+    i, j = k[:, None], l[:, None]
+    M = op.matrix
     arr = np.zeros((d, d, d, d))
-    for a, (i, j) in enumerate(pl):
-        row = op.matrix[a]
-        for b, (k, l) in enumerate(pl):
-            v = row[b]
-            arr[i, j, k, l] = v
-            arr[j, i, k, l] = -v
-            arr[i, j, l, k] = -v
-            arr[j, i, l, k] = v
+    arr[i, j, k, l] = M
+    arr[j, i, k, l] = -M
+    arr[i, j, l, k] = -M
+    arr[j, i, l, k] = M
     return AlgebraicCurvatureTensor(op.space, arr, kahler=kahler, quaternion=quaternion,
                                     validate=validate)
 
@@ -573,89 +571,84 @@ def random_curvature(space, rng, scale=1.0):
     return AlgebraicCurvatureTensor(space, arr - alt, validate=False)
 
 
-_SUPPORTED_BASIS_CACHE: dict = {}
-_SPM_SPAN_CACHE: dict = {}
+_SUPPORTED_FORMS_CACHE: dict = {}
 
 
-class _BivectorSpan:
-    """Plain orthonormal span of bivectors, used by the random generators."""
+def _sp_m_two_forms(space):
+    """Two-forms of an orthonormal basis of sp(m), the skew commutant of {I, J, K}."""
+    from .holonomy import _sp_m_commutant, gram_schmidt
 
-    def __init__(self, space, rows):
-        self.space = space
-        self.coeff_matrix = np.array(rows)
-        self.basis = [Bivector(space, r) for r in rows]
+    return [Bivector(space, r).two_form() for r in gram_schmidt(list(_sp_m_commutant(space)))]
 
 
-def _sp_m_span(space):
-    """Span of the skew commutant of {I, J, K}: the sp(m) block alone."""
-    key = space
-    if key not in _SPM_SPAN_CACHE:
-        from .holonomy import _sp_m_commutant, gram_schmidt
+def _supported_constraints(two_forms, ricci_flat):
+    """Linear constraints on symmetric forms S on span{lam_a}, one column per pair.
 
-        rows = gram_schmidt(list(_sp_m_commutant(space)))
-        _SPM_SPAN_CACHE[key] = _BivectorSpan(space, rows)
-    return _SPM_SPAN_CACHE[key]
-
-
-def _supported_curvature_basis(algebra, ricci_flat, expected_dim):
-    """Basis tensors of {Rm supported on the algebra, Bianchi, (Ricci-flat)}.
-
-    Parametrizes symmetric forms on the algebra by their upper triangle,
-    imposes the linear constraints and returns, for each nullspace
-    direction, the corresponding rank-4 tensor; the nullspace must have
-    the known dimension `expected_dim`.  Cached per algebra.
+    Column p is the pair a <= b in upper-triangle order and stands for
+    t = lam_a (x) lam_b + lam_b (x) lam_a (lam_a (x) lam_a when a = b).
+    Its rows hold the Bianchi sums t(ijkl) + t(kijl) + t(jkil) over the
+    quadruples i < j < k < l and then, if `ricci_flat`, the Ricci traces
+    sum_i t(iyiw) over y <= w, each added in that order.
     """
-    key = (algebra, ricci_flat)
-    if key in _SUPPORTED_BASIS_CACHE:
-        return _SUPPORTED_BASIS_CACHE[key]
-    space = algebra.space
-    d = space.dim
-    lams = [b.two_form() for b in algebra.basis]
-    N = len(lams)
-    sym_tensors = []
-    for a in range(N):
-        for b in range(a, N):
-            t = _outer22(lams[a], lams[b])
-            if a != b:
-                t = t + _outer22(lams[b], lams[a])
-            sym_tensors.append(t)
-    quads = list(itertools.combinations(range(d), 4))
-    rows = []
-    for t in sym_tensors:
-        br = _bianchi_residual(t)
-        row = [br[i, j, k, l] for (i, j, k, l) in quads]
-        if ricci_flat:
-            rc = np.einsum("iyiw->yw", t)
-            row.extend(rc[i, j] for i in range(d) for j in range(i, d))
-        rows.append(np.array(row))
-    null = nullspace(np.array(rows).T, expected_dim)
-    basis = []
-    for coeffs in null:
-        arr = np.zeros((d, d, d, d))
-        for c, t in zip(coeffs, sym_tensors):
-            arr += c * t
-        basis.append(arr)
-    _SUPPORTED_BASIS_CACHE[key] = basis
-    return basis
+    lams = np.asarray(two_forms)
+    N, d = lams.shape[:2]
+    ia, ib = np.triu_indices(N)
+    la, lb = lams[ia], lams[ib]
+    off = (ia != ib)[:, None]
+
+    def t(x, y, z, w):
+        # 0.0 + x turns -0.0 into +0.0 as the einsum outer products of the dense
+        # construction (tests/oracles.py) do: the SVD's reflector signs see
+        # signed zeros, so this keeps its nullspace, and each seeded draw
+        p = 0.0 + la[:, x, y] * lb[:, z, w]
+        return np.where(off, p + lb[:, x, y] * la[:, z, w], p)
+
+    i, j, k, l = np.array(list(itertools.combinations(range(d), 4)), dtype=int).reshape(-1, 4).T
+    rows = [t(i, j, k, l) + t(k, i, j, l) + t(j, k, i, l)]
+    if ricci_flat:
+        y, w = np.triu_indices(d)
+        ric = np.zeros((len(ia), len(y)))
+        for x in range(d):
+            ric = ric + t(x, y, x, w)
+        rows.append(ric)
+    return np.concatenate(rows, axis=1).T
 
 
-def _random_supported(algebra, rng, ricci_flat, expected_dim, kahler=False, quaternion=False,
-                      scale=1.0):
-    basis = _supported_curvature_basis(algebra, ricci_flat, expected_dim)
-    coeffs = rng.standard_normal(len(basis)) * scale
-    arr = np.zeros((algebra.space.dim,) * 4)
-    for c, t in zip(coeffs, basis):
-        arr += c * t
-    return AlgebraicCurvatureTensor(algebra.space, arr, kahler=kahler,
-                                    quaternion=quaternion, validate=False)
+def _supported_curvature_basis(two_forms, ricci_flat, expected_dim):
+    """Symmetric forms spanning {Rm = sum_ab S_ab lam_a (x) lam_b : Bianchi, (Ricci-flat)}.
+
+    Returns (S, L): S of shape (R, N, N) holds the R nullspace directions
+    of `_supported_constraints`, which must number `expected_dim`, and
+    L of shape (N, d^2) stacks the two-forms lam_a.
+    """
+    lams = np.asarray(two_forms)
+    N, d = lams.shape[:2]
+    null = nullspace(_supported_constraints(lams, ricci_flat), expected_dim)
+    forms = np.zeros((len(null), N, N))
+    ia, ib = np.triu_indices(N)
+    forms[:, ia, ib] = null
+    forms[:, ib, ia] = null
+    return forms, lams.reshape(N, d * d)
+
+
+def _random_supported(space, forms, L, rng, kahler=False, quaternion=False, scale=1.0):
+    """Rm = L^T M L with M = sum_r c_r S_r for standard normal c_r."""
+    coeffs = rng.standard_normal(len(forms)) * scale
+    M = np.tensordot(coeffs, forms, axes=1)
+    arr = (L.T @ M @ L).reshape((space.dim,) * 4)
+    return AlgebraicCurvatureTensor(space, arr, kahler=kahler, quaternion=quaternion,
+                                    validate=False)
 
 
 def random_kahler_curvature(space, rng, algebra=None, scale=1.0):
     """Random Kahler curvature tensor: u(n)-supported symmetric form with Bianchi."""
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.U)
-    n = space.dim // 2
-    return _random_supported(algebra, rng, False, (n * (n + 1) // 2) ** 2, kahler=True,
+    if algebra not in _SUPPORTED_FORMS_CACHE:
+        n = space.dim // 2
+        _SUPPORTED_FORMS_CACHE[algebra] = _supported_curvature_basis(
+            [b.two_form() for b in algebra.basis], False, (n * (n + 1) // 2) ** 2)
+    return _random_supported(space, *_SUPPORTED_FORMS_CACHE[algebra], rng, kahler=True,
                              scale=scale)
 
 
@@ -663,9 +656,12 @@ def random_hyperkahler_curvature(space, rng, scale=1.0):
     """Random Ricci-flat curvature tensor supported on sp(m) alone."""
     if space.quaternionic_structure is None:
         raise ValueError("hyperkahler generator needs a quaternionic structure")
-    m = space.dim // 4
-    return _random_supported(_sp_m_span(space), rng, True, math.comb(2 * m + 3, 4),
-                             quaternion=True, scale=scale)
+    if space not in _SUPPORTED_FORMS_CACHE:
+        m = space.dim // 4
+        _SUPPORTED_FORMS_CACHE[space] = _supported_curvature_basis(
+            _sp_m_two_forms(space), True, math.comb(2 * m + 3, 4))
+    return _random_supported(space, *_SUPPORTED_FORMS_CACHE[space], rng, quaternion=True,
+                             scale=scale)
 
 
 def random_quaternion_kahler_curvature(space, rng, model_weight=1.0, scale=1.0):

@@ -166,3 +166,64 @@ def action_supremum_naive(algebra, arr):
         for b in range(N):
             P[a, b] = np.sum(slices[a] * np.conj(slices[b])).real
     return float(np.linalg.eigvalsh(P)[-1])
+
+
+def supported_constraints_naive(two_forms, ricci_flat):
+    """Constraint matrix on symmetric forms S on span{lam_a}, one pair at a time.
+
+    For each pair a <= b in upper-triangle order it builds the rank-4
+    tensor t = lam_a (x) lam_b + lam_b (x) lam_a (lam_a (x) lam_a when
+    a = b), its Bianchi residual by transposes, and the row of that
+    residual at the quadruples i < j < k < l, followed, if `ricci_flat`,
+    by the Ricci trace at y <= w.  Returns the rows transposed and the
+    tensors t.
+    """
+    lams = [np.asarray(lam) for lam in two_forms]
+    d = lams[0].shape[0]
+    N = len(lams)
+    sym_tensors = []
+    for a in range(N):
+        for b in range(a, N):
+            t = np.einsum("xy,zw->xyzw", lams[a], lams[b])
+            if a != b:
+                t = t + np.einsum("xy,zw->xyzw", lams[b], lams[a])
+            sym_tensors.append(t)
+    quads = list(itertools.combinations(range(d), 4))
+    rows = []
+    for t in sym_tensors:
+        br = t + np.transpose(t, (1, 2, 0, 3)) + np.transpose(t, (2, 0, 1, 3))
+        row = [br[i, j, k, l] for (i, j, k, l) in quads]
+        if ricci_flat:
+            rc = np.einsum("iyiw->yw", t)
+            row.extend(rc[i, j] for i in range(d) for j in range(i, d))
+        rows.append(np.array(row))
+    return np.array(rows).T, sym_tensors
+
+
+def supported_curvature_basis_naive(two_forms, ricci_flat, expected_dim):
+    """Dense basis tensors of {sum_ab S_ab lam_a (x) lam_b : S symmetric,
+    Bianchi, (Ricci-flat)}: each of the last `expected_dim` right singular
+    vectors of the constraint matrix, expanded over the tensors t."""
+    A, sym_tensors = supported_constraints_naive(two_forms, ricci_flat)
+    vh = np.linalg.svd(A, full_matrices=True)[2]
+    basis = []
+    for coeffs in vh[len(vh) - expected_dim:]:
+        arr = np.zeros(sym_tensors[0].shape)
+        for c, t in zip(coeffs, sym_tensors):
+            arr += c * t
+        basis.append(arr)
+    return basis
+
+
+def from_operator_naive(matrix, d):
+    """Rank-4 array of a symmetric operator on Lambda^2, entry by entry."""
+    pairs = list(itertools.combinations(range(d), 2))
+    arr = np.zeros((d, d, d, d))
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            v = matrix[a][b]
+            arr[i, j, k, l] = v
+            arr[j, i, k, l] = -v
+            arr[i, j, l, k] = -v
+            arr[j, i, l, k] = v
+    return arr

@@ -346,10 +346,21 @@ def test_verify_suites_pass(capsys):
     (["check", "quaternion", "--m", "2", "--model", "chsc"], "residual"),
     (["check", "quaternion", "--m", "2", "--k", "0.6", "--Q", "2", "--model", "chsc"],
      "residual"),
+    (["check", "pq", "--n", "2", "--p", "3", "--q", "0", "--model", "chsc"], "out of range"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "xyz"],
+     "unknown model 'xyz'"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0"], "provide --spectrum FILE"),
+    (["model", "hpm"], "model hpm requires --m"),
+    (["model", "chsc"], "model chsc requires --n"),
+    (["model", "cs"], "one of --n, --m, --d"),
+    (["weitz", "ric", "-i", "no-such-curvature.json"], "requires -t TENSOR"),
+    (["weitz", "verify", "-i", "no-such-curvature.json"], "requires a target"),
+    (["verify", "prop28", "--samples", "0"], "--samples must be at least 1"),
+    (["verify", "all", "--samples", "-1"], "--samples must be at least 1"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
-    # malformed input and models that leak off the algebra exit 1 with an
-    # error line and no verdict, never a traceback
+    # malformed input, models that leak off the algebra and empty suites
+    # exit 1 with an error line and no output, never a traceback
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1

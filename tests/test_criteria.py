@@ -192,6 +192,13 @@ def test_check_pq_stratum_remap_beyond_half_degree():
         check_pq(spec, 3, 2, 2, kappa=0.0, k=0)
 
 
+@pytest.mark.parametrize("p,q", [(3, 0), (0, 3), (-1, 2), (2, -1), (0, 0)])
+def test_check_pq_rejects_types_out_of_range(p, q):
+    # (3, 0) at n = 2 used to remap to (-1, 2) and print "vanishing"
+    with pytest.raises(ValueError, match="out of range"):
+        check_pq([1.0] * 4, 2, p, q, kappa=0.0)
+
+
 def test_check_pq_scale_covariance():
     spec = [0.5, 1.0, 1.5, 2.0]
     v1 = check_pq(spec, 2, 1, 0, kappa=0.0)

@@ -1,11 +1,14 @@
 """Curvature tensors, operators, models, decompositions, sharp-norm identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bochner import (
     AlgebraicCurvatureTensor,
     ComplexTensor,
+    CurvatureOperator,
     EuclideanSpace,
     act_on_tensor,
     chsc_model,
@@ -32,9 +35,21 @@ from bochner import (
     tf_ricci,
     to_operator,
 )
+from bochner.curvature import (
+    _SUPPORTED_FORMS_CACHE,
+    _sp_m_two_forms,
+    _supported_constraints,
+    _supported_curvature_basis,
+)
 from bochner.holonomy import cached_algebra
 
-from oracles import quaternion_sharp_constant_naive, ricci_naive
+from oracles import (
+    from_operator_naive,
+    quaternion_sharp_constant_naive,
+    ricci_naive,
+    supported_constraints_naive,
+    supported_curvature_basis_naive,
+)
 
 
 def bianchi_max(arr):
@@ -215,18 +230,83 @@ def test_random_hyperkahler_properties(h2, rng):
         assert scalar_curvature(r0) == pytest.approx(0.0, abs=1e-9)
 
 
+def _u_two_forms(space):
+    return [b.two_form() for b in cached_algebra(space, "u").basis]
+
+
 def test_supported_bases_have_the_known_dimension(c2, c3, h2):
     # Kahler curvature: (n(n+1)/2)^2; hyperkahler: C(2m+3, 4) = 35 at m = 2
-    from bochner.curvature import _sp_m_span, _supported_curvature_basis
-    from bochner.holonomy import build_algebra
-
     for space in (c2, c3):
         dim = (space.n * (space.n + 1) // 2) ** 2
-        assert len(_supported_curvature_basis(cached_algebra(space, "u"), False, dim)) == dim
-        # a fresh algebra misses the cache, so a wrong dimension is caught
+        forms, L = _supported_curvature_basis(_u_two_forms(space), False, dim)
+        assert forms.shape == (dim, space.n ** 2, space.n ** 2)
+        assert L.shape == (space.n ** 2, space.dim ** 2)
+        assert np.array_equal(forms, np.transpose(forms, (0, 2, 1)))
         with pytest.raises(ValueError, match="nullspace has dimension"):
-            _supported_curvature_basis(build_algebra(space, "u"), False, 1)
-    assert len(_supported_curvature_basis(_sp_m_span(h2), True, 35)) == 35
+            _supported_curvature_basis(_u_two_forms(space), False, 1)
+    assert len(_supported_curvature_basis(_sp_m_two_forms(h2), True, 35)[0]) == 35
+
+
+@pytest.mark.parametrize("kind,size", [("u", 2), ("u", 3), ("u", 4), ("u", 5),
+                                       ("sp", 2), ("sp", 3)])
+def test_supported_constraints_match_the_oracle(kind, size):
+    if kind == "u":
+        lams, ricci_flat = _u_two_forms(EuclideanSpace.complex_space(size)), False
+    else:
+        lams, ricci_flat = _sp_m_two_forms(EuclideanSpace.quaternionic_space(size)), True
+    ours = _supported_constraints(lams, ricci_flat)
+    ref, _ = supported_constraints_naive(lams, ricci_flat)
+    assert ours.shape == ref.shape
+    # bit for bit, signed zeros included: the nullspace, and so every
+    # seeded draw, depends on them
+    assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind,size", [("u", 1), ("u", 2), ("u", 3), ("sp", 2)])
+def test_supported_draws_match_the_oracle_expansion(kind, size):
+    if kind == "u":
+        space = EuclideanSpace.complex_space(size)
+        basis = supported_curvature_basis_naive(_u_two_forms(space), False,
+                                                (size * (size + 1) // 2) ** 2)
+        draw = random_kahler_curvature
+    else:
+        space = EuclideanSpace.quaternionic_space(size)
+        basis = supported_curvature_basis_naive(_sp_m_two_forms(space), True,
+                                                math.comb(2 * size + 3, 4))
+        draw = random_hyperkahler_curvature
+    for seed in range(3):
+        rm = draw(space, np.random.default_rng(seed), scale=2.0)
+        coeffs = np.random.default_rng(seed).standard_normal(len(basis)) * 2.0
+        ref = sum(c * t for c, t in zip(coeffs, basis))
+        assert np.abs(rm.array - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 10, 12])
+def test_from_operator_matches_the_oracle(d, rng):
+    P = d * (d - 1) // 2
+    M = rng.standard_normal((P, P))
+    op = CurvatureOperator(EuclideanSpace.euclidean(d), M + M.T)
+    ours = from_operator(op, validate=False).array
+    ref = from_operator_naive(op.matrix, d)
+    assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind,size,dim", [("sp", 4, 330), ("u", 6, 441)])
+def test_supported_curvature_at_the_new_sizes(kind, size, dim, rng):
+    # hyperkahler m = 4: C(11, 4) = 330; Kahler n = 6: 21^2 = 441
+    if kind == "sp":
+        space = EuclideanSpace.quaternionic_space(size)
+        rm = random_hyperkahler_curvature(space, rng)
+        key = space
+        assert np.abs(ricci(rm)).max() < 1e-9
+    else:
+        space = EuclideanSpace.complex_space(size)
+        rm = random_kahler_curvature(space, rng)
+        key = cached_algebra(space, "u")
+    # the forms the generator drew from
+    assert len(_SUPPORTED_FORMS_CACHE[key][0]) == dim
+    assert bianchi_max(rm.array) < 1e-10
+    assert to_operator(rm).leakage(cached_algebra(space, kind)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
