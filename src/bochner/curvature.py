@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import AlgebraKind, cached_algebra, sharp
+from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, gram_schmidt, sharp
 from .tensors import Bivector, ComplexTensor, EuclideanSpace, _write_json, nullspace, wedge_pairs
 
 __all__ = [
@@ -576,8 +576,6 @@ _SUPPORTED_FORMS_CACHE: dict = {}
 
 def _sp_m_two_forms(space):
     """Two-forms of an orthonormal basis of sp(m), the skew commutant of {I, J, K}."""
-    from .holonomy import _sp_m_commutant, gram_schmidt
-
     return [Bivector(space, r).two_form() for r in gram_schmidt(list(_sp_m_commutant(space)))]
 
 
