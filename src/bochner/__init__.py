@@ -59,6 +59,7 @@ from .curvature import (
     to_operator,
 )
 from .forms import (
+    Form,
     PQForm,
     action_bound_check,
     build_pq_basis,

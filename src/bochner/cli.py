@@ -230,8 +230,7 @@ def _suite_lemma26(seed, samples, tol):
         G = 0.5 * (G + G.T)
         spec = np.linalg.eigvalsh(G)
         for ell in (1, 2):
-            premise = float(np.sum(spec[:ell]) + (C - ell) * spec[ell]) if ell < len(spec) \
-                else float(np.sum(spec[:ell]))
+            premise = crit.weighted_partial_sum(spec, ell, C - ell)
             if premise < kappa * (ell + 1):
                 continue
             tensors = [fms.random_pq_form(space, 1, 0, rng).tensor for _ in range(samples)]
@@ -429,6 +428,8 @@ def cmd_weitz(args):
         raise ValueError(f"weitz {args.action} requires -t TENSOR")
     if args.action == "verify" and args.target is None:
         raise ValueError("weitz verify requires a target: prop24 or lemma26")
+    if args.action == "verify" and args.samples < 1:
+        raise ValueError(f"weitz verify --samples must be at least 1, got {args.samples}")
     rm = curv.load_curvature(args.input)
     if args.action == "ric":
         T = load_tensor(args.tensor, space=rm.space)
@@ -482,6 +483,9 @@ def cmd_weitz(args):
 
 
 def cmd_forms(args):
+    least = 1 if args.what == "check-prop28" else 0
+    if args.samples < least:
+        raise ValueError(f"forms {args.what} --samples must be at least {least}, got {args.samples}")
     space = EuclideanSpace.complex_space(args.n)
     rng = np.random.default_rng(args.seed)
     algebra = cached_algebra(space, AlgebraKind.U)

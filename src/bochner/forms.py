@@ -1,14 +1,17 @@
 """(p,q)-forms, Kahler form powers, wedge strata and the sharp-norm checks.
 
-Forms live in the complexified exterior algebra of a space with complex
-structure.  The unitary coframe is dz^a = e*_{2a-1} + i e*_{2a} in the
-block convention, so dz^a (d/dz_b) = delta_ab with
-d/dz_b = (e_{2b-1} - i e_{2b}) / 2.
-
-Wedges use the determinant convention: a product of k distinct coframe
-elements has components +-1 over all index orders, matching the
-orthonormal wedge-basis normalization in which |e_{i_1} ^ ... ^ e_{i_k}|
-is one after dividing the full-tensor norm by sqrt(k!).
+The unitary coframe is theta = (dz^1..dz^n, dzbar^1..dzbar^n) with
+dz^a = e*_{2a-1} + i e*_{2a} in the block convention, so
+dz^a (d/dz_b) = delta_ab with d/dz_b = (e_{2b-1} - i e_{2b}) / 2.  A
+degree-k form sum_I c_I theta^I is stored as its coefficients on the
+C(2n, k) increasing multi-indices I; it has type (p, q) when only
+multi-indices with p unbarred entries carry coefficients.  Wedges use
+the determinant convention: theta^I takes the value det B[I, J] on e_J,
+where row a of the coframe matrix B holds theta^a.  As B B^* = 2, the
+full-tensor norm over all index orders is k! 2^k sum_I |c_I|^2, and
+dividing by k! gives the norm in which real wedge monomials are unit
+vectors.  The full tensor itself, `Form.tensor`, is only the boundary
+to JSON, the Weitzenbock action and the tests.
 
 The space V^{p,q}_k collects products psi_1 ^ Omega^k ^ psi_2 with
 psi_1 of type (p-k, 0) and psi_2 of type (0, q-k).  Such a product
@@ -23,21 +26,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .criteria import serre_remap
-from .holonomy import AlgebraKind, cached_algebra, sharp
-from .tensors import (
-    Bivector,
-    ComplexTensor,
-    alternate,
-    hermitian_inner,
-    nullspace,
-    pullback,
-)
+from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
+from .tensors import Bivector, ComplexTensor, nullspace
 
 __all__ = [
+    "Form",
     "PQForm",
     "kahler_form",
     "kahler_form_bivector",
@@ -49,6 +47,7 @@ __all__ = [
     "build_pq_basis",
     "construct_Vpqk",
     "circ",
+    "sharp_form",
     "sharp_coefficient",
     "sharp_norm_coefficient_check",
     "action_bound_check",
@@ -61,6 +60,215 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+
+# ---------------------------------------------------------------------------
+# index tables, cached per size
+
+
+@lru_cache(maxsize=None)
+def _multi_indices(m, k):
+    """Increasing k-subsets of range(m), lexicographic, as a (C(m,k), k) array."""
+    return np.array(list(itertools.combinations(range(m), k)), dtype=int).reshape(math.comb(m, k), k)
+
+
+@lru_cache(maxsize=None)
+def _position(m, k):
+    return {tuple(I): x for x, I in enumerate(_multi_indices(m, k).tolist())}
+
+
+def _sort_sign(seq):
+    """Sign of the permutation sorting a sequence of distinct entries."""
+    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _coframe(n):
+    """B with row a = theta^a on the real basis; B B^* = 2."""
+    dz = np.kron(np.eye(n), [1.0, 1.0j])
+    return np.vstack([dz, dz.conj()])
+
+
+@lru_cache(maxsize=None)
+def _compound(n, k):
+    """The k x k minors det B[I, J]: theta^I on the increasing real
+    multi-indices J, indexed (I, J)."""
+    if k == 0:
+        return np.ones((1, 1), dtype=complex)
+    idx = _multi_indices(2 * n, k)
+    return np.linalg.det(_coframe(n)[idx[:, None, :, None], idx[None, :, None, :]])
+
+
+@lru_cache(maxsize=None)
+def _scatter(d, k):
+    """Flat positions in d^k of every ordering of each increasing real
+    multi-index, with the sign of that ordering: (C(d,k), k!) each."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=int).reshape(math.factorial(k), k)
+    signs = np.array([_sort_sign(p) for p in perms.tolist()], dtype=float)
+    ordered = _multi_indices(d, k)[:, perms]
+    pos = (ordered * d ** np.arange(k - 1, -1, -1)).sum(axis=-1)
+    return pos, signs
+
+
+@lru_cache(maxsize=None)
+def _type_mask(n, p, q):
+    """Multi-indices of degree p + q with p unbarred entries (index < n)."""
+    return (_multi_indices(2 * n, p + q) < n).sum(axis=1) == p
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(m, a, b):
+    """Disjoint pairs (I, J) of degrees (a, b): their positions, the
+    position of the sorted union K and the sign of theta^I ^ theta^J = +-theta^K."""
+    K = _position(m, a + b)
+    rows = [(x, y, K[tuple(sorted(I + J))], _sort_sign(I + J))
+            for x, I in enumerate(map(tuple, _multi_indices(m, a).tolist()))
+            for y, J in enumerate(map(tuple, _multi_indices(m, b).tolist()))
+            if not set(I) & set(J)]
+    iI, iJ, iK, sign = np.array(rows, dtype=int).reshape(-1, 4).T
+    return iI, iJ, iK, sign.astype(float)
+
+
+@lru_cache(maxsize=None)
+def _derivation_table(m, k):
+    """Gather tables of the elementary derivations E_xy, theta^x -> theta^y
+    in every slot, on degree k: (E_xy c)[K] = sign[xy, K] c[source[xy, K]],
+    where the padding source C(m, k) holds zero.  Shapes (m*m, C(m, k))."""
+    size = math.comb(m, k)
+    source = np.full((m * m, size), size, dtype=int)
+    sign = np.zeros((m * m, size))
+    K = _position(m, k)
+    for i, I in enumerate(map(tuple, _multi_indices(m, k).tolist())):
+        for s, x in enumerate(I):
+            for y in range(m):
+                if y != x and y in I:
+                    continue
+                J = I[:s] + (y,) + I[s + 1:]
+                col = K[tuple(sorted(J))]
+                source[x * m + y, col] = i
+                sign[x * m + y, col] = _sort_sign(J)
+    return source, sign
+
+
+@lru_cache(maxsize=None)
+def _coframe_action(algebra):
+    """Each basis element as a map of the coframe, Xi_a theta^x =
+    sum_y A_a[x, y] theta^y with A_a = -B M_a B^* / 2; shape (N, m*m)."""
+    B = _coframe(algebra.space.n)
+    M = np.array([b.matrix() for b in algebra.basis])
+    return (-0.5 * (B @ M @ B.conj().T)).reshape(len(M), -1)
+
+
+# ---------------------------------------------------------------------------
+# forms
+
+
+class Form:
+    """A complex k-form sum_I c_I theta^I on the coframe multi-indices."""
+
+    def __init__(self, space, degree, coeffs):
+        self.space = space
+        self.degree = int(degree)
+        c = np.array(coeffs, dtype=complex)
+        if c.shape != (math.comb(2 * space.n, self.degree),):
+            raise ValueError(f"{c.shape} coefficients do not fit degree {self.degree} "
+                             f"at n = {space.n}")
+        c.setflags(write=False)
+        self.coeffs = c
+        self._tensor = None
+
+    @classmethod
+    def from_tensor(cls, T, atol=1e-9):
+        """Read a dense antisymmetric tensor off through the coframe minors,
+        c = conj(C) t / 2^k on its increasing components t.  Unless `atol`
+        is None, a tensor the coefficients do not reproduce is rejected."""
+        n, k = T.space.n, T.rank
+        t = T.components.reshape(-1)[_scatter(T.space.dim, k)[0][:, 0]]
+        form = cls(T.space, k, np.conj(_compound(n, k)) @ t / 2 ** k)
+        if atol is None:
+            return form
+        if not np.allclose(form.tensor.components, T.components,
+                           atol=atol * math.sqrt(T.norm2())):
+            raise ValueError("tensor is not antisymmetric")
+        form._tensor = T  # reproduced to atol, and keeps JSON round trips exact
+        return form
+
+    @property
+    def tensor(self):
+        """The full tensor over all index orders (computed once)."""
+        if self._tensor is None:
+            d, k = self.space.dim, self.degree
+            pos, signs = _scatter(d, k)
+            flat = np.zeros(d ** k, dtype=complex)
+            flat[pos] = (_compound(self.space.n, k).T @ self.coeffs)[:, None] * signs
+            self._tensor = ComplexTensor(self.space, flat.reshape((d,) * k))
+        return self._tensor
+
+    def inner(self, other):
+        """Hermitian full-tensor inner product <self, other>."""
+        scale = math.factorial(self.degree) * 2 ** self.degree
+        return complex(scale * np.vdot(other.coeffs, self.coeffs))
+
+    def norm2(self):
+        return self.inner(self).real
+
+    def form_norm2(self):
+        return self.norm2() / math.factorial(self.degree)
+
+    def __repr__(self):
+        return f"Form(degree={self.degree}, dim={self.space.dim})"
+
+
+class PQForm(Form):
+    """Form of pure type (p, q), optionally with a declared wedge-stratum
+    index k certifying the shape psi_1 ^ Omega^k ^ psi_2.
+
+    `tensor` is a Form or a dense antisymmetric ComplexTensor, which is
+    read off through the coframe minors."""
+
+    def __init__(self, space, p, q, tensor, k=None, validate=True, atol=1e-9):
+        self.p = int(p)
+        self.q = int(q)
+        self.k = None if k is None else int(k)
+        form = tensor
+        if isinstance(tensor, ComplexTensor):
+            form = Form.from_tensor(tensor, atol=atol if validate else None)
+        if form.degree != self.p + self.q:
+            raise ValueError(f"degree {form.degree} does not match (p, q) = ({self.p}, {self.q})")
+        super().__init__(space, form.degree, form.coeffs)
+        self._tensor = form._tensor
+        if not validate:
+            return
+        if self.k is not None and self.k > min(self.p, self.q):
+            raise ValueError(f"declared k = {self.k} exceeds min(p, q)")
+        pure = np.where(_type_mask(space.n, self.p, self.q), self.coeffs, 0)
+        if not np.allclose(pure, self.coeffs, atol=atol * math.sqrt(self.norm2())):
+            raise ValueError(f"tensor is not of pure type ({self.p}, {self.q})")
+
+    def __add__(self, other):
+        if (self.p, self.q) != (other.p, other.q):
+            raise ValueError("cannot add forms of different type")
+        k = self.k if self.k == other.k else None
+        return _pq(self.space, self.p, self.q, self.coeffs + other.coeffs, k)
+
+    def __mul__(self, scalar):
+        return _pq(self.space, self.p, self.q, self.coeffs * scalar, self.k)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        kk = f", k={self.k}" if self.k is not None else ""
+        return f"PQForm(({self.p},{self.q}){kk}, dim={self.space.dim})"
+
+
+def _pq(space, p, q, coeffs, k=None):
+    return PQForm(space, p, q, Form(space, p + q, coeffs), k=k, validate=False)
+
+
+def _unit(space, p, q, position, k=None):
+    c = np.zeros(math.comb(2 * space.n, p + q), dtype=complex)
+    c[position] = 1.0
+    return _pq(space, p, q, c, k)
 
 
 def kahler_form(space):
@@ -77,125 +285,53 @@ _OMEGA_POWER_CACHE: dict = {}
 
 
 def omega_power(space, p):
-    """Omega^p as a rank-2p antisymmetric tensor (cached per space)."""
+    """Omega^p, with omega = (i/2) sum_a dz^a ^ dzbar^a (cached per space)."""
     key = (space, p)
     if key not in _OMEGA_POWER_CACHE:
+        n = space.n
         if p == 0:
-            out = ComplexTensor(space, np.array(1.0 + 0j))
+            out = _unit(space, 0, 0, 0, k=0)
         elif p == 1:
-            out = kahler_form(space)
+            pos = _position(2 * n, 2)
+            c = np.zeros(len(pos), dtype=complex)
+            c[[pos[(a, n + a)] for a in range(n)]] = 0.5j
+            out = _pq(space, 1, 1, c, k=1)
         else:
-            out = wedge(omega_power(space, p - 1), kahler_form(space))
+            out = _pq(space, p, p, wedge(omega_power(space, p - 1), omega_power(space, 1)).coeffs, p)
         _OMEGA_POWER_CACHE[key] = out
     return _OMEGA_POWER_CACHE[key]
 
 
 def dz_covector(space, a):
     """dz^a = e*_{2a-1} + i e*_{2a} (0-based a)."""
-    v = np.zeros(space.dim, dtype=complex)
-    v[2 * a] = 1.0
-    v[2 * a + 1] = 1j
-    return ComplexTensor(space, v)
+    return _unit(space, 1, 0, a)
 
 
 def dzbar_covector(space, a):
-    return dz_covector(space, a).conj()
+    return _unit(space, 0, 1, space.n + a)
 
 
 def wedge(A, B):
-    """Wedge product of antisymmetric tensors, determinant convention.
-
-    (A ^ B)(X_1, ..., X_{a+b}) = 1/(a! b!) sum_sigma sign(sigma)
-    A(X_sigma(1..a)) B(X_sigma(a+1..a+b)); for coframe monomials this
-    reproduces components +-1.
-    """
-    a, b = A.rank, B.rank
-    T = ComplexTensor(A.space, np.multiply.outer(A.components, B.components))
-    out = alternate(T)
-    return ComplexTensor(A.space, out.components * (math.factorial(a + b)
-                                                    / (math.factorial(a) * math.factorial(b))))
-
-
-def _rotation(space, theta):
-    J = space.j_matrix()
-    return math.cos(theta) * np.eye(space.dim) + math.sin(theta) * J
+    """Wedge product in the determinant convention, by the sign table
+    theta^I ^ theta^J = +-theta^(I u J) for disjoint I, J.  Two PQForms
+    wedge to a PQForm of the summed type."""
+    m = 2 * A.space.n
+    iI, iJ, iK, sign = _wedge_table(m, A.degree, B.degree)
+    prod = sign * A.coeffs[iI] * B.coeffs[iJ]
+    size = math.comb(m, A.degree + B.degree)
+    c = np.bincount(iK, prod.real, size) + 1j * np.bincount(iK, prod.imag, size)
+    out = Form(A.space, A.degree + B.degree, c)
+    if isinstance(A, PQForm) and isinstance(B, PQForm):
+        return PQForm(A.space, A.p + B.p, A.q + B.q, out, validate=False)
+    return out
 
 
 def pq_project(T, p, q):
-    """Projection of a rank (p+q) form onto type (p, q).
-
-    Uses the circle action generated by J: a type (p, q) form picks up
-    e^{i (p - q) theta} under pullback by cos(theta) + sin(theta) J, so
-    averaging with the conjugate character isolates the component.  The
-    discretization with 2(p+q) + 1 nodes is exact.
-    """
-    k = p + q
-    if T.rank != k:
-        raise ValueError(f"tensor rank {T.rank} does not match p + q = {k}")
-    N = 2 * k + 1
-    out = np.zeros_like(T.components)
-    for t in range(N):
-        theta = 2.0 * math.pi * t / N
-        rot = pullback(T, _rotation(T.space, theta))
-        out += np.exp(-1j * (p - q) * theta) * rot.components
-    return ComplexTensor(T.space, out / N)
-
-
-class PQForm:
-    """Antisymmetric tensor of pure type (p, q), optionally with a declared
-    wedge-stratum index k certifying the shape psi_1 ^ Omega^k ^ psi_2."""
-
-    def __init__(self, space, p, q, tensor, k=None, validate=True, atol=1e-9):
-        self.space = space
-        self.p = int(p)
-        self.q = int(q)
-        self.k = None if k is None else int(k)
-        self.tensor = tensor
-        if validate:
-            self._validate(atol)
-
-    def _validate(self, atol):
-        if self.tensor.rank != self.p + self.q:
-            raise ValueError(f"rank {self.tensor.rank} does not match (p, q) = ({self.p}, {self.q})")
-        if self.k is not None and self.k > min(self.p, self.q):
-            raise ValueError(f"declared k = {self.k} exceeds min(p, q)")
-        scale = math.sqrt(self.tensor.norm2())
-        if scale == 0.0:
-            return
-        alt = alternate(self.tensor)
-        if not np.allclose(alt.components, self.tensor.components, atol=atol * scale):
-            raise ValueError("tensor is not antisymmetric")
-        proj = pq_project(self.tensor, self.p, self.q)
-        if not np.allclose(proj.components, self.tensor.components, atol=atol * scale):
-            raise ValueError(f"tensor is not of pure type ({self.p}, {self.q})")
-
-    def norm2(self):
-        return self.tensor.norm2()
-
-    def form_norm2(self):
-        return self.tensor.form_norm2()
-
-    def __add__(self, other):
-        if (self.p, self.q) != (other.p, other.q):
-            raise ValueError("cannot add forms of different type")
-        k = self.k if self.k == other.k else None
-        return PQForm(self.space, self.p, self.q, self.tensor + other.tensor, k=k, validate=False)
-
-    def __mul__(self, scalar):
-        return PQForm(self.space, self.p, self.q, self.tensor * scalar, k=self.k, validate=False)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        kk = f", k={self.k}" if self.k is not None else ""
-        return f"PQForm(({self.p},{self.q}){kk}, dim={self.space.dim})"
-
-
-def _wedge_monomial(space, covectors):
-    out = ComplexTensor(space, np.array(1.0 + 0j))
-    for c in covectors:
-        out = wedge(out, c)
-    return out
+    """Type (p, q) part of a form: its coefficients on the multi-indices
+    with p unbarred entries."""
+    if T.degree != p + q:
+        raise ValueError(f"form degree {T.degree} does not match p + q = {p + q}")
+    return _pq(T.space, p, q, np.where(_type_mask(T.space.n, p, q), T.coeffs, 0))
 
 
 def build_pq_basis(space, p, q):
@@ -206,13 +342,7 @@ def build_pq_basis(space, p, q):
     n = space.n
     if p < 0 or q < 0 or p > n or q > n:
         raise ValueError(f"(p, q) = ({p}, {q}) out of range for n = {n}")
-    out = []
-    for I in itertools.combinations(range(n), p):
-        wI = _wedge_monomial(space, [dz_covector(space, a) for a in I])
-        for J in itertools.combinations(range(n), q):
-            wJ = _wedge_monomial(space, [dzbar_covector(space, a) for a in J])
-            out.append(PQForm(space, p, q, wedge(wI, wJ), k=0, validate=False))
-    return out
+    return [_unit(space, p, q, x, k=0) for x in np.flatnonzero(_type_mask(n, p, q))]
 
 
 def construct_Vpqk(psi1, psi2, k):
@@ -226,9 +356,8 @@ def construct_Vpqk(psi1, psi2, k):
         raise ValueError(f"psi2 must have type (0, *), got ({psi2.p}, {psi2.q})")
     if k < 0:
         raise ValueError("stratum index k must be nonnegative")
-    space = psi1.space
-    T = wedge(wedge(psi1.tensor, omega_power(space, k)), psi2.tensor)
-    return PQForm(space, psi1.p + k, psi2.q + k, T, k=k, validate=False)
+    out = wedge(wedge(psi1, omega_power(psi1.space, k)), psi2)
+    return _pq(out.space, out.p, out.q, out.coeffs, k)
 
 
 def circ(phi, normalization="orthogonal"):
@@ -241,16 +370,37 @@ def circ(phi, normalization="orthogonal"):
     difference between the two readings observable.
     """
     if phi.p != phi.q:
-        return PQForm(phi.space, phi.p, phi.q, phi.tensor.copy(), k=phi.k, validate=False)
+        return _pq(phi.space, phi.p, phi.q, phi.coeffs, phi.k)
     omp = omega_power(phi.space, phi.p)
-    inner = hermitian_inner(phi.tensor, omp)
+    inner = phi.inner(omp)
     if normalization == "orthogonal":
-        coeff = inner / hermitian_inner(omp, omp)
+        coeff = inner / omp.inner(omp)
     elif normalization == "printed":
-        coeff = inner / math.sqrt(hermitian_inner(omp, omp).real)
+        coeff = inner / math.sqrt(omp.inner(omp).real)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    return PQForm(phi.space, phi.p, phi.q, phi.tensor - coeff * omp, k=phi.k, validate=False)
+    return _pq(phi.space, phi.p, phi.q, phi.coeffs - coeff * omp.coeffs, phi.k)
+
+
+class _FormSharp(SharpDecomposition):
+    """Slices Xi_a phi of a form, held as Forms; the stacked array is their
+    coefficients scaled so that its inner products are the full-tensor ones.
+    `evaluate` and `reconstruct` read dense slices: use
+    `holonomy.sharp(phi.tensor, algebra)` for those."""
+
+    def as_array(self):
+        k = self.tensor.degree
+        return np.stack([s.coeffs for s in self.slices]) * math.sqrt(math.factorial(k) * 2 ** k)
+
+
+def sharp_form(phi, algebra):
+    """Sharp decomposition of a form over any algebra: every basis element
+    acts on the coframe and, as a derivation, on the multi-indices."""
+    m, k = 2 * phi.space.n, phi.degree
+    source, sign = _derivation_table(m, k)
+    moved = sign * np.append(phi.coeffs, 0)[source]
+    slices = _coframe_action(algebra) @ moved
+    return _FormSharp(algebra, phi, [Form(phi.space, k, s) for s in slices])
 
 
 def sharp_coefficient(n, p, q, k):
@@ -288,7 +438,7 @@ def sharp_norm_coefficient_check(phi, algebra=None):
     coeff = float(sharp_coefficient(n, pr, qr, kr))
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.U)
-    lhs = sharp(phi.tensor, algebra).norm2()
+    lhs = sharp_form(phi, algebra).norm2()
     ringed = circ(phi)
     rhs_base = ringed.norm2()
     rhs = coeff * rhs_base
@@ -321,18 +471,22 @@ def action_bound_check(phi, algebra=None):
         return {"p": p, "q": q, "k": k, "max_ratio": 0.0, "vacuous": True}
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.U)
-    ratio = sharp(phi.tensor, algebra).max_action_norm2() / (weight * ringed2)
+    ratio = sharp_form(phi, algebra).max_action_norm2() / (weight * ringed2)
     return {"p": p, "q": q, "k": k, "max_ratio": ratio, "vacuous": False}
 
 
-def _omega_contraction_matrix(space, basis):
-    """Matrix of the trace against omega on the span of the given forms."""
-    om = space.j_matrix().T
-    cols = []
-    for f in basis:
-        c = np.tensordot(om, f.tensor.components, axes=([0, 1], [0, 1]))
-        cols.append(np.asarray(c).reshape(-1))
-    return np.array(cols).T
+@lru_cache(maxsize=None)
+def _omega_contraction_matrix(space, p, q):
+    """The trace sum_ij omega_ij phi(e_i, e_j, ...) of the (p, q) monomials
+    (columns) on the increasing real multi-indices of degree p + q - 2
+    (rows).  On antisymmetric tensors the trace is 1 / C(k, 2) times the
+    adjoint of L = omega ^, which on coefficients is 4 k (k-1) times the
+    conjugate transpose: 8 conj(L)^T in all."""
+    n, k = space.n, p + q
+    iI, iJ, iK, sign = _wedge_table(2 * n, 2, k - 2)
+    L = np.zeros((math.comb(2 * n, k), math.comb(2 * n, k - 2)), dtype=complex)
+    L[iK, iJ] = sign * omega_power(space, 1).coeffs[iI]
+    return _compound(n, k - 2).T @ (8 * L[_type_mask(n, p, q)].conj().T)
 
 
 def primitive_pq_basis(space, p, q):
@@ -340,37 +494,31 @@ def primitive_pq_basis(space, p, q):
     basis = build_pq_basis(space, p, q)
     if p + q <= 1:
         # nothing to contract against omega; already primitive
-        return [PQForm(space, p, q, f.tensor * (1.0 / math.sqrt(f.tensor.norm2())),
-                       k=0, validate=False) for f in basis]
+        return [f * (1.0 / math.sqrt(f.norm2())) for f in basis]
     n = space.n
     lowered = math.comb(n, p - 1) * math.comb(n, q - 1) if p and q else 0
-    null = nullspace(_omega_contraction_matrix(space, basis),
+    null = nullspace(_omega_contraction_matrix(space, p, q),
                      max(0, math.comb(n, p) * math.comb(n, q) - lowered))
-    out = []
-    for coeffs in null:
-        T = ComplexTensor(space, sum(c * f.tensor.components for c, f in zip(coeffs, basis)))
-        out.append(PQForm(space, p, q, T * (1.0 / math.sqrt(T.norm2())), k=0, validate=False))
-    return out
+    coeffs = np.zeros((len(null), math.comb(2 * n, p + q)), dtype=complex)
+    coeffs[:, _type_mask(n, p, q)] = null
+    return [f * (1.0 / math.sqrt(f.norm2())) for f in (_pq(space, p, q, c, 0) for c in coeffs)]
 
 
 def stratum_basis(space, p, q, k):
     """Spanning forms Omega^k ^ (primitive (p-k, q-k) basis): the subspace
     on which the sharp-norm coefficient is exact."""
-    prim = primitive_pq_basis(space, p - k, q - k)
     omk = omega_power(space, k)
-    out = []
-    for f in prim:
-        T = wedge(omk, f.tensor)
-        out.append(PQForm(space, p, q, T, k=k, validate=False))
-    return out
+    return [_pq(space, p, q, wedge(omk, f).coeffs, k) for f in primitive_pq_basis(space, p - k, q - k)]
+
+
+def _combination(space, p, q, k, basis, rng):
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    return _pq(space, p, q, coeffs @ np.array([f.coeffs for f in basis]), k)
 
 
 def random_pq_form(space, p, q, rng, k=0):
     """Random complex combination of the (p, q) wedge basis."""
-    basis = build_pq_basis(space, p, q)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    T = ComplexTensor(space, sum(c * f.tensor.components for c, f in zip(coeffs, basis)))
-    return PQForm(space, p, q, T, k=k, validate=False)
+    return _combination(space, p, q, k, build_pq_basis(space, p, q), rng)
 
 
 def random_stratum_form(space, p, q, k, rng):
@@ -379,9 +527,7 @@ def random_stratum_form(space, p, q, k, rng):
     if not basis:
         raise ValueError(f"stratum Omega^{k} ^ primitive({p - k}, {q - k}) is empty "
                          f"at n = {space.n}")
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    T = ComplexTensor(space, sum(c * f.tensor.components for c, f in zip(coeffs, basis)))
-    return PQForm(space, p, q, T, k=k, validate=False)
+    return _combination(space, p, q, k, basis, rng)
 
 
 def pqform_to_json(phi):

@@ -15,10 +15,12 @@ Conventions
 The complex structure acts blockwise, J e_1 = e_2, J e_2 = -e_1, and so
 on (1-based).  The quaternionic triple acts on blocks of four with
 I J = -J I = K; the complex structure of a quaternionic space is I.
-Antisymmetric forms are stored as full tensors over all index orders, so
-the wedge monomial e_1 ^ e_2 has two components +-1 and squared
-full-tensor norm 2; the norm in which wedge monomials are unit vectors
-divides the squared full-tensor norm by k!.
+A dense tensor holds every index order, so the antisymmetric
+e*_1 ^ e*_2 has two components +-1 and squared full-tensor norm 2; the
+norm in which wedge monomials are unit vectors divides the squared
+full-tensor norm by k!.  Forms themselves are stored on coframe
+multi-indices (see :mod:`bochner.forms`) and meet dense tensors only at
+the boundary.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ __all__ = [
     "lie_bracket",
     "act_on_tensor",
     "hermitian_inner",
-    "alternate",
-    "pullback",
     "wedge_pairs",
     "nullspace",
     "tensor_to_json",
@@ -412,34 +412,6 @@ def hermitian_inner(T, S):
     return complex(np.sum(T.components * np.conj(S.components)))
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def alternate(T):
-    """Full antisymmetrization (1/k!) sum_sigma sign(sigma) T^sigma."""
-    arr = T.components
-    k = arr.ndim
-    if k <= 1:
-        return T.copy()
-    out = np.zeros_like(arr)
-    for perm in itertools.permutations(range(k)):
-        out += _perm_sign(perm) * np.transpose(arr, perm)
-    return ComplexTensor(T.space, out / math.factorial(k))
-
-
 def nullspace(A, expected_dim):
     """Orthonormal rows spanning {x : A x = 0}, checked against a known dimension.
 
@@ -447,7 +419,10 @@ def nullspace(A, expected_dim):
     nullspace of another dimension than `expected_dim` raises, naming the
     singular values on either side of the expected rank (the gap).
     """
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
+    # a wide A needs the full vh for its null rows; a tall one gets them all
+    # from the thin SVD, whose vh matched the full one bit for bit on every
+    # matrix the tests build
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 1.0)))
     null = vh[rank:].conj()
     if len(null) != expected_dim:
@@ -457,15 +432,6 @@ def nullspace(A, expected_dim):
         raise ValueError(f"nullspace has dimension {len(null)}, expected {expected_dim}; "
                          f"relative singular values at rank {r}: {around} (cutoff 1e-9)")
     return null
-
-
-def pullback(T, A):
-    """Componentwise pullback T(A X_1, ..., A X_k) by a linear map A."""
-    arr = T.components
-    A = np.asarray(A)
-    for s in range(arr.ndim):
-        arr = np.moveaxis(np.tensordot(arr, A, axes=([s], [0])), -1, s)
-    return ComplexTensor(T.space, arr)
 
 
 def tensor_to_json(T):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import weighted_partial_sum
 from .curvature import AlgebraicCurvatureTensor, CurvatureOperator, ricci, to_operator
 from .holonomy import sharp
 from .tensors import ComplexTensor, hermitian_inner
@@ -188,8 +189,7 @@ def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors, slack=1e-10
     if kappa > 0:
         raise ValueError("kappa must be nonpositive")
     spectrum = np.linalg.eigvalsh(gram)
-    premise_value = float(np.sum(spectrum[:ell]) + (C - ell) * spectrum[ell]
-                          if ell < len(spectrum) else np.sum(spectrum[:ell]))
+    premise_value = weighted_partial_sum(spectrum, ell, C - ell if ell < len(spectrum) else 0)
     premise = premise_value >= kappa * (ell + 1)
     strict_premise = premise_value > 0
     cases = []

@@ -227,3 +227,79 @@ def from_operator_naive(matrix, d):
             arr[i, j, l, k] = -v
             arr[j, i, l, k] = v
     return arr
+
+
+# ---------------------------------------------------------------------------
+# the dense form representation: full d^k tensors over all index orders
+
+
+def alternate_naive(arr):
+    """Full antisymmetrization (1/k!) sum_sigma sign(sigma) T^sigma."""
+    k = arr.ndim
+    if k <= 1:
+        return arr.copy()
+    out = np.zeros_like(arr)
+    for perm in itertools.permutations(range(k)):
+        out += perm_sign(perm) * np.transpose(arr, perm)
+    return out / math.factorial(k)
+
+
+def wedge_dense(A, B):
+    """Wedge of antisymmetric arrays through the alternation, determinant
+    convention: (a+b)! / (a! b!) Alt(A (x) B)."""
+    a, b = A.ndim, B.ndim
+    out = alternate_naive(np.multiply.outer(A, B))
+    return out * (math.factorial(a + b) / (math.factorial(a) * math.factorial(b)))
+
+
+def pullback_naive(arr, A):
+    """Componentwise pullback T(A X_1, ..., A X_k) by a linear map A."""
+    for s in range(arr.ndim):
+        arr = np.moveaxis(np.tensordot(arr, A, axes=([s], [0])), -1, s)
+    return arr
+
+
+def pq_project_naive(arr, J, p, q):
+    """Type (p, q) part by the circle action of J: a type (p, q) form picks
+    up e^{i (p - q) theta} under pullback by cos(theta) + sin(theta) J, and
+    the average over 2(p+q) + 1 nodes with the conjugate character is exact."""
+    N = 2 * (p + q) + 1
+    out = np.zeros_like(arr)
+    for t in range(N):
+        theta = 2.0 * math.pi * t / N
+        rot = math.cos(theta) * np.eye(J.shape[0]) + math.sin(theta) * J
+        out += np.exp(-1j * (p - q) * theta) * pullback_naive(arr, rot)
+    return out / N
+
+
+def dz_dense(d, a):
+    """dz^a = e*_{2a-1} + i e*_{2a} (0-based a) as a dense covector."""
+    v = np.zeros(d, dtype=complex)
+    v[2 * a] = 1.0
+    v[2 * a + 1] = 1j
+    return v
+
+
+def pq_basis_dense(n, p, q):
+    """The products dz^I ^ dzbar^J as dense arrays, I lexicographic outer,
+    J lexicographic inner."""
+    d = 2 * n
+    out = []
+    for I in itertools.combinations(range(n), p):
+        wI = np.array(1.0 + 0j)
+        for a in I:
+            wI = wedge_dense(wI, dz_dense(d, a))
+        for J in itertools.combinations(range(n), q):
+            wJ = np.array(1.0 + 0j)
+            for a in J:
+                wJ = wedge_dense(wJ, dz_dense(d, a).conj())
+            out.append(wedge_dense(wI, wJ))
+    return out
+
+
+def omega_contraction_matrix_dense(J, basis):
+    """Trace against omega = J^T of each dense form, flattened over all
+    index orders, one column per form."""
+    om = J.T
+    cols = [np.asarray(np.tensordot(om, f, axes=([0, 1], [0, 1]))).reshape(-1) for f in basis]
+    return np.array(cols).T

@@ -357,6 +357,14 @@ def test_verify_suites_pass(capsys):
     (["weitz", "verify", "-i", "no-such-curvature.json"], "requires a target"),
     (["verify", "prop28", "--samples", "0"], "--samples must be at least 1"),
     (["verify", "all", "--samples", "-1"], "--samples must be at least 1"),
+    (["weitz", "verify", "prop24", "-i", "no-such-curvature.json", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["weitz", "verify", "lemma26", "-i", "no-such-curvature.json", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["forms", "check-prop28", "--n", "3", "--p", "2", "--q", "1", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["forms", "check-prop27", "--n", "2", "--p", "1", "--q", "0", "--samples", "-1"],
+     "--samples must be at least 0"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, models that leak off the algebra and empty suites
@@ -375,3 +383,13 @@ def test_verify_prop28_samples_forms(capsys):
     ids = [c["id"] for c in rep["cases"]]
     assert "prop28/n2p1q0k0/sample001" in ids
     assert all(c["lhs"] <= 1.0 + 1e-12 for c in rep["cases"])
+
+
+def test_forms_check_prop27_without_samples_checks_products(capsys):
+    # with no random stratum forms the products are still checked
+    code, out, _ = run_cli(capsys, "forms", "check-prop27", "--n", "3", "--p", "2", "--q", "1",
+                           "--samples", "0")
+    assert code == 0
+    cases = json.loads(out)["cases"]
+    assert len(cases) == 9
+    assert all(c["id"].startswith("product") for c in cases)

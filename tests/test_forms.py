@@ -8,6 +8,7 @@ import pytest
 from bochner import (
     ComplexTensor,
     EuclideanSpace,
+    Form,
     PQForm,
     action_bound_check,
     build_pq_basis,
@@ -41,33 +42,39 @@ from oracles import wedge_naive
 # wedges and the unitary coframe
 
 
+def random_form(space, degree, rng):
+    """A form of mixed type with random complex coefficients."""
+    size = math.comb(2 * space.n, degree)
+    return Form(space, degree, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+
 def test_wedge_matches_naive(c2, rng):
-    A = ComplexTensor.random(c2, 1, rng)
-    B = ComplexTensor.random(c2, 2, rng)
+    A = random_form(c2, 1, rng)
+    B = random_form(c2, 2, rng)
     got = wedge(A, B)
-    expected = wedge_naive(A.components, B.components)
-    assert np.allclose(got.components, expected, atol=1e-12)
+    expected = wedge_naive(A.tensor.components, B.tensor.components)
+    assert np.allclose(got.tensor.components, expected, atol=1e-12)
 
 
 def test_wedge_monomials_have_unit_components(c2):
-    e0 = ComplexTensor.basis_covector(c2, 0)
-    e1 = ComplexTensor.basis_covector(c2, 1)
+    e0 = Form.from_tensor(ComplexTensor.basis_covector(c2, 0))
+    e1 = Form.from_tensor(ComplexTensor.basis_covector(c2, 1))
     w = wedge(e0, e1)
-    assert w.components[0, 1] == 1.0
-    assert w.components[1, 0] == -1.0
-    e2 = ComplexTensor.basis_covector(c2, 2)
+    assert w.tensor.components[0, 1] == 1.0
+    assert w.tensor.components[1, 0] == -1.0
+    e2 = Form.from_tensor(ComplexTensor.basis_covector(c2, 2))
     w3 = wedge(w, e2)
-    assert w3.components[0, 1, 2] == 1.0
-    assert w3.components[1, 0, 2] == -1.0
+    assert w3.tensor.components[0, 1, 2] == 1.0
+    assert w3.tensor.components[1, 0, 2] == -1.0
     assert w3.form_norm2() == pytest.approx(1.0)
 
 
 def test_wedge_graded_commutativity(c3, rng):
-    a = ComplexTensor.random(c3, 1, rng)
-    b = ComplexTensor.random(c3, 2, rng)
+    a = random_form(c3, 1, rng)
+    b = random_form(c3, 2, rng)
     ab = wedge(a, b)
     ba = wedge(b, a)
-    assert np.allclose(ab.components, ((-1) ** (1 * 2)) * ba.components, atol=1e-10)
+    assert np.allclose(ab.tensor.components, ((-1) ** (1 * 2)) * ba.tensor.components, atol=1e-10)
 
 
 def test_dz_pairing(c3):
@@ -78,7 +85,7 @@ def test_dz_pairing(c3):
             frame = np.zeros(6, dtype=complex)
             frame[2 * b] = 0.5
             frame[2 * b + 1] = -0.5j
-            assert np.dot(dz.components, frame) == pytest.approx(1.0 if a == b else 0.0)
+            assert np.dot(dz.tensor.components, frame) == pytest.approx(1.0 if a == b else 0.0)
 
 
 def test_kahler_form_via_dz(c2):
@@ -86,7 +93,7 @@ def test_kahler_form_via_dz(c2):
     om = kahler_form(c2)
     acc = np.zeros_like(om.components)
     for a in range(2):
-        acc += 0.5j * wedge(dz_covector(c2, a), dzbar_covector(c2, a)).components
+        acc += 0.5j * wedge(dz_covector(c2, a), dzbar_covector(c2, a)).tensor.components
     assert np.allclose(acc, om.components, atol=1e-12)
 
 
@@ -105,10 +112,10 @@ def test_omega_bivector_invariance(c2):
 def test_pq_projector_fixes_pure_forms(c3):
     f = wedge(wedge(dz_covector(c3, 0), dz_covector(c3, 1)), dzbar_covector(c3, 2))
     proj = pq_project(f, 2, 1)
-    assert np.allclose(proj.components, f.components, atol=1e-10)
+    assert np.allclose(proj.tensor.components, f.tensor.components, atol=1e-10)
     # and kills the wrong type
     proj03 = pq_project(f, 1, 2)
-    assert np.abs(proj03.components).max() < 1e-10
+    assert np.abs(proj03.tensor.components).max() < 1e-10
 
 
 def test_pq_form_validation(c2):
@@ -131,15 +138,16 @@ def test_build_pq_basis_counts(c2, c3):
 def test_build_pq_basis_purity(c3):
     for (p, q) in ((1, 0), (1, 1), (2, 1)):
         for f in build_pq_basis(c3, p, q):
-            proj = pq_project(f.tensor, p, q)
-            assert np.allclose(proj.components, f.tensor.components, atol=1e-9)
+            proj = pq_project(f, p, q)
+            assert np.allclose(proj.tensor.components, f.tensor.components, atol=1e-9)
 
 
 def test_wedge_with_omega_preserves_purity(c3, rng):
     f = random_pq_form(c3, 1, 0, rng)
-    w = wedge(kahler_form(c3), f.tensor)
+    w = wedge(Form.from_tensor(kahler_form(c3)), f)
     proj = pq_project(w, 2, 1)
-    assert np.allclose(proj.components, w.components, atol=1e-9 * math.sqrt(w.norm2()))
+    assert np.allclose(proj.tensor.components, w.tensor.components,
+                       atol=1e-9 * math.sqrt(w.norm2()))
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +158,15 @@ def test_construct_Vpqk_plain_wedge_at_k0(c3, rng):
     psi1 = random_pq_form(c3, 1, 0, rng)
     psi2 = random_pq_form(c3, 0, 1, rng)
     f = construct_Vpqk(psi1, psi2, 0)
-    expected = wedge(psi1.tensor, psi2.tensor)
-    assert np.allclose(f.tensor.components, expected.components, atol=1e-10)
+    expected = wedge(psi1, psi2)
+    assert np.allclose(f.tensor.components, expected.tensor.components, atol=1e-10)
     assert f.k == 0
 
 
 def test_construct_Vpqk_omega_powers(c2):
     one = PQForm(c2, 0, 0, ComplexTensor(c2, np.array(1.0 + 0j)), k=0)
     f = construct_Vpqk(one, one, 2)
-    assert np.allclose(f.tensor.components, omega_power(c2, 2).components, atol=1e-10)
+    assert np.allclose(f.tensor.components, omega_power(c2, 2).tensor.components, atol=1e-10)
     assert (f.p, f.q, f.k) == (2, 2, 2)
 
 
@@ -168,8 +176,8 @@ def test_construct_Vpqk_nonzero_pure(c3, rng):
     f = construct_Vpqk(psi1, psi2, 1)
     assert (f.p, f.q, f.k) == (2, 2, 1)
     assert f.norm2() > 1e-6
-    proj = pq_project(f.tensor, 2, 2)
-    assert np.allclose(proj.components, f.tensor.components,
+    proj = pq_project(f, 2, 2)
+    assert np.allclose(proj.tensor.components, f.tensor.components,
                        atol=1e-9 * math.sqrt(f.norm2()))
 
 
@@ -198,7 +206,7 @@ def test_circ_kills_omega_power(c2):
 def test_circ_fixes_orthogonal_forms_and_orthogonalizes(c2, rng):
     f = random_pq_form(c2, 1, 1, rng)
     red = circ(f)
-    om = omega_power(c2, 1)
+    om = omega_power(c2, 1).tensor
     assert abs(hermitian_inner(red.tensor, om)) < 1e-10
     # re-applying changes nothing
     again = circ(red)

@@ -1,0 +1,188 @@
+"""Forms on coframe multi-indices against the dense d^k oracles, and the
+form suites at n = 4, 5."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bochner import ComplexTensor, EuclideanSpace, Form, hermitian_inner, sharp
+from bochner.cli import _pq_configurations, _random_prop28_form
+from bochner.forms import (
+    _omega_contraction_matrix,
+    action_bound_check,
+    build_pq_basis,
+    circ,
+    construct_Vpqk,
+    omega_power,
+    pq_project,
+    primitive_pq_basis,
+    random_pq_form,
+    random_stratum_form,
+    sharp_form,
+    sharp_norm_coefficient_check,
+    stratum_basis,
+    wedge,
+)
+from bochner.holonomy import cached_algebra
+from bochner.tensors import nullspace
+
+from test_forms import random_form
+
+from oracles import (
+    act_matrix_naive,
+    omega_contraction_matrix_dense,
+    pq_basis_dense,
+    pq_project_naive,
+    wedge_dense,
+    wedge_naive,
+)
+
+
+def degrees(max_n=3, n4_max_degree=4):
+    """(n, k) for every degree at n <= max_n, and n = 4 up to n4_max_degree."""
+    out = [(n, k) for n in range(1, max_n + 1) for k in range(2 * n + 1)]
+    return out + [(4, k) for k in range(n4_max_degree + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the representation against the dense oracles
+
+
+@pytest.mark.parametrize("n,a,b", [(1, 1, 1), (2, 1, 1), (2, 1, 2), (2, 2, 2), (2, 0, 3),
+                                   (3, 1, 2), (3, 2, 1), (4, 1, 1), (4, 2, 1)])
+def test_wedge_matches_the_permutation_sum(n, a, b, rng):
+    space = EuclideanSpace.complex_space(n)
+    A, B = random_form(space, a, rng), random_form(space, b, rng)
+    expected = wedge_naive(A.tensor.components, B.tensor.components)
+    assert np.allclose(wedge(A, B).tensor.components, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,k", degrees())
+def test_tensor_round_trip(n, k, rng):
+    # the dense boundary reads back to the same coefficients, and wedges of
+    # dense 1-forms through the alternation oracle give the same tensor
+    space = EuclideanSpace.complex_space(n)
+    f = random_form(space, k, rng)
+    back = Form.from_tensor(f.tensor)
+    assert np.allclose(back.coeffs, f.coeffs, atol=1e-12)
+    assert f.norm2() == pytest.approx(f.tensor.norm2(), rel=1e-12)
+    ones = [random_form(space, 1, rng) for _ in range(k)]
+    dense = np.array(1.0 + 0j)
+    form = Form(space, 0, [1.0])
+    for g in ones:
+        dense = wedge_dense(dense, g.tensor.components)
+        form = wedge(form, g)
+    assert np.allclose(form.tensor.components, dense, atol=1e-10 * max(1.0, np.abs(dense).max()))
+
+
+def test_dense_input_must_be_antisymmetric(c2, rng):
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        Form.from_tensor(ComplexTensor.random(c2, 2, rng))
+
+
+@pytest.mark.parametrize("n,k", degrees())
+def test_type_mask_matches_the_circle_quadrature(n, k, rng):
+    space = EuclideanSpace.complex_space(n)
+    f = random_form(space, k, rng)
+    J = space.j_matrix()
+    total = np.zeros_like(f.tensor.components)
+    for p in range(max(0, k - n), min(k, n) + 1):
+        got = pq_project(f, p, k - p).tensor.components
+        assert np.allclose(got, pq_project_naive(f.tensor.components, J, p, k - p), atol=1e-10)
+        total = total + got
+    assert np.allclose(total, f.tensor.components, atol=1e-10)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in degrees(n4_max_degree=2) if k <= 3])
+def test_sharp_matches_the_loop_action(n, k, rng):
+    # slices of u(n) and of so(2n), against the literal derivation loops
+    space = EuclideanSpace.complex_space(n)
+    f = random_form(space, k, rng)
+    arr = f.tensor.components
+    for kind in ("u", "so"):
+        algebra = cached_algebra(space, kind)
+        dec = sharp_form(f, algebra)
+        slices = [act_matrix_naive(b.matrix(), arr) for b in algebra.basis]
+        P = np.array([[np.sum(x * np.conj(y)) for y in slices] for x in slices])
+        scale = max(1.0, np.abs(P).max())
+        assert dec.norm2() == pytest.approx(float(np.trace(P).real), rel=1e-12, abs=1e-12)
+        assert np.abs(dec.pairings() - P).max() < 1e-12 * scale
+        for s, x in zip(dec.slices, slices):
+            assert np.allclose(s.tensor.components, x, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_sharp_matches_the_dense_action_at_n4(k, rng):
+    space = EuclideanSpace.complex_space(4)
+    algebra = cached_algebra(space, "u")
+    f = random_form(space, k, rng)
+    dense = sharp(f.tensor, algebra)
+    got = sharp_form(f, algebra)
+    assert got.norm2() == pytest.approx(dense.norm2(), rel=1e-12)
+    assert np.abs(got.pairings() - dense.pairings()).max() < 1e-12 * np.abs(dense.pairings()).max()
+
+
+@pytest.mark.parametrize("n,p", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_circ_matches_the_dense_projection(n, p, rng):
+    space = EuclideanSpace.complex_space(n)
+    f = random_pq_form(space, p, p, rng)
+    om = np.array(1.0 + 0j)
+    for _ in range(p):
+        om = wedge_dense(om, space.j_matrix().T.astype(complex))
+    assert np.allclose(omega_power(space, p).tensor.components, om, atol=1e-10)
+    T, O = f.tensor, ComplexTensor(space, om)
+    expected = T - (hermitian_inner(T, O) / hermitian_inner(O, O)) * O
+    got = circ(f).tensor
+    assert np.allclose(got.components, expected.components, atol=1e-10 * math.sqrt(T.norm2()))
+
+
+@pytest.mark.parametrize("n,p,q", [(n, p, q) for n in (1, 2, 3, 4) for p in range(n + 1)
+                                   for q in range(n + 1) if 2 <= p + q <= 3])
+def test_primitive_bases_are_bit_identical_to_the_dense_nullspace(n, p, q):
+    # the contraction rows of degree <= 1 are all index orders, so the
+    # matrix, and with it the nullspace and every seeded draw, is the old one
+    space = EuclideanSpace.complex_space(n)
+    dense = omega_contraction_matrix_dense(space.j_matrix(), pq_basis_dense(n, p, q))
+    got = _omega_contraction_matrix(space, p, q)
+    assert np.array_equal(got, dense)
+    assert np.array_equal(np.signbit(got.real), np.signbit(dense.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(dense.imag))
+    lowered = math.comb(n, p - 1) * math.comb(n, q - 1) if p and q else 0
+    null = nullspace(dense, max(0, math.comb(n, p) * math.comb(n, q) - lowered))
+    cols = [np.flatnonzero(g.coeffs)[0] for g in build_pq_basis(space, p, q)]
+    basis = primitive_pq_basis(space, p, q)
+    assert len(basis) == len(null)
+    for f, row in zip(basis, null):
+        c = np.zeros(len(f.coeffs), dtype=complex)
+        c[cols] = row
+        assert np.array_equal(f.coeffs, c * (1.0 / math.sqrt(Form(space, p + q, c).norm2())))
+
+
+# ---------------------------------------------------------------------------
+# the prop27 / prop28 grid at n = 4, 5
+
+
+def _c(n, j):
+    return math.comb(n, j) if 0 <= j <= n else 0
+
+
+@pytest.mark.parametrize("n,p,q,k", [c for c in _pq_configurations(max_n=5) if c[0] >= 4])
+def test_form_suites_at_n4_n5(n, p, q, k):
+    space = EuclideanSpace.complex_space(n)
+    rng = np.random.default_rng(1000 * n + 100 * p + 10 * q + k)
+    a, b = p - k, q - k
+    assert len(stratum_basis(space, p, q, k)) == _c(n, a) * _c(n, b) - _c(n, a - 1) * _c(n, b - 1)
+    r = sharp_norm_coefficient_check(random_stratum_form(space, p, q, k, rng))
+    assert r["relative_deviation"] <= 1e-10
+    product = construct_Vpqk(random_pq_form(space, a, 0, rng), random_pq_form(space, 0, b, rng), k)
+    r = sharp_norm_coefficient_check(product)
+    assert r["sharp_norm2"] <= r["coefficient_times_circ"] * (1 + 1e-10)
+    r = action_bound_check(_random_prop28_form(space, p, q, k, rng))
+    assert r["vacuous"] or r["max_ratio"] <= 1 + 1e-9
+
+
+def test_no_primitive_forms_beyond_the_middle_degree():
+    c4 = EuclideanSpace.complex_space(4)
+    assert primitive_pq_basis(c4, 3, 3) == []
+    assert primitive_pq_basis(c4, 4, 2) == []

@@ -94,7 +94,7 @@ def test_sharp_one_zero_form_norm(c2, c3):
     # |phi^u|^2 = n |phi|^2 for (1, 0)-forms
     for space in (c2, c3):
         u = build_algebra(space, "u")
-        phi = dz_covector(space, 0)
+        phi = dz_covector(space, 0).tensor
         dec = sharp(phi, u)
         assert dec.norm2() == pytest.approx(space.n * phi.norm2(), rel=1e-12)
 
