@@ -49,15 +49,6 @@ class VacuousStratumError(ValueError):
     """Raised when p + q - 2k = 0 leaves no reduced content to bound."""
 
 
-def _frac(x):
-    """Exact Fraction when possible (ints, Fractions, exact binary floats)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)
-
-
 class ConstantValue(NamedTuple):
     value: Fraction
     floor: int
@@ -116,9 +107,9 @@ def kappa_bound(Q, c, a=0):
     `a` is the gain of a refined Kato inequality |nabla T|^2 >=
     (1 + a) |nabla |T||^2; a = 0 is the unrefined bound.
     """
-    Q = _frac(Q)
-    c = _frac(c)
-    a = _frac(a)
+    Q = Fraction(Q)
+    c = Fraction(c)
+    a = Fraction(a)
     if Q < 2:
         raise ValueError(f"Q must be >= 2, got {Q}")
     if c <= 0:
@@ -135,8 +126,8 @@ def kappa_bound_harmonic_field(n, p, q, Q, c=1):
     a = 1/D - 2.  At Q = 2, c = 1 it reduces to 1/D - 1.
     """
     D = kato_constant(n, p, q)
-    Q = _frac(Q)
-    c = _frac(c)
+    Q = Fraction(Q)
+    c = Fraction(c)
     if Q < 2:
         raise ValueError(f"Q must be >= 2, got {Q}")
     return 4 * (Q + 1 / D - 3) / (c * Q * Q)
@@ -266,7 +257,7 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None, lq_finite=True)
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     bound = kappa_bound_harmonic_field(n, p, q, Q)
-    admissible = _frac(kappa) < bound
+    admissible = Fraction(kappa) < bound
     arithmetic["kappa_bound"] = bound
     threshold = -(kappa * rho) or 0.0
     cond = S / (float(C.value) + 1.0)
@@ -284,7 +275,7 @@ def _parity_sum_check(spectrum, n_or_m, parity_coeff, k, rho, Q, kappa_bound_val
     count = (n_or_m + 1) // 2
     S = weighted_partial_sum(spectrum, count, parity_coeff)
     threshold = -(float(k) * float(rho)) or 0.0
-    admissible = _frac(k) < kappa_bound_value
+    admissible = Fraction(k) < kappa_bound_value
     arithmetic = {"count": count, "parity_coefficient": parity_coeff, "S": S,
                   "k": k, "rho": rho, "Q": Q, "k_bound": kappa_bound_value}
     ok = S >= threshold and admissible
@@ -293,37 +284,34 @@ def _parity_sum_check(spectrum, n_or_m, parity_coeff, k, rho, Q, kappa_bound_val
                             "; ".join(notes), arithmetic)
 
 
+def _kahler_parity_sum_check(spectrum, n, k, rho, Q, theorem_id, conclusion, notes):
+    """The parity sum on n^2 eigenvalues with admissibility k < (Q - 1) / Q^2."""
+    if len(spectrum) != n * n:
+        raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
+    Qf = Fraction(Q)
+    if Qf < 2:
+        raise ValueError("Q must be >= 2")
+    return _parity_sum_check(spectrum, n, bochner_parity_coefficient(n), k, rho, Q,
+                             (Qf - 1) / (Qf * Qf), theorem_id, conclusion, notes)
+
+
 def check_bochner(spectrum, n, k=0.0, rho=0.0, Q=2):
     """Totally trace-free part vanishing criterion on a Kahler operator spectrum.
 
     S = mu_1 + ... + mu_floor((n+1)/2) + (1 + (-1)^n)/4 mu_{floor+1}
     against -k rho, with admissibility k < (Q - 1) / Q^2.
     """
-    if len(spectrum) != n * n:
-        raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
-    Qf = _frac(Q)
-    if Qf < 2:
-        raise ValueError("Q must be >= 2")
-    bound = (Qf - 1) / (Qf * Qf)
     notes = [_GLOBAL_HYPOTHESES, "requires a divergence-free totally trace-free part"]
-    return _parity_sum_check(spectrum, n, bochner_parity_coefficient(n), k, rho, Q,
-                             bound, "T1_5", "bochner_flat", notes)
+    return _kahler_parity_sum_check(spectrum, n, k, rho, Q, "T1_5", "bochner_flat", notes)
 
 
 def check_einstein_flat(spectrum, n, k=0.0, rho=0.0, Q=2):
     """Same condition shape as the trace-free check, for Einstein Kahler input;
     a passing verdict concludes flat.  Warns below complex dimension four."""
-    if len(spectrum) != n * n:
-        raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
-    Qf = _frac(Q)
-    if Qf < 2:
-        raise ValueError("Q must be >= 2")
-    bound = (Qf - 1) / (Qf * Qf)
     notes = [_GLOBAL_HYPOTHESES, "input asserted Kahler-Einstein"]
     if n < 4:
         notes.append(f"complex dimension {n} is below the stated range n >= 4")
-    return _parity_sum_check(spectrum, n, bochner_parity_coefficient(n), k, rho, Q,
-                             bound, "T4_1", "flat", notes)
+    return _kahler_parity_sum_check(spectrum, n, k, rho, Q, "T4_1", "flat", notes)
 
 
 def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
@@ -336,7 +324,7 @@ def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
     expected = m * (2 * m + 1) + 3
     if len(spectrum) != expected:
         raise ValueError(f"spectrum length {len(spectrum)} differs from m(2m+1)+3 = {expected}")
-    Qf = _frac(Q)
+    Qf = Fraction(Q)
     if Qf < 2:
         raise ValueError("Q must be >= 2")
     bound = (Qf - 1) / Qf

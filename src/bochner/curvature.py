@@ -29,13 +29,15 @@ identities below take their cleanest form in that scaling.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, gram_schmidt, sharp
-from .tensors import Bivector, ComplexTensor, EuclideanSpace, _write_json, nullspace, wedge_pairs
+from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _write_json, nullspace,
+                      tensor_from_json, tensor_to_json, wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -576,7 +578,7 @@ _SUPPORTED_FORMS_CACHE: dict = {}
 
 def _sp_m_two_forms(space):
     """Two-forms of an orthonormal basis of sp(m), the skew commutant of {I, J, K}."""
-    return [Bivector(space, r).two_form() for r in gram_schmidt(list(_sp_m_commutant(space)))]
+    return _avatars(space.dim, gram_schmidt(list(_sp_m_commutant(space)))).transpose(0, 2, 1)
 
 
 def _supported_constraints(two_forms, ricci_flat):
@@ -645,7 +647,7 @@ def random_kahler_curvature(space, rng, algebra=None, scale=1.0):
     if algebra not in _SUPPORTED_FORMS_CACHE:
         n = space.dim // 2
         _SUPPORTED_FORMS_CACHE[algebra] = _supported_curvature_basis(
-            [b.two_form() for b in algebra.basis], False, (n * (n + 1) // 2) ** 2)
+            algebra.matrices.transpose(0, 2, 1), False, (n * (n + 1) // 2) ** 2)
     return _random_supported(space, *_SUPPORTED_FORMS_CACHE[algebra], rng, kahler=True,
                              scale=scale)
 
@@ -674,8 +676,6 @@ def random_quaternion_kahler_curvature(space, rng, model_weight=1.0, scale=1.0):
 
 
 def curvature_to_json(rm_tensor):
-    from .tensors import tensor_to_json
-
     obj = tensor_to_json(rm_tensor.rm)
     obj["kind"] = "curvature"
     flags = []
@@ -689,8 +689,6 @@ def curvature_to_json(rm_tensor):
 
 
 def curvature_from_json(obj, validate=True):
-    from .tensors import tensor_from_json
-
     if obj.get("kind") != "curvature":
         raise ValueError("not a curvature file (missing kind == 'curvature')")
     flags = obj.get("flags", [])
@@ -713,7 +711,5 @@ def save_curvature(rm_tensor, path):
 
 
 def load_curvature(path, validate=True):
-    import json as _json
-
     with open(path) as fh:
-        return curvature_from_json(_json.load(fh), validate=validate)
+        return curvature_from_json(json.load(fh), validate=validate)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .criteria import serre_remap
 from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
-from .tensors import Bivector, ComplexTensor, nullspace
+from .tensors import Bivector, ComplexTensor, nullspace, tensor_from_json, tensor_to_json
 
 __all__ = [
     "Form",
@@ -155,8 +155,7 @@ def _coframe_action(algebra):
     """Each basis element as a map of the coframe, Xi_a theta^x =
     sum_y A_a[x, y] theta^y with A_a = -B M_a B^* / 2; shape (N, m*m)."""
     B = _coframe(algebra.space.n)
-    M = np.array([b.matrix() for b in algebra.basis])
-    return (-0.5 * (B @ M @ B.conj().T)).reshape(len(M), -1)
+    return (-0.5 * (B @ algebra.matrices @ B.conj().T)).reshape(algebra.dim, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +381,17 @@ def circ(phi, normalization="orthogonal"):
     return _pq(phi.space, phi.p, phi.q, phi.coeffs - coeff * omp.coeffs, phi.k)
 
 
-class _FormSharp(SharpDecomposition):
-    """Slices Xi_a phi of a form, held as Forms; the stacked array is their
-    coefficients scaled so that its inner products are the full-tensor ones.
-    `evaluate` and `reconstruct` read dense slices: use
-    `holonomy.sharp(phi.tensor, algebra)` for those."""
-
-    def as_array(self):
-        k = self.tensor.degree
-        return np.stack([s.coeffs for s in self.slices]) * math.sqrt(math.factorial(k) * 2 ** k)
-
-
 def sharp_form(phi, algebra):
     """Sharp decomposition of a form over any algebra: every basis element
-    acts on the coframe and, as a derivation, on the multi-indices."""
+    acts on the coframe and, as a derivation, on the multi-indices.  The
+    stack holds the slice coefficients scaled by sqrt(k! 2^k), so that its
+    inner products are the full-tensor ones."""
     m, k = 2 * phi.space.n, phi.degree
     source, sign = _derivation_table(m, k)
     moved = sign * np.append(phi.coeffs, 0)[source]
-    slices = _coframe_action(algebra) @ moved
-    return _FormSharp(algebra, phi, [Form(phi.space, k, s) for s in slices])
+    stack = _coframe_action(algebra) @ moved
+    stack *= math.sqrt(math.factorial(k) * 2 ** k)
+    return SharpDecomposition(algebra, phi, stack)
 
 
 def sharp_coefficient(n, p, q, k):
@@ -532,8 +523,6 @@ def random_stratum_form(space, p, q, k, rng):
 
 def pqform_to_json(phi):
     """Tensor interchange dict extended with the type and stratum index."""
-    from .tensors import tensor_to_json
-
     obj = tensor_to_json(phi.tensor)
     obj["p"] = phi.p
     obj["q"] = phi.q
@@ -543,8 +532,6 @@ def pqform_to_json(phi):
 
 
 def pqform_from_json(obj, space=None, validate=True):
-    from .tensors import tensor_from_json
-
     T = tensor_from_json(obj, space=space)
     return PQForm(T.space, int(obj["p"]), int(obj["q"]), T,
                   k=obj.get("k"), validate=validate)

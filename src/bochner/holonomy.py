@@ -1,7 +1,7 @@
 """Holonomy subalgebras of so(V) and the sharp decomposition of tensors.
 
 Builds orthonormal bases of so(d), u(n) and sp(m)+sp(1) inside
-Lambda^2 V and computes, for a tensor T, the family of slices
+Lambda^2 V and computes, for a tensor T, the stack of slices
 {Xi_alpha T} whose squared norms sum to |T^g|^2.
 """
 
@@ -13,14 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensors import (
-    Bivector,
-    ComplexTensor,
-    act_on_tensor,
-    lie_bracket,
-    nullspace,
-    wedge_pairs,
-)
+from .tensors import Bivector, _act_matrix, _avatars, _wedge_coefficients, nullspace, wedge_pairs
 
 __all__ = [
     "AlgebraKind",
@@ -62,7 +55,11 @@ def gram_schmidt(vectors, against=(), drop_tol=1e-12):
 
 
 class HolonomySubalgebra:
-    """Ordered orthonormal basis {Xi_alpha} of a Lie subalgebra of Lambda^2 V."""
+    """Ordered orthonormal basis {Xi_alpha} of a Lie subalgebra of Lambda^2 V.
+
+    `coeff_matrix` holds the basis as rows of wedge coefficients and
+    `matrices` as the read-only (N, d, d) stack of their matrix avatars.
+    """
 
     def __init__(self, space, kind, basis, validate=True, atol=1e-9):
         self.space = space
@@ -70,6 +67,8 @@ class HolonomySubalgebra:
         self.basis = list(basis)
         # rows = coefficient vectors on the wedge basis
         self.coeff_matrix = np.array([b.coeffs for b in self.basis])
+        self.matrices = _avatars(space.dim, self.coeff_matrix)
+        self.matrices.setflags(write=False)
         if validate:
             self._validate(atol)
 
@@ -106,18 +105,21 @@ class HolonomySubalgebra:
         expected = _expected_dim(self.space, self.kind)
         if self.dim != expected:
             raise ValueError(f"{self.kind.value} basis has {self.dim} elements, expected {expected}")
-        Q = self.complement_projector()
-        for a, b in itertools.combinations(range(self.dim), 2):
-            br = lie_bracket(self.basis[a], self.basis[b])
-            leak = np.linalg.norm(Q @ br.coeffs)
-            if leak > atol:
-                raise ValueError(f"basis not closed under brackets, leak {leak:.2e}")
+        Ms = self.matrices
+        # wedge coefficients are linear: those of [M_a, M_b] are those of
+        # M_a M_b minus those of M_b M_a
+        products = _wedge_coefficients(Ms[:, None] @ Ms)
+        brackets = products - products.transpose(1, 0, 2)
+        leaks = np.linalg.norm(brackets @ self.complement_projector(), axis=-1)
+        # pairs a < b in row order: the first failing pair is the one reported
+        leaks = leaks[np.triu_indices(self.dim, 1)]
+        bad = np.flatnonzero(leaks > atol)
+        if bad.size:
+            raise ValueError(f"basis not closed under brackets, leak {leaks[bad[0]]:.2e}")
         if self.kind == AlgebraKind.U:
             J = self.space.j_matrix()
-            for b in self.basis:
-                M = b.matrix()
-                if not np.allclose(M @ J, J @ M, atol=atol):
-                    raise ValueError("u(n) element does not commute with J")
+            if not np.allclose(Ms @ J, J @ Ms, atol=atol):
+                raise ValueError("u(n) element does not commute with J")
 
     def __repr__(self):
         return f"HolonomySubalgebra({self.kind.value}, dim={self.dim}, ambient={self.space.dim})"
@@ -139,13 +141,9 @@ def _sp_m_commutant(space):
     d = space.dim
     m = d // 4
     I, J, _ = space.quaternionic_structure
-    rows = []
-    for (i, j) in wedge_pairs(d):
-        S = np.zeros((d, d))
-        S[j, i] = 1.0
-        S[i, j] = -1.0
-        rows.append(np.concatenate([(S @ X - X @ S).ravel() for X in (I, J)]))
-    return nullspace(np.array(rows).T, m * (2 * m + 1))
+    S = _avatars(d, np.eye(len(wedge_pairs(d))))
+    rows = np.concatenate([(S @ X - X @ S).reshape(len(S), -1) for X in (I, J)], axis=1)
+    return nullspace(rows.T, m * (2 * m + 1))
 
 
 def _u_spanning_set(space, permutation=None):
@@ -233,29 +231,32 @@ def cached_algebra(space, kind):
 
 @dataclass
 class SharpDecomposition:
-    """Slices Xi_alpha T of a tensor over an algebra basis.
+    """The slices Xi_alpha T of a tensor over an algebra basis, as one stack.
 
-    T^g itself is sum_alpha slices[alpha] (x) Xi_alpha; its squared norm
-    is the sum of the squared slice norms.
+    Axis 0 of `stack` is indexed by the basis; its trailing axes hold the
+    dense components of each slice for `sharp`, and the coframe
+    coefficients scaled by sqrt(k! 2^k) for `forms.sharp_form`.  Either
+    way the Hermitian inner products of the rows are the full-tensor
+    ones.  T^g itself is sum_alpha stack[alpha] (x) Xi_alpha; its squared
+    norm is the sum of the squared slice norms.  The indices taken by
+    `evaluate`, and the leading axes of `reconstruct`, address the
+    stack's trailing axes.
     """
 
     algebra: HolonomySubalgebra
-    tensor: ComplexTensor
-    slices: list
+    tensor: object
+    stack: np.ndarray
 
     def norm2(self):
-        return float(sum(s.norm2() for s in self.slices))
+        return float(sum(self.slice_norms2()))
 
     def slice_norms2(self):
-        return np.array([s.norm2() for s in self.slices])
-
-    def as_array(self):
-        """Stacked slice components, axis 0 indexed by the basis."""
-        return np.stack([s.components for s in self.slices])
+        # row by row: no second array the size of the stack
+        return np.array([np.vdot(s, s).real for s in self.stack])
 
     def pairings(self):
         """Hermitian slice Gram matrix P_ab = <Xi_a T, Xi_b T>."""
-        flat = self.as_array().reshape(len(self.slices), -1)
+        flat = self.stack.reshape(len(self.stack), -1)
         return flat @ np.conj(flat.T)
 
     def max_action_norm2(self):
@@ -265,21 +266,19 @@ class SharpDecomposition:
 
     def evaluate(self, L, multi_index):
         """g(L, T^g(multi_index)) for a bivector L, by expanding over the basis."""
-        coords = self.algebra.coordinates(L)
-        return complex(sum(c * s.components[multi_index] for c, s in zip(coords, self.slices)))
+        entries = self.stack[(slice(None),) + tuple(multi_index)]
+        return complex(self.algebra.coordinates(L) @ entries)
 
     def reconstruct(self):
         """Components of T^g as an array with a trailing wedge-coefficient axis."""
-        arr = np.stack([s.components for s in self.slices], axis=-1)
-        return np.tensordot(arr, self.algebra.coeff_matrix, axes=([-1], [0]))
+        return np.tensordot(self.stack, self.algebra.coeff_matrix, axes=([0], [0]))
 
 
 def sharp(T, algebra):
-    """Decompose T over the algebra: slices[alpha] = Xi_alpha T."""
+    """Decompose a dense tensor over the algebra: stack[alpha] = Xi_alpha T."""
     if not T.space.compatible(algebra.space):
         raise ValueError(f"dimension mismatch: {T.space.dim} vs {algebra.space.dim}")
-    slices = [act_on_tensor(x, T) for x in algebra.basis]
-    return SharpDecomposition(algebra, T, slices)
+    return SharpDecomposition(algebra, T, _act_matrix(algebra.matrices, T.components))
 
 
 def project_bivector(L, algebra):

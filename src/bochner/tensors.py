@@ -60,6 +60,24 @@ def _pair_index(dim):
     return {p: a for a, p in enumerate(wedge_pairs(dim))}
 
 
+def _avatars(dim, coeffs):
+    """Matrix avatars of wedge-coefficient vectors, (..., P) -> (..., d, d):
+    e_i ^ e_j sends e_i to e_j and e_j to -e_i.  np.triu_indices lists the
+    pairs i < j in the order of `wedge_pairs`."""
+    i, j = np.triu_indices(dim, 1)
+    coeffs = np.asarray(coeffs, dtype=float)
+    M = np.zeros(coeffs.shape[:-1] + (dim, dim))
+    M[..., j, i] = coeffs
+    M[..., i, j] = -coeffs
+    return M
+
+
+def _wedge_coefficients(M):
+    """Wedge coefficients M[j, i], i < j, of (..., d, d) avatars; inverse of `_avatars`."""
+    i, j = np.triu_indices(M.shape[-1], 1)
+    return M[..., j, i]
+
+
 def _block_complex_structure(d):
     J = np.zeros((d, d))
     for i in range(d // 2):
@@ -305,14 +323,12 @@ class Bivector:
         M = np.asarray(M, dtype=float)
         if not np.allclose(M, -M.T, atol=1e-9 * max(1.0, np.abs(M).max())):
             raise ValueError("matrix avatar must be skew-symmetric")
-        c = np.array([M[j, i] for (i, j) in wedge_pairs(space.dim)])
-        return cls(space, c)
+        return cls(space, _wedge_coefficients(M))
 
     @classmethod
     def from_two_form(cls, space, lam):
         """Build from the antisymmetric rank-2 component array lam_{ij}."""
-        lam = np.asarray(lam, dtype=float)
-        return cls(space, np.array([lam[i, j] for (i, j) in wedge_pairs(space.dim)]))
+        return cls(space, _wedge_coefficients(np.asarray(lam, dtype=float).T))
 
     @classmethod
     def random(cls, space, rng, unit=False):
@@ -325,11 +341,7 @@ class Bivector:
         # coefficients are frozen, so the avatar is computed once
         cached = getattr(self, "_matrix", None)
         if cached is None:
-            d = self.space.dim
-            idx = np.array(wedge_pairs(d))
-            M = np.zeros((d, d))
-            M[idx[:, 1], idx[:, 0]] = self.coeffs
-            M[idx[:, 0], idx[:, 1]] = -self.coeffs
+            M = _avatars(self.space.dim, self.coeffs)
             M.setflags(write=False)
             self._matrix = cached = M
         return cached
@@ -390,18 +402,22 @@ def lie_bracket(L1, L2):
     return Bivector.from_matrix(L1.space, M1 @ M2 - M2 @ M1)
 
 
-def _act_matrix(M, arr):
-    out = np.zeros_like(arr)
-    for s in range(arr.ndim):
-        contrib = np.tensordot(arr, M, axes=([s], [0]))
-        out -= np.moveaxis(contrib, -1, s)
+def _act_matrix(Ms, arr):
+    """Derivation action of each matrix of the (N, d, d) stack Ms on arr,
+    stacked on a new axis 0.  Each row is filled in place, one matrix at
+    a time, so no second array the size of the stack is built."""
+    out = np.zeros((len(Ms),) + arr.shape, dtype=arr.dtype)
+    for row, M in zip(out, Ms):
+        for s in range(arr.ndim):
+            contrib = np.tensordot(arr, M, axes=([s], [0]))
+            row -= np.moveaxis(contrib, -1, s)
     return out
 
 
 def act_on_tensor(L, T):
     """Derivation action L T(X_1, ..., X_r) = -sum_i T(X_1, ..., L X_i, ..., X_r)."""
     _check_same_space(L, T)
-    return ComplexTensor(T.space, _act_matrix(L.matrix(), T.components))
+    return ComplexTensor(T.space, _act_matrix(L.matrix()[None], T.components)[0])
 
 
 def hermitian_inner(T, S):

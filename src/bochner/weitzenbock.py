@@ -116,20 +116,15 @@ def curvature_term(op, algebra, T):
         op = to_operator(op)
     gram = op.restricted_gram(algebra)
     sh = sharp(T, algebra)
-    stack = sh.as_array()
-    gram_value_c = complex(np.sum(gram * sh.pairings()))
+    P = sh.pairings()
+    gram_value_c = complex(np.sum(gram * P))
     vals, vecs = np.linalg.eigh(gram)
-    per = []
-    value = 0.0
-    for a in range(len(vals)):
-        theta_slice = np.tensordot(vecs[:, a], stack, axes=([0], [0]))
-        w = float(np.sum(np.abs(theta_slice) ** 2))
-        per.append((float(vals[a]), w))
-        value += vals[a] * w
+    # Theta_a = sum_b vecs[b, a] Xi_b, so |Theta_a T|^2 = vecs[:, a]^T P vecs[:, a]
+    weights = np.sum(vecs * (P @ vecs), axis=0).real
     return CurvatureTerm(
-        value=float(value),
+        value=float(vals @ weights),
         gram_value=float(gram_value_c.real),
-        per_eigenvalue=per,
+        per_eigenvalue=[(float(mu), float(w)) for mu, w in zip(vals, weights)],
         sharp_norm2=sh.norm2(),
         imag_residual=abs(gram_value_c.imag),
     )

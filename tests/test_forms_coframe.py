@@ -108,7 +108,8 @@ def test_sharp_matches_the_loop_action(n, k, rng):
         scale = max(1.0, np.abs(P).max())
         assert dec.norm2() == pytest.approx(float(np.trace(P).real), rel=1e-12, abs=1e-12)
         assert np.abs(dec.pairings() - P).max() < 1e-12 * scale
-        for s, x in zip(dec.slices, slices):
+        for row, x in zip(dec.stack, slices):
+            s = Form(space, k, row / math.sqrt(math.factorial(k) * 2 ** k))
             assert np.allclose(s.tensor.components, x, atol=1e-12 * scale)
 
 

@@ -14,8 +14,9 @@ from bochner import (
     sharp,
 )
 from bochner.forms import dz_covector, kahler_form
+from bochner.holonomy import HolonomySubalgebra, gram_schmidt
 
-from oracles import action_supremum_naive, gram_projection_naive
+from oracles import act_matrix_naive, action_supremum_naive, gram_projection_naive
 
 
 def test_dimensions(c3, h2):
@@ -75,6 +76,38 @@ def test_sp_basis_structure(h2):
         assert np.abs(M - X).max() < 1e-9
 
 
+def test_validate_rejects_a_basis_not_closed_under_brackets(c2):
+    # u(2) with its first element replaced by e_1 ^ e_3, re-orthonormalised
+    rows = [b.coeffs for b in build_algebra(c2, "u").basis]
+    rows[0] = Bivector.wedge(c2, 0, 2).coeffs
+    basis = [Bivector(c2, r) for r in gram_schmidt(rows)]
+    with pytest.raises(ValueError, match=r"^basis not closed under brackets, leak 7\.07e-01$"):
+        HolonomySubalgebra(c2, "u", basis)
+
+
+def test_validate_rejects_a_u_basis_not_commuting_with_j(c2):
+    # u(2) conjugated by the swap of e_3 and e_4: a closed orthonormal set
+    # commuting with the conjugated J, not with J
+    P = np.eye(4)[[0, 1, 3, 2]]
+    basis = [Bivector.from_matrix(c2, P @ b.matrix() @ P.T) for b in build_algebra(c2, "u").basis]
+    with pytest.raises(ValueError, match=r"^u\(n\) element does not commute with J$"):
+        HolonomySubalgebra(c2, "u", basis)
+
+
+@pytest.mark.parametrize("kind,size", [("so", 2), ("u", 2), ("sp", 2)])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_sharp_stack_rows_are_the_loop_action(kind, size, rank, rng):
+    # row a of the stack is Xi_a T, against the literal derivation loops
+    space = (EuclideanSpace.quaternionic_space(size) if kind == "sp"
+             else EuclideanSpace.complex_space(size))
+    algebra = build_algebra(space, kind)
+    T = ComplexTensor.random(space, rank, rng)
+    stack = sharp(T, algebra).stack
+    assert stack.shape == (algebra.dim,) + T.components.shape
+    for row, b in zip(stack, algebra.basis):
+        assert np.allclose(row, act_matrix_naive(b.matrix(), T.components), atol=1e-12)
+
+
 def test_sharp_invariant_tensor_has_zero_slices(c2):
     om = kahler_form(c2)
     dec = sharp(om, build_algebra(c2, "u"))
@@ -86,7 +119,7 @@ def test_sharp_single_generator(c1):
     assert u1.dim == 1
     T = ComplexTensor.basis_covector(c1, 0)
     dec = sharp(T, u1)
-    assert len(dec.slices) == 1
+    assert len(dec.stack) == 1
     assert dec.norm2() == pytest.approx(1.0)
 
 
