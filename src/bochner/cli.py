@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -25,15 +26,15 @@ from . import curvature as curv
 from . import forms as fms
 from . import weitzenbock as wb
 from .holonomy import AlgebraKind, cached_algebra
-from .tensors import (ComplexTensor, EuclideanSpace, _write_json, load_tensor, save_tensor,
-                      tensor_to_json)
+from .tensors import (ComplexTensor, EuclideanSpace, _dumps, _write_json, load_tensor,
+                      save_tensor, tensor_to_json)
 
 DEFAULT_SEED = 20240801
 LEAKAGE_EXIT_TOL = 1e-6
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _note(msg):
@@ -527,7 +528,12 @@ def _spectrum_from_args(args, algebra_kind):
         with open(args.spectrum) as fh:
             data = json.load(fh)
         if isinstance(data, dict):
+            if "eigenvalues" not in data:
+                raise ValueError(f"spectrum file {args.spectrum} has no \"eigenvalues\"")
             data = data["eigenvalues"]
+        if (not isinstance(data, list)
+                or not all(type(x) in (int, float) and math.isfinite(x) for x in data)):
+            raise ValueError(f"spectrum file {args.spectrum} must hold a list of finite numbers")
         return [float(x) for x in data]
     if args.model:
         if args.model == "hpm":

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, gram_schmidt, sharp
-from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _write_json, nullspace,
-                      tensor_from_json, tensor_to_json, wedge_pairs)
+from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _int_field, _write_json,
+                      nullspace, tensor_from_json, tensor_to_json, wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -689,10 +689,12 @@ def curvature_to_json(rm_tensor):
 
 
 def curvature_from_json(obj, validate=True):
-    if obj.get("kind") != "curvature":
+    if not isinstance(obj, dict) or obj.get("kind") != "curvature":
         raise ValueError("not a curvature file (missing kind == 'curvature')")
     flags = obj.get("flags", [])
-    d = int(obj["dim"])
+    if not isinstance(flags, list):
+        raise ValueError(f"curvature file \"flags\" must be a list, got {flags!r}")
+    d = _int_field(obj, "dim")
     if "quaternion" in flags:
         if d % 4 != 0:
             raise ValueError("quaternion flag needs dim divisible by 4")

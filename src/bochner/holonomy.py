@@ -106,16 +106,17 @@ class HolonomySubalgebra:
         if self.dim != expected:
             raise ValueError(f"{self.kind.value} basis has {self.dim} elements, expected {expected}")
         Ms = self.matrices
-        # wedge coefficients are linear: those of [M_a, M_b] are those of
-        # M_a M_b minus those of M_b M_a
-        products = _wedge_coefficients(Ms[:, None] @ Ms)
-        brackets = products - products.transpose(1, 0, 2)
-        leaks = np.linalg.norm(brackets @ self.complement_projector(), axis=-1)
-        # pairs a < b in row order: the first failing pair is the one reported
-        leaks = leaks[np.triu_indices(self.dim, 1)]
-        bad = np.flatnonzero(leaks > atol)
-        if bad.size:
-            raise ValueError(f"basis not closed under brackets, leak {leaks[bad[0]]:.2e}")
+        complement = self.complement_projector()
+        # one row a of brackets [M_a, M_b], b > a, at a time: an (N, d, d)
+        # array rather than all N^2 products; the first failing pair in
+        # a < b order is the one reported
+        for a in range(self.dim - 1):
+            rest = Ms[a + 1:]
+            brackets = _wedge_coefficients(Ms[a] @ rest - rest @ Ms[a])
+            leaks = np.linalg.norm(brackets @ complement, axis=-1)
+            bad = np.flatnonzero(leaks > atol)
+            if bad.size:
+                raise ValueError(f"basis not closed under brackets, leak {leaks[bad[0]]:.2e}")
         if self.kind == AlgebraKind.U:
             J = self.space.j_matrix()
             if not np.allclose(Ms @ J, J @ Ms, atol=atol):

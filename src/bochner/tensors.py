@@ -463,8 +463,30 @@ def tensor_to_json(T):
         "dim": space.dim,
         "rank": T.rank,
         "j_convention": "none" if space.complex_structure is None else "block",
-        "components": [[float(z.real), float(z.imag)] for z in flat],
+        "components": np.stack([flat.real, flat.imag], -1).tolist(),
     }
+
+
+def _int_field(obj, key):
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"tensor file needs an integer {key!r}, got {value!r}")
+    return value
+
+
+def _component_pairs(comps):
+    """The [re, im] pairs of a tensor file as a complex vector, bit for bit
+    `complex(re, im)` per pair.  Anything but a list of real number pairs
+    raises: the dtype check keeps numpy from reading null as NaN or
+    "1.5" as 1.5."""
+    try:
+        pairs = set(map(len, comps)) == {2}
+        flat = np.array([*itertools.chain.from_iterable(comps)]) if pairs else None
+    except (TypeError, ValueError, OverflowError):
+        flat = None
+    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf":
+        raise ValueError('tensor file "components" must be a list of [re, im] number pairs')
+    return flat.astype(float, copy=False).view(complex)
 
 
 def tensor_from_json(obj, space=None):
@@ -473,8 +495,8 @@ def tensor_from_json(obj, space=None):
     When no space is supplied one is created from "dim" and
     "j_convention" ("block" yields the standard block complex structure).
     """
-    d = int(obj["dim"])
-    k = int(obj["rank"])
+    d = _int_field(obj, "dim")
+    k = _int_field(obj, "rank")
     if space is None:
         if obj.get("j_convention", "none") == "block":
             space = EuclideanSpace.complex_space(d // 2)
@@ -482,18 +504,86 @@ def tensor_from_json(obj, space=None):
             space = EuclideanSpace.euclidean(d)
     elif space.dim != d:
         raise ValueError(f"file dimension {d} does not match target space {space.dim}")
-    comps = np.array([complex(re, im) for re, im in obj["components"]])
+    comps = _component_pairs(obj.get("components"))
     if comps.size != d**k:
         raise ValueError(f"expected {d**k} components, got {comps.size}")
     return ComplexTensor(space, comps.reshape((d,) * k))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Unusual(Exception):
+    """A value that `_dumps` leaves to `json.dumps`."""
+
+
+def _encode(obj, nl):
+    """JSON text of obj at the indent level whose newline string is nl."""
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is float:
+        text = float.__repr__(obj)
+        if "n" in text:  # nan, inf, -inf
+            raise _Unusual
+        return text
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = nl + "  "
+    if t is list:
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            body = ("," + inner).join(map(float.__repr__, obj))
+        elif (kinds == {list} and set(map(len, obj)) == {2}
+              and set(map(type, itertools.chain.from_iterable(obj))) == {float}):
+            it = map(float.__repr__, itertools.chain.from_iterable(obj))
+            pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+            body = ("," + inner).join(map(pair.__mod__, zip(it, it)))
+        else:
+            return "[" + inner + ("," + inner).join([_encode(x, inner) for x in obj]) + nl + "]"
+        if "n" in body:
+            raise _Unusual
+        return "[" + inner + body + nl + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise _Unusual
+        items = [_encode_str(key) + ": " + _encode(value, inner)
+                 for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise _Unusual
+
+
+def _dumps(obj):
+    """Exactly json.dumps(obj, indent=2, sort_keys=True).
+
+    With an indent the json module gives up its C encoder.  Here lists of
+    floats and lists of [re, im] float pairs are joined in C (float repr,
+    str.join); str, int, bool, None, dicts and other lists take a short
+    recursive path.  Anything else (NaN and infinities, non-str keys,
+    tuples, numpy scalars, subclasses) hands the whole document to
+    json.dumps.
+    """
+    try:
+        return _encode(obj, "\n")
+    except _Unusual:
+        return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _write_json(obj, path):
     """Write one JSON document as the file formats expect: indent 2,
     sorted keys, a trailing newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dumps(obj) + "\n")
 
 
 def save_tensor(T, path):

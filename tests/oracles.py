@@ -303,3 +303,8 @@ def omega_contraction_matrix_dense(J, basis):
     om = J.T
     cols = [np.asarray(np.tensordot(om, f, axes=([0, 1], [0, 1]))).reshape(-1) for f in basis]
     return np.array(cols).T
+
+
+def component_pairs_naive(comps):
+    """The [re, im] pairs of a tensor file read one complex(re, im) at a time."""
+    return np.array([complex(re, im) for re, im in comps])

@@ -393,3 +393,95 @@ def test_forms_check_prop27_without_samples_checks_products(capsys):
     cases = json.loads(out)["cases"]
     assert len(cases) == 9
     assert all(c["id"].startswith("product") for c in cases)
+
+
+def _malformed_curvature(path, edit):
+    assert main(["model", "chsc", "--n", "2", "-o", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+
+
+def _set_first_component(value):
+    def edit(obj):
+        obj["components"][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_first_component(["a", "b"]),
+    _set_first_component([None, 1.0]),
+    _set_first_component(1.0),
+    lambda obj: obj.pop("dim"),
+    lambda obj: obj.update(flags=5),
+], ids=["string-pair", "null-entry", "bare-number", "missing-dim", "scalar-flags"])
+def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit):
+    path = tmp_path / "bad.json"
+    _malformed_curvature(path, edit)
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "sharp-norm", "-i", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    "[0.5, null, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",
+    "[0.5, NaN, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",
+    "[0.5, Infinity, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",
+    '[0.5, "1.0", 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]',
+    "[0.5, true, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",
+    '{"leakage": 0.0, "dim": 9}',
+    '{"eigenvalues": 1.0}',
+    "1.0",
+], ids=["null", "nan", "infinity", "string", "bool", "no-eigenvalues", "scalar-eigenvalues",
+        "scalar"])
+@pytest.mark.parametrize("argv", [
+    ["check", "pq", "--n", "3", "--p", "1", "--q", "0"],
+    ["check", "bochner", "--n", "3"],
+], ids=["pq", "bochner"])
+def test_malformed_spectrum_file_is_an_error_line(tmp_path, capsys, text, argv):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--spectrum", str(spec))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "spec.json" in err
+
+
+def _canonical(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_json_is_indent_2_sorted_with_a_newline(tmp_path, capsys):
+    # the per-request commands on a random quaternion-Kahler (m = 2) and a
+    # random Kahler (n = 3) tensor: files and stdout are canonical json.dumps text
+    from bochner import curvature as curv
+    from bochner.tensors import EuclideanSpace
+
+    rng = np.random.default_rng(5)
+    q, k = tmp_path / "q.json", tmp_path / "k.json"
+    curv.save_curvature(curv.random_quaternion_kahler_curvature(
+        EuclideanSpace.quaternionic_space(2), rng), q)
+    curv.save_curvature(curv.random_kahler_curvature(EuclideanSpace.complex_space(3), rng), k)
+    for path in (q, k):
+        assert path.read_text() == _canonical(path.read_text())
+    qs, ks = tmp_path / "q_spectrum.json", tmp_path / "k_spectrum.json"
+    for argv, save in [
+        (["spectrum", "-i", str(q), "--algebra", "sp"], qs),
+        (["spectrum", "-i", str(k), "--algebra", "u"], ks),
+        (["decompose", "quaternion", "-i", str(q)], None),
+        (["decompose", "kahler", "-i", str(k)], None),
+        (["sharp-norm", "-i", str(q)], None),
+        (["sharp-norm", "-i", str(k)], None),
+        (["weitz", "verify", "prop24", "-i", str(q), "--algebra", "sp", "--samples", "1"], None),
+        (["weitz", "verify", "prop24", "-i", str(k), "--algebra", "u", "--samples", "1"], None),
+        (["check", "quaternion", "--m", "2", "--spectrum", str(qs)], None),
+        (["check", "bochner", "--n", "3", "--spectrum", str(ks)], None),
+        (["check", "pq", "--n", "3", "--p", "2", "--q", "1", "--spectrum", str(ks)], None),
+    ]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 2), argv
+        assert out == _canonical(out), argv
+        if save:
+            save.write_text(out)

@@ -1,0 +1,93 @@
+"""The JSON boundary: the indent-2 encoder and the numpy reader of tensor files."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bochner import ComplexTensor, EuclideanSpace, tensor_from_json, tensor_to_json
+from bochner.tensors import _component_pairs, _dumps
+
+from oracles import component_pairs_naive
+
+# -0.0, subnormals, 1e16, integral floats, 2**53 and its neighbour, the largest float
+FINITE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 2.0**-1074 * 12345, 1e16,
+                 1e-7, 1e22, 100.0, -3.0, float(2**53), float(2**53 + 2), 1.7976931348623157e308]
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE_FLOATS)
+floats = finite_floats | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+numbers = floats | st.integers(-2**70, 2**70)
+scalars = numbers | st.booleans() | st.none() | st.text(max_size=8)
+# the layouts the fast paths join in C, with and without entries they must refuse
+float_lists = st.lists(finite_floats, max_size=8) | st.lists(floats, max_size=8)
+pair_lists = (st.lists(st.lists(finite_floats, min_size=2, max_size=2), max_size=6)
+              | st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=6)
+              | st.lists(st.lists(numbers, min_size=1, max_size=3), max_size=6))
+documents = st.recursive(
+    scalars | float_lists | pair_lists,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=5)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_dumps_is_json_dumps_indent_2_sorted(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], {"a": {}}, [1.0, 2], [[1, 2.0], [3.0, 4]], [[1.0, 2.0], [3.0]],
+    [[1.0, 2.0], (3.0, 4.0)], (1.0, 2.0), {1: 2.0, 3: [4.0]}, {"z": 1.0, "a": [math.nan]},
+    [np.float64(1.5), 2.0], np.float64(-0.0), [True, 1.0], [None, 1.0], ["é中", "\U0001f600"],
+    {"ké": [[-0.0, 5e-324], [1e16, 2.0**53]]},
+])
+def test_dumps_matches_json_dumps_on_unusual_values(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dumps_refuses_what_json_refuses():
+    for doc in ([np.int64(3)], {"a": object()}):
+        with pytest.raises(TypeError):
+            _dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(floats | st.integers(-2**62, 2**62), min_size=2, max_size=2), min_size=1,
+                max_size=20))
+def test_component_reader_is_bit_identical_to_the_complex_loop(comps):
+    assert _component_pairs(comps).tobytes() == component_pairs_naive(comps).tobytes()
+
+
+def test_tensor_file_round_trip_is_bit_identical(rng):
+    space = EuclideanSpace.complex_space(2)
+    arr = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    arr.flat[:6] = [-0.0, 5e-324, 1e16, 2.0**53, complex(-0.0, -0.0), complex(1e-310, -1e300)]
+    obj = json.loads(_dumps(tensor_to_json(ComplexTensor(space, arr))))
+    back = tensor_from_json(obj)
+    assert back.components.tobytes() == arr.tobytes()
+    assert back.components.tobytes() == component_pairs_naive(obj["components"]).tobytes()
+
+
+@pytest.mark.parametrize("comps", [
+    [["a", "b"]], [[None, 1.0]], [1.0], [[1.0, "1.5"]], [[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]],
+    [[[1.0], [2.0]]], "ab", None, {"a": 1.0, "b": 2.0}, [],
+])
+def test_component_reader_rejects_anything_but_number_pairs(comps):
+    with pytest.raises(ValueError, match=r"\[re, im\] number pairs"):
+        _component_pairs(comps)
+
+
+@pytest.mark.parametrize("key,value", [("dim", None), ("dim", "4"), ("rank", 1.5), ("rank", True)])
+def test_tensor_reader_needs_integer_dim_and_rank(key, value):
+    obj = tensor_to_json(ComplexTensor.zero(EuclideanSpace.complex_space(2), 1))
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(ValueError, match=f"integer '{key}'"):
+        tensor_from_json(obj)
