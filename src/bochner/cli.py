@@ -523,6 +523,14 @@ def cmd_forms(args):
     return 0 if vacuous or worst <= 1.0 + 1e-9 else 1
 
 
+def _finite_number(x):
+    """An int or a float that converts to a finite float (a 401-digit int does not)."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _spectrum_from_args(args, algebra_kind):
     if args.spectrum:
         with open(args.spectrum) as fh:
@@ -531,8 +539,7 @@ def _spectrum_from_args(args, algebra_kind):
             if "eigenvalues" not in data:
                 raise ValueError(f"spectrum file {args.spectrum} has no \"eigenvalues\"")
             data = data["eigenvalues"]
-        if (not isinstance(data, list)
-                or not all(type(x) in (int, float) and math.isfinite(x) for x in data)):
+        if not isinstance(data, list) or not all(map(_finite_number, data)):
             raise ValueError(f"spectrum file {args.spectrum} must hold a list of finite numbers")
         return [float(x) for x in data]
     if args.model:

@@ -333,15 +333,18 @@ def pq_project(T, p, q):
     return _pq(T.space, p, q, np.where(_type_mask(T.space.n, p, q), T.coeffs, 0))
 
 
+def _check_type(n, p, q):
+    if p < 0 or q < 0 or p > n or q > n:
+        raise ValueError(f"(p, q) = ({p}, {q}) out of range for n = {n}")
+
+
 def build_pq_basis(space, p, q):
     """The C(n,p) C(n,q) products dz^I ^ dzbar^J, I and J increasing.
 
     Iteration order: I lexicographic outer, J lexicographic inner.
     """
-    n = space.n
-    if p < 0 or q < 0 or p > n or q > n:
-        raise ValueError(f"(p, q) = ({p}, {q}) out of range for n = {n}")
-    return [_unit(space, p, q, x, k=0) for x in np.flatnonzero(_type_mask(n, p, q))]
+    _check_type(space.n, p, q)
+    return [_unit(space, p, q, x, k=0) for x in np.flatnonzero(_type_mask(space.n, p, q))]
 
 
 def construct_Vpqk(psi1, psi2, k):
@@ -495,30 +498,43 @@ def primitive_pq_basis(space, p, q):
     return [f * (1.0 / math.sqrt(f.norm2())) for f in (_pq(space, p, q, c, 0) for c in coeffs)]
 
 
+@lru_cache(maxsize=None)
+def _stratum_rows(space, p, q, k):
+    """Coefficient rows of Omega^k ^ (primitive (p-k, q-k) basis) as one
+    read-only (dim, C(2n, p+q)) array, built once per space."""
+    omk = omega_power(space, k)
+    rows = np.array([wedge(omk, f).coeffs for f in primitive_pq_basis(space, p - k, q - k)],
+                    dtype=complex).reshape(-1, math.comb(2 * space.n, p + q))
+    rows.setflags(write=False)
+    return rows
+
+
 def stratum_basis(space, p, q, k):
     """Spanning forms Omega^k ^ (primitive (p-k, q-k) basis): the subspace
     on which the sharp-norm coefficient is exact."""
-    omk = omega_power(space, k)
-    return [_pq(space, p, q, wedge(omk, f).coeffs, k) for f in primitive_pq_basis(space, p - k, q - k)]
+    return [_pq(space, p, q, c, k) for c in _stratum_rows(space, p, q, k)]
 
 
-def _combination(space, p, q, k, basis, rng):
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    return _pq(space, p, q, coeffs @ np.array([f.coeffs for f in basis]), k)
+def _gaussian(rng, size):
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 def random_pq_form(space, p, q, rng, k=0):
     """Random complex combination of the (p, q) wedge basis."""
-    return _combination(space, p, q, k, build_pq_basis(space, p, q), rng)
+    _check_type(space.n, p, q)
+    mask = _type_mask(space.n, p, q)
+    coeffs = np.zeros(len(mask), dtype=complex)
+    coeffs[mask] = _gaussian(rng, np.count_nonzero(mask))
+    return _pq(space, p, q, coeffs, k)
 
 
 def random_stratum_form(space, p, q, k, rng):
     """Random element of the exact stratum Omega^k ^ primitive (p-k, q-k)."""
-    basis = stratum_basis(space, p, q, k)
-    if not basis:
+    rows = _stratum_rows(space, p, q, k)
+    if not len(rows):
         raise ValueError(f"stratum Omega^{k} ^ primitive({p - k}, {q - k}) is empty "
                          f"at n = {space.n}")
-    return _combination(space, p, q, k, basis, rng)
+    return _pq(space, p, q, _gaussian(rng, len(rows)) @ rows, k)
 
 
 def pqform_to_json(phi):

@@ -402,15 +402,36 @@ def lie_bracket(L1, L2):
     return Bivector.from_matrix(L1.space, M1 @ M2 - M2 @ M1)
 
 
+_ACT_BLOCK_BYTES = 1 << 20
+
+
 def _act_matrix(Ms, arr):
-    """Derivation action of each matrix of the (N, d, d) stack Ms on arr,
-    stacked on a new axis 0.  Each row is filled in place, one matrix at
-    a time, so no second array the size of the stack is built."""
+    """Derivation action of each real matrix of the (N, d, d) stack Ms on
+    arr, stacked on a new axis 0.
+
+    Complex entries are worked on as trailing (re, im) pairs of the
+    float64 view.  For slot s, arr is viewed as (d^s, d, rest), and a
+    block of basis elements is filled by one real product M^T @ arr into
+    a scratch buffer of at most max(1 MiB, one slice), which is then
+    subtracted from the block's rows; no second array the size of the
+    stack is built."""
+    arr = np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float, order="C")
     out = np.zeros((len(Ms),) + arr.shape, dtype=arr.dtype)
-    for row, M in zip(out, Ms):
+    if arr.ndim == 0:
+        return out
+    d = arr.shape[0]
+    src, acc = arr.reshape(-1).view(np.float64), out.reshape(len(Ms), arr.size).view(np.float64)
+    MsT = np.swapaxes(Ms, 1, 2)[:, None]
+    block = max(1, _ACT_BLOCK_BYTES // arr.nbytes)
+    scratch = np.empty(min(block, len(Ms)) * src.size)
+    for lo in range(0, len(Ms), block):
+        rows = acc[lo:lo + block]
         for s in range(arr.ndim):
-            contrib = np.tensordot(arr, M, axes=([s], [0]))
-            row -= np.moveaxis(contrib, -1, s)
+            shape = (len(rows), d ** s, d, -1)
+            tmp = scratch[:rows.size].reshape(shape)
+            np.matmul(MsT[lo:lo + block], src.reshape(shape[1:]), out=tmp)
+            view = rows.reshape(shape)
+            view -= tmp
     return out
 
 

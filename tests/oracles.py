@@ -308,3 +308,11 @@ def omega_contraction_matrix_dense(J, basis):
 def component_pairs_naive(comps):
     """The [re, im] pairs of a tensor file read one complex(re, im) at a time."""
     return np.array([complex(re, im) for re, im in comps])
+
+
+def basis_combination_naive(basis, rng):
+    """Coefficients of a random complex combination of a list of forms,
+    drawn real parts first, then imaginary parts, and combined by one
+    product with the stacked basis coefficients."""
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    return coeffs @ np.array([f.coeffs for f in basis])

@@ -434,8 +434,9 @@ def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit):
     '{"leakage": 0.0, "dim": 9}',
     '{"eigenvalues": 1.0}',
     "1.0",
+    "[0.5, 1" + "0" * 400 + ", 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",
 ], ids=["null", "nan", "infinity", "string", "bool", "no-eigenvalues", "scalar-eigenvalues",
-        "scalar"])
+        "scalar", "huge-int"])
 @pytest.mark.parametrize("argv", [
     ["check", "pq", "--n", "3", "--p", "1", "--q", "0"],
     ["check", "bochner", "--n", "3"],

@@ -10,6 +10,7 @@ from bochner import ComplexTensor, EuclideanSpace, Form, hermitian_inner, sharp
 from bochner.cli import _pq_configurations, _random_prop28_form
 from bochner.forms import (
     _omega_contraction_matrix,
+    _stratum_rows,
     action_bound_check,
     build_pq_basis,
     circ,
@@ -31,6 +32,7 @@ from test_forms import random_form
 
 from oracles import (
     act_matrix_naive,
+    basis_combination_naive,
     omega_contraction_matrix_dense,
     pq_basis_dense,
     pq_project_naive,
@@ -158,6 +160,47 @@ def test_primitive_bases_are_bit_identical_to_the_dense_nullspace(n, p, q):
         c = np.zeros(len(f.coeffs), dtype=complex)
         c[cols] = row
         assert np.array_equal(f.coeffs, c * (1.0 / math.sqrt(Form(space, p + q, c).norm2())))
+
+
+def _same_draw(form, expected, rng, rng_expected):
+    # bit-identical coefficients, and both samplers left the generator
+    # in the same state
+    assert form.coeffs.tobytes() == expected.tobytes()
+    assert rng.standard_normal() == rng_expected.standard_normal()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_pq_form_is_the_basis_combination(n, seed):
+    space = EuclideanSpace.complex_space(n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            rng, rng_expected = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = basis_combination_naive(build_pq_basis(space, p, q), rng_expected)
+            _same_draw(random_pq_form(space, p, q, rng), expected, rng, rng_expected)
+    with pytest.raises(ValueError, match="out of range"):
+        random_pq_form(space, n + 1, 0, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_stratum_form_is_the_basis_combination(n, seed):
+    space = EuclideanSpace.complex_space(n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for k in range(min(p, q) + 1):
+                rows = _stratum_rows(space, p, q, k)
+                assert rows.shape == (len(stratum_basis(space, p, q, k)), math.comb(2 * n, p + q))
+                assert not rows.flags.writeable
+                with pytest.raises(ValueError):
+                    rows[...] = 0
+                rng, rng_expected = np.random.default_rng(seed), np.random.default_rng(seed)
+                if not len(rows):
+                    with pytest.raises(ValueError, match="empty"):
+                        random_stratum_form(space, p, q, k, rng)
+                    continue
+                expected = basis_combination_naive(stratum_basis(space, p, q, k), rng_expected)
+                _same_draw(random_stratum_form(space, p, q, k, rng), expected, rng, rng_expected)
 
 
 # ---------------------------------------------------------------------------

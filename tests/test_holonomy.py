@@ -15,6 +15,7 @@ from bochner import (
 )
 from bochner.forms import dz_covector, kahler_form
 from bochner.holonomy import HolonomySubalgebra, gram_schmidt
+from bochner.tensors import _act_matrix
 
 from oracles import act_matrix_naive, action_supremum_naive, gram_projection_naive
 
@@ -94,18 +95,44 @@ def test_validate_rejects_a_u_basis_not_commuting_with_j(c2):
         HolonomySubalgebra(c2, "u", basis)
 
 
-@pytest.mark.parametrize("kind,size", [("so", 2), ("u", 2), ("sp", 2)])
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_sharp_stack_rows_are_the_loop_action(kind, size, rank, rng):
-    # row a of the stack is Xi_a T, against the literal derivation loops
+_STACK_CASES = ([(rank, kind, 2, "complex") for kind in ("so", "u", "sp") for rank in (1, 2, 3, 4)]
+                + [(2, "u", 2, "transposed"), (3, "sp", 2, "transposed"),
+                   (2, "so", 2, "real"), (3, "sp", 2, "real"), (4, "sp", 3, "complex")])
+
+
+@pytest.mark.parametrize("rank,kind,size,layout", _STACK_CASES,
+                         ids=["-".join(map(str, c[:3])) + ("" if c[3] == "complex" else f"-{c[3]}")
+                              for c in _STACK_CASES])
+def test_sharp_stack_rows_are_the_loop_action(rank, kind, size, layout, rng):
+    # row a of the stack is Xi_a T, against the literal derivation loops, for
+    # a transposed (not C-contiguous) tensor, a real float64 array and a
+    # rank-4 sp(3)+sp(1) stack (24 slices of 332 kB) spanning several
+    # 1 MiB scratch blocks
     space = (EuclideanSpace.quaternionic_space(size) if kind == "sp"
              else EuclideanSpace.complex_space(size))
     algebra = build_algebra(space, kind)
     T = ComplexTensor.random(space, rank, rng)
-    stack = sharp(T, algebra).stack
-    assert stack.shape == (algebra.dim,) + T.components.shape
-    for row, b in zip(stack, algebra.basis):
-        assert np.allclose(row, act_matrix_naive(b.matrix(), T.components), atol=1e-12)
+    if layout == "transposed":
+        T = ComplexTensor(space, T.components.T)
+        assert not T.components.flags.c_contiguous
+    if layout == "real":
+        arr = T.components.real.copy()
+        stack = _act_matrix(algebra.matrices, arr)
+        assert stack.dtype == np.float64
+    else:
+        arr = T.components
+        stack = sharp(T, algebra).stack
+    assert stack.shape == (algebra.dim,) + arr.shape
+    rows = range(algebra.dim)
+    if arr.nbytes * algebra.dim > 1 << 20:
+        # the loops take about a second a row here: they check the first and
+        # the last block, and each row must equal its one-element stack
+        rows = (0, algebra.dim - 1)
+        for M, row in zip(algebra.matrices, stack):
+            assert np.array_equal(row, _act_matrix(M[None], arr)[0])
+    for a in rows:
+        expected = act_matrix_naive(algebra.basis[a].matrix(), arr.astype(complex))
+        assert np.abs(stack[a] - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 def test_sharp_invariant_tensor_has_zero_slices(c2):
