@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +71,17 @@ __all__ = [
     "curvature_to_json",
     "curvature_from_json",
 ]
+
+
+# An operator leaks off an algebra when its residual on the complement (the
+# spectral norm of R Q) exceeds SUPPORT_TOL * max(1, scale), scale = |R|_max.
+SUPPORT_TOL = 1e-8
+
+
+def _refuse_leak(source, leak, scale):
+    """Raise ValueError when `leak` exceeds SUPPORT_TOL * max(1, scale)."""
+    if leak > SUPPORT_TOL * max(1.0, scale):
+        raise ValueError(f"{source} leaks off the algebra: residual {leak:.3e}")
 
 
 def _kahler_form_array(space):
@@ -404,12 +416,12 @@ class QuaternionDecomposition:
         return float(np.abs(ricci(self.r0)).max())
 
 
-def quaternion_decompose(rm_tensor, leak_tol=1e-8):
+def quaternion_decompose(rm_tensor):
     """Split Rm = coeff * hpm + R0 with coeff = scal / (16 m (m+2)).
 
-    The input operator must annihilate the complement of sp(m)+sp(1);
-    the measured leakage is raised as an error above `leak_tol` and
-    reported otherwise.  The remainder is Ricci-flat.
+    The input operator must annihilate the complement of sp(m)+sp(1):
+    a leak (`SUPPORT_TOL`) is raised as an error, and the measured
+    leakage is reported otherwise.  The remainder is Ricci-flat.
     """
     space = rm_tensor.space
     if space.quaternionic_structure is None:
@@ -420,10 +432,7 @@ def quaternion_decompose(rm_tensor, leak_tol=1e-8):
     algebra = cached_algebra(space, AlgebraKind.SP_SP1)
     op = to_operator(rm_tensor)
     leak = op.leakage(algebra)
-    scale = max(1.0, float(np.abs(op.matrix).max()))
-    if leak > leak_tol * scale:
-        raise ValueError(
-            f"operator does not annihilate the sp(m)+sp(1) complement: residual {leak:.3e}")
+    _refuse_leak("operator", leak, float(np.abs(op.matrix).max()))
     scal = scalar_curvature(rm_tensor)
     coeff = scal / (16.0 * m * (m + 2))
     r0 = AlgebraicCurvatureTensor(
@@ -494,7 +503,7 @@ def kahler_sharp_identity(rm_tensor, algebra=None):
     return report
 
 
-def quaternion_sharp_identity(rm_tensor, algebra=None, leak_tol=1e-8):
+def quaternion_sharp_identity(rm_tensor, algebra=None):
     """Norm ratio between the sp(m)+sp(1) sharp of Rm and its remainder.
 
     The sharp norm of a quaternionic curvature tensor comes entirely
@@ -522,7 +531,7 @@ def quaternion_sharp_identity(rm_tensor, algebra=None, leak_tol=1e-8):
     m = space.m
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.SP_SP1)
-    dec = quaternion_decompose(rm_tensor, leak_tol=leak_tol)
+    dec = quaternion_decompose(rm_tensor)
     sh = sharp(rm_tensor.rm, algebra)
     lhs = sh.norm2()
     r0_norm2 = dec.r0.norm2()
@@ -571,9 +580,6 @@ def random_curvature(space, rng, scale=1.0):
     arr = from_operator(CurvatureOperator(space, M), validate=False).array
     alt = (arr + np.transpose(arr, (1, 2, 0, 3)) + np.transpose(arr, (2, 0, 1, 3))) / 3.0
     return AlgebraicCurvatureTensor(space, arr - alt, validate=False)
-
-
-_SUPPORTED_FORMS_CACHE: dict = {}
 
 
 def _sp_m_two_forms(space):
@@ -640,27 +646,32 @@ def _random_supported(space, forms, L, rng, kahler=False, quaternion=False, scal
                                     validate=False)
 
 
+@lru_cache(maxsize=None)
+def _kahler_basis(algebra):
+    """Supported-curvature basis on a u(n) algebra: n^2 (n+1)^2 / 4 forms."""
+    n = algebra.space.dim // 2
+    return _supported_curvature_basis(algebra.matrices.transpose(0, 2, 1), False, (n * (n + 1) // 2) ** 2)
+
+
+@lru_cache(maxsize=None)
+def _hyperkahler_basis(space):
+    """Ricci-flat supported-curvature basis on sp(m) (built once per space)."""
+    return _supported_curvature_basis(_sp_m_two_forms(space), True,
+                                      math.comb(2 * (space.dim // 4) + 3, 4))
+
+
 def random_kahler_curvature(space, rng, algebra=None, scale=1.0):
     """Random Kahler curvature tensor: u(n)-supported symmetric form with Bianchi."""
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.U)
-    if algebra not in _SUPPORTED_FORMS_CACHE:
-        n = space.dim // 2
-        _SUPPORTED_FORMS_CACHE[algebra] = _supported_curvature_basis(
-            algebra.matrices.transpose(0, 2, 1), False, (n * (n + 1) // 2) ** 2)
-    return _random_supported(space, *_SUPPORTED_FORMS_CACHE[algebra], rng, kahler=True,
-                             scale=scale)
+    return _random_supported(space, *_kahler_basis(algebra), rng, kahler=True, scale=scale)
 
 
 def random_hyperkahler_curvature(space, rng, scale=1.0):
     """Random Ricci-flat curvature tensor supported on sp(m) alone."""
     if space.quaternionic_structure is None:
         raise ValueError("hyperkahler generator needs a quaternionic structure")
-    if space not in _SUPPORTED_FORMS_CACHE:
-        m = space.dim // 4
-        _SUPPORTED_FORMS_CACHE[space] = _supported_curvature_basis(
-            _sp_m_two_forms(space), True, math.comb(2 * m + 3, 4))
-    return _random_supported(space, *_SUPPORTED_FORMS_CACHE[space], rng, quaternion=True,
+    return _random_supported(space, *_hyperkahler_basis(space), rng, quaternion=True,
                              scale=scale)
 
 

@@ -280,25 +280,22 @@ def kahler_form_bivector(space):
     return Bivector.from_two_form(space, space.j_matrix().T)
 
 
-_OMEGA_POWER_CACHE: dict = {}
-
-
 def omega_power(space, p):
     """Omega^p, with omega = (i/2) sum_a dz^a ^ dzbar^a (cached per space)."""
-    key = (space, p)
-    if key not in _OMEGA_POWER_CACHE:
-        n = space.n
-        if p == 0:
-            out = _unit(space, 0, 0, 0, k=0)
-        elif p == 1:
-            pos = _position(2 * n, 2)
-            c = np.zeros(len(pos), dtype=complex)
-            c[[pos[(a, n + a)] for a in range(n)]] = 0.5j
-            out = _pq(space, 1, 1, c, k=1)
-        else:
-            out = _pq(space, p, p, wedge(omega_power(space, p - 1), omega_power(space, 1)).coeffs, p)
-        _OMEGA_POWER_CACHE[key] = out
-    return _OMEGA_POWER_CACHE[key]
+    return _omega_power(space, p)
+
+
+@lru_cache(maxsize=None)
+def _omega_power(space, p):
+    n = space.n
+    if p == 0:
+        return _unit(space, 0, 0, 0, k=0)
+    if p == 1:
+        pos = _position(2 * n, 2)
+        c = np.zeros(len(pos), dtype=complex)
+        c[[pos[(a, n + a)] for a in range(n)]] = 0.5j
+        return _pq(space, 1, 1, c, k=1)
+    return _pq(space, p, p, wedge(omega_power(space, p - 1), omega_power(space, 1)).coeffs, p)
 
 
 def dz_covector(space, a):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,15 +220,15 @@ def build_algebra(space, kind, permutation=None):
     return HolonomySubalgebra(space, AlgebraKind.SP_SP1, basis)
 
 
-_ALGEBRA_CACHE: dict = {}
-
-
 def cached_algebra(space, kind):
-    """Memoized build_algebra; spaces are hashable by identity."""
-    key = (space, AlgebraKind(kind))
-    if key not in _ALGEBRA_CACHE:
-        _ALGEBRA_CACHE[key] = build_algebra(space, kind)
-    return _ALGEBRA_CACHE[key]
+    """Memoized build_algebra; spaces are hashable by identity.  The kind is
+    normalised first: AlgebraKind.U and "u" compare equal but hash apart."""
+    return _cached_algebra(space, AlgebraKind(kind))
+
+
+@lru_cache(maxsize=None)
+def _cached_algebra(space, kind):
+    return build_algebra(space, kind)
 
 
 @dataclass

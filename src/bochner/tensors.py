@@ -149,33 +149,26 @@ class EuclideanSpace:
             if not (np.allclose(I @ J, K, atol=atol) and np.allclose(J @ I, -K, atol=atol)):
                 raise ValueError("quaternionic triple does not satisfy IJ = -JI = K")
 
-    _cache: dict = {}
+    # memoized: one space object per size, so caches keyed on spaces are shared
 
     @classmethod
+    @lru_cache(maxsize=None)
     def euclidean(cls, d):
         """Plain R^d without extra structure."""
-        key = ("e", d)
-        if key not in cls._cache:
-            cls._cache[key] = cls(d)
-        return cls._cache[key]
+        return cls(d)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def complex_space(cls, n):
         """C^n = R^{2n} with the block complex structure."""
-        key = ("c", n)
-        if key not in cls._cache:
-            d = 2 * n
-            cls._cache[key] = cls(d, complex_structure=_block_complex_structure(d))
-        return cls._cache[key]
+        return cls(2 * n, complex_structure=_block_complex_structure(2 * n))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def quaternionic_space(cls, m):
         """H^m = R^{4m} with the block quaternionic triple; J-structure is I."""
-        key = ("q", m)
-        if key not in cls._cache:
-            I, J, K = _block_quaternionic_structure(m)
-            cls._cache[key] = cls(4 * m, complex_structure=I, quaternionic_structure=(I, J, K))
-        return cls._cache[key]
+        I, J, K = _block_quaternionic_structure(m)
+        return cls(4 * m, complex_structure=I, quaternionic_structure=(I, J, K))
 
     @property
     def n(self):
@@ -499,10 +492,10 @@ def _component_pairs(comps):
     """The [re, im] pairs of a tensor file as a complex vector, bit for bit
     `complex(re, im)` per pair.  Anything but a list of real number pairs
     raises: the dtype check keeps numpy from reading null as NaN or
-    "1.5" as 1.5."""
+    "1.5" as 1.5, and the type scan from reading true as 1.0."""
     try:
-        pairs = set(map(len, comps)) == {2}
-        flat = np.array([*itertools.chain.from_iterable(comps)]) if pairs else None
+        entries = [*itertools.chain.from_iterable(comps)] if set(map(len, comps)) == {2} else None
+        flat = None if entries is None or bool in set(map(type, entries)) else np.array(entries)
     except (TypeError, ValueError, OverflowError):
         flat = None
     if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import weighted_partial_sum
-from .curvature import AlgebraicCurvatureTensor, CurvatureOperator, ricci, to_operator
+from .curvature import AlgebraicCurvatureTensor, CurvatureOperator, _refuse_leak, ricci, to_operator
 from .holonomy import sharp
 from .tensors import ComplexTensor, hermitian_inner
 
@@ -35,14 +35,7 @@ __all__ = [
     "curvature_term",
     "verify_weitzenbock_restriction",
     "verify_eigenvalue_sum_bound",
-    "HODGE_CONSTANT",
-    "CURVATURE_TENSOR_CONSTANT",
 ]
-
-# Lichnerowicz scaling presets: 1 for the Hodge Laplacian on forms,
-# 1/2 for curvature-type tensors.
-HODGE_CONSTANT = 1.0
-CURVATURE_TENSOR_CONSTANT = 0.5
 
 
 def weitzenbock_ric(rm_tensor, T):
@@ -115,10 +108,15 @@ def curvature_term(op, algebra, T):
     if isinstance(op, AlgebraicCurvatureTensor):
         op = to_operator(op)
     gram = op.restricted_gram(algebra)
+    return _curvature_term(gram, np.linalg.eigh(gram), algebra, T)
+
+
+def _curvature_term(gram, eigh, algebra, T):
+    """`curvature_term` from the Gram restriction and its eigendecomposition."""
     sh = sharp(T, algebra)
     P = sh.pairings()
     gram_value_c = complex(np.sum(gram * P))
-    vals, vecs = np.linalg.eigh(gram)
+    vals, vecs = eigh
     # Theta_a = sum_b vecs[b, a] Xi_b, so |Theta_a T|^2 = vecs[:, a]^T P vecs[:, a]
     weights = np.sum(vecs * (P @ vecs), axis=0).real
     return CurvatureTerm(
@@ -130,31 +128,36 @@ def curvature_term(op, algebra, T):
     )
 
 
-def verify_weitzenbock_restriction(rm_tensor, algebra, T, leak_tol=1e-6):
-    """Check g(Ric(T), conj T) against the restricted curvature term.
+def verify_weitzenbock_restriction(rm_tensor, algebra, tensors):
+    """Check g(Ric(T), conj T) against the restricted curvature term for each T.
 
     The equality requires the operator to annihilate the complement of
-    the algebra; the measured leakage is enforced against `leak_tol`.
-    Returns a report dict with both sides and the relative deviation.
+    the algebra, so a leak (`curvature.SUPPORT_TOL`) raises.  The operator,
+    its leakage and its Gram restriction are computed once per call.
+    Returns one report dict per tensor, with both sides and the relative
+    deviation.
     """
     op = to_operator(rm_tensor)
     leak = op.leakage(algebra)
-    scale = max(1.0, float(np.abs(op.matrix).max()))
-    if leak > leak_tol * scale:
-        raise ValueError(f"operator leaks off the algebra: residual {leak:.3e}")
-    lhs_c = hermitian_inner(weitzenbock_ric(rm_tensor, T), T)
-    term = curvature_term(op, algebra, T)
-    lhs = float(lhs_c.real)
-    rhs = term.gram_value
-    denom = max(abs(lhs), abs(rhs), 1.0)
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "deviation": abs(lhs - rhs) / denom,
-        "lhs_imag": abs(lhs_c.imag),
-        "leakage": leak,
-        "route_deviation": term.route_deviation,
-    }
+    _refuse_leak("operator", leak, float(np.abs(op.matrix).max()))
+    gram = op.restricted_gram(algebra)
+    eigh = np.linalg.eigh(gram)
+    reports = []
+    for T in tensors:
+        lhs_c = hermitian_inner(weitzenbock_ric(rm_tensor, T), T)
+        term = _curvature_term(gram, eigh, algebra, T)
+        lhs = float(lhs_c.real)
+        rhs = term.gram_value
+        denom = max(abs(lhs), abs(rhs), 1.0)
+        reports.append({
+            "lhs": lhs,
+            "rhs": rhs,
+            "deviation": abs(lhs - rhs) / denom,
+            "lhs_imag": abs(lhs_c.imag),
+            "leakage": leak,
+            "route_deviation": term.route_deviation,
+        })
+    return reports
 
 
 def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors, slack=1e-10):

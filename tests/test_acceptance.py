@@ -98,7 +98,7 @@ def test_criterion_02_weitzenbock_restriction_identity():
         for rank in (1, 2, 3):
             for _ in range(50):
                 T = ComplexTensor.random(rm.space, rank, rng)
-                r = verify_weitzenbock_restriction(rm, algebra, T)
+                r, = verify_weitzenbock_restriction(rm, algebra, [T])
                 worst = max(worst, r["deviation"])
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8

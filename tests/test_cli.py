@@ -402,19 +402,20 @@ def _malformed_curvature(path, edit):
     path.write_text(json.dumps(obj))
 
 
-def _set_first_component(value):
+def _set_component(index, value):
     def edit(obj):
-        obj["components"][0] = value
+        obj["components"][index] = value
     return edit
 
 
 @pytest.mark.parametrize("edit", [
-    _set_first_component(["a", "b"]),
-    _set_first_component([None, 1.0]),
-    _set_first_component(1.0),
+    _set_component(0, ["a", "b"]),
+    _set_component(0, [None, 1.0]),
+    _set_component(0, 1.0),
+    _set_component(17, [True, 0.0]),  # the entry holds [1.0, 0.0]
     lambda obj: obj.pop("dim"),
     lambda obj: obj.update(flags=5),
-], ids=["string-pair", "null-entry", "bare-number", "missing-dim", "scalar-flags"])
+], ids=["string-pair", "null-entry", "bare-number", "bool-entry", "missing-dim", "scalar-flags"])
 def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit):
     path = tmp_path / "bad.json"
     _malformed_curvature(path, edit)
@@ -435,8 +436,10 @@ def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit):
     '{"eigenvalues": 1.0}',
     "1.0",
     "[0.5, 1" + "0" * 400 + ", 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",
+    '{"eigenvalues": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5], "leakage": 1.0, "dim": 9}',
+    '{"eigenvalues": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5], "leakage": null, "dim": 9}',
 ], ids=["null", "nan", "infinity", "string", "bool", "no-eigenvalues", "scalar-eigenvalues",
-        "scalar", "huge-int"])
+        "scalar", "huge-int", "leaks", "null-leakage"])
 @pytest.mark.parametrize("argv", [
     ["check", "pq", "--n", "3", "--p", "1", "--q", "0"],
     ["check", "bochner", "--n", "3"],
@@ -448,6 +451,51 @@ def test_malformed_spectrum_file_is_an_error_line(tmp_path, capsys, text, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "spec.json" in err
+
+
+@pytest.mark.parametrize("ratio,refused", [(1e-7, True), (1e-10, False)], ids=["1e-7", "1e-10"])
+@pytest.mark.parametrize("kind", ["u", "sp"])
+def test_every_support_guard_applies_one_leak_rule(tmp_path, capsys, rng, kind, ratio, refused):
+    # a supported tensor plus a generic curvature perturbation whose residual on
+    # the complement of the algebra is `ratio` * max(1, |R|_max): every guard
+    # refuses 1e-7 and accepts 1e-10, the two sides of SUPPORT_TOL = 1e-8
+    from bochner import curvature as curv
+    from bochner.holonomy import cached_algebra
+    from bochner.tensors import EuclideanSpace
+
+    if kind == "u":
+        space = EuclideanSpace.complex_space(2)
+        base = curv.random_kahler_curvature(space, rng)
+        guards = []
+        check = ["check", "pq", "--n", "2", "--p", "1", "--q", "0"]
+    else:
+        space = EuclideanSpace.quaternionic_space(2)
+        base = curv.random_quaternion_kahler_curvature(space, rng)
+        guards = [["decompose", "quaternion"], ["sharp-norm"]]
+        check = ["check", "quaternion", "--m", "2"]
+    algebra = cached_algebra(space, kind)
+    pert = curv.random_curvature(space, rng)
+    t = ratio * max(1.0, np.abs(base.array).max()) / curv.to_operator(pert).leakage(algebra)
+    rm = curv.AlgebraicCurvatureTensor(space, base.array + t * pert.array, quaternion=kind == "sp")
+    op = curv.to_operator(rm)
+    assert op.leakage(algebra) / max(1.0, np.abs(op.matrix).max()) == pytest.approx(ratio, rel=1e-3)
+    path, spec = tmp_path / "rm.json", tmp_path / "spec.json"
+    curv.save_curvature(rm, path)
+    code, out, err = run_cli(capsys, "spectrum", "-i", str(path), "--algebra", kind)
+    assert json.loads(out)["dim"] == algebra.dim  # printed either way
+    spec.write_text(out)
+    outcomes = {"spectrum": (code, err)}
+    for argv in guards + [["weitz", "verify", "prop24", "--algebra", kind, "--samples", "1"]]:
+        code, _, err = run_cli(capsys, *argv, "-i", str(path))
+        outcomes[argv[0]] = (code, err)
+    code, _, err = run_cli(capsys, *check, "--spectrum", str(spec))
+    outcomes["check"] = (code, err)
+    for name, (code, err) in outcomes.items():
+        if refused:
+            assert code == 1 and "leaks off the algebra: residual" in err, (name, err)
+        else:
+            # check exits 2 on an inconclusive verdict
+            assert code in ((0, 2) if name == "check" else (0,)) and "error" not in err, (name, err)
 
 
 def _canonical(text):

@@ -36,7 +36,8 @@ from bochner import (
     to_operator,
 )
 from bochner.curvature import (
-    _SUPPORTED_FORMS_CACHE,
+    _hyperkahler_basis,
+    _kahler_basis,
     _sp_m_two_forms,
     _supported_constraints,
     _supported_curvature_basis,
@@ -297,14 +298,14 @@ def test_supported_curvature_at_the_new_sizes(kind, size, dim, rng):
     if kind == "sp":
         space = EuclideanSpace.quaternionic_space(size)
         rm = random_hyperkahler_curvature(space, rng)
-        key = space
+        forms = _hyperkahler_basis(space)[0]
         assert np.abs(ricci(rm)).max() < 1e-9
     else:
         space = EuclideanSpace.complex_space(size)
         rm = random_kahler_curvature(space, rng)
-        key = cached_algebra(space, "u")
+        forms = _kahler_basis(cached_algebra(space, "u"))[0]
     # the forms the generator drew from
-    assert len(_SUPPORTED_FORMS_CACHE[key][0]) == dim
+    assert len(forms) == dim
     assert bianchi_max(rm.array) < 1e-10
     assert to_operator(rm).leakage(cached_algebra(space, kind)) < 1e-10
 

@@ -14,7 +14,7 @@ from bochner import (
     sharp,
 )
 from bochner.forms import dz_covector, kahler_form
-from bochner.holonomy import HolonomySubalgebra, gram_schmidt
+from bochner.holonomy import AlgebraKind, HolonomySubalgebra, cached_algebra, gram_schmidt
 from bochner.tensors import _act_matrix
 
 from oracles import act_matrix_naive, action_supremum_naive, gram_projection_naive
@@ -27,6 +27,13 @@ def test_dimensions(c3, h2):
     assert u3.dim == 9
     sp2 = build_algebra(h2, "sp")
     assert sp2.dim == 13
+
+
+def test_cached_algebra_is_one_object_per_space_and_kind(c2, h2):
+    # AlgebraKind.U == "u", but the two hash apart
+    assert cached_algebra(c2, "u") is cached_algebra(c2, AlgebraKind.U)
+    assert cached_algebra(h2, "sp") is cached_algebra(h2, AlgebraKind.SP_SP1)
+    assert EuclideanSpace.complex_space(2) is c2
 
 
 def test_u_requires_complex_structure():

@@ -75,7 +75,7 @@ def test_tensor_file_round_trip_is_bit_identical(rng):
 
 @pytest.mark.parametrize("comps", [
     [["a", "b"]], [[None, 1.0]], [1.0], [[1.0, "1.5"]], [[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]],
-    [[[1.0], [2.0]]], "ab", None, {"a": 1.0, "b": 2.0}, [],
+    [[[1.0], [2.0]]], "ab", None, {"a": 1.0, "b": 2.0}, [], [[True, 0.0]], [[1.0, False]],
 ])
 def test_component_reader_rejects_anything_but_number_pairs(comps):
     with pytest.raises(ValueError, match=r"\[re, im\] number pairs"):

@@ -154,14 +154,14 @@ def test_restriction_identity_models(c2, c3, h2, rng):
         for rank in (1, 2, 3):
             for _ in range(5):
                 T = ComplexTensor.random(rm.space, rank, rng)
-                r = verify_weitzenbock_restriction(rm, alg, T)
+                r, = verify_weitzenbock_restriction(rm, alg, [T])
                 assert r["deviation"] < 1e-8
                 assert r["route_deviation"] < 1e-9
 
 
 def test_restriction_identity_flat(c2, rng):
-    r = verify_weitzenbock_restriction(flat_model(c2), cached_algebra(c2, "u"),
-                                       ComplexTensor.random(c2, 2, rng))
+    r, = verify_weitzenbock_restriction(flat_model(c2), cached_algebra(c2, "u"),
+                                        [ComplexTensor.random(c2, 2, rng)])
     assert r["lhs"] == 0.0
     assert r["rhs"] == 0.0
 
@@ -172,7 +172,7 @@ def test_restriction_identity_random_kahler(c2, rng):
     for _ in range(10):
         rm = random_kahler_curvature(c2, rng)
         T = ComplexTensor.random(c2, 2, rng)
-        r = verify_weitzenbock_restriction(rm, u, T)
+        r, = verify_weitzenbock_restriction(rm, u, [T])
         assert r["deviation"] < 1e-8
 
 
@@ -182,7 +182,7 @@ def test_restriction_identity_rejects_leaky_operator(c2, rng):
     rm = random_curvature(c2, rng)  # full so(4) support
     with pytest.raises(ValueError, match="leak"):
         verify_weitzenbock_restriction(rm, cached_algebra(c2, "u"),
-                                       ComplexTensor.random(c2, 1, rng))
+                                       [ComplexTensor.random(c2, 1, rng)])
 
 
 # ---------------------------------------------------------------------------
