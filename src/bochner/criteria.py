@@ -9,7 +9,7 @@ holonomy algebra, a weighted partial sum
 and a threshold involving a weight value rho at the point under test
 and an admissibility window for the constant kappa (or k).  Constants
 are computed in exact rational arithmetic so that floors never suffer
-from float-boundary errors; spectra are plain floats.
+from float-boundary errors; spectra are plain floats, summed exactly.
 
 The checkers return a :class:`VanishingVerdict`.  A verdict never
 claims more than the pointwise arithmetic: the global hypotheses that
@@ -144,23 +144,22 @@ def quaternion_parity_coefficient(m):
 
 
 def weighted_partial_sum(spectrum, count, weight=Fraction(0)):
-    """mu_1 + ... + mu_count + weight * mu_{count+1} on an ascending list.
-
-    The weighted term is only accessed when its weight is nonzero, so a
-    spectrum of length exactly `count` is admissible for integer counts.
+    """mu_1 + ... + mu_count + weight * mu_{count+1} on an ascending list,
+    summed exactly in rationals and rounded once.  The weighted term is only
+    accessed when its weight is nonzero, so a spectrum of length exactly
+    `count` is admissible for integer counts.
     """
     spectrum = list(spectrum)
     if any(spectrum[i] > spectrum[i + 1] + 1e-12 for i in range(len(spectrum) - 1)):
         raise ValueError("spectrum must be ascending")
     if count > len(spectrum):
         raise ValueError(f"spectrum too short: need {count} eigenvalues, got {len(spectrum)}")
-    total = float(sum(spectrum[:count]))
-    w = float(weight)
-    if w != 0.0:
+    total = sum(map(Fraction, spectrum[:count]), Fraction(0))
+    if weight != 0:
         if count + 1 > len(spectrum):
             raise ValueError(f"spectrum too short: need {count + 1} eigenvalues, got {len(spectrum)}")
-        total += w * spectrum[count]
-    return total
+        total += Fraction(weight) * Fraction(spectrum[count])
+    return float(total)
 
 
 def serre_remap(n, p, q):

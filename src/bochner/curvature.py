@@ -16,8 +16,7 @@ manifold attached.  The module provides
 * restricted spectra on holonomy subalgebras and the sharp-norm
   identities that relate |Rm^g|^2 to the component norms,
 * random generators for curvature classes supported on a holonomy
-  subalgebra (symmetric form on the algebra, intersected with the
-  Bianchi and optional Ricci-flat constraints).
+  subalgebra, drawn on closed-form orthonormal bases of those classes.
 
 Norm bookkeeping: |Rm|^2 always denotes the full rank-4 tensor norm and
 equals 4 |R|^2, where |R|^2 is the Frobenius norm of the operator.  The
@@ -36,9 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, gram_schmidt, sharp
+from .forms import _coframe
+from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
 from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _int_field, _write_json,
-                      nullspace, tensor_from_json, tensor_to_json, wedge_pairs)
+                      tensor_from_json, tensor_to_json, wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -124,6 +124,8 @@ class AlgebraicCurvatureTensor:
             self._validate(atol)
 
     def _validate(self, atol):
+        if not np.isfinite(self.array).all():
+            raise ValueError("curvature components must be finite")
         scale = max(1.0, np.abs(self.array).max())
         dev = _pair_symmetry_residual(self.array)
         if dev > atol * scale:
@@ -582,59 +584,32 @@ def random_curvature(space, rng, scale=1.0):
     return AlgebraicCurvatureTensor(space, arr - alt, validate=False)
 
 
-def _sp_m_two_forms(space):
-    """Two-forms of an orthonormal basis of sp(m), the skew commutant of {I, J, K}."""
-    return _avatars(space.dim, gram_schmidt(list(_sp_m_commutant(space)))).transpose(0, 2, 1)
+def _unitary_frame(k):
+    """Z_i = (e_{2i} - i e_{2i+1}) / sqrt 2 as columns: J Z_i = i Z_i, Z^* Z = 1."""
+    return _coframe(k)[:k].conj().T / math.sqrt(2)
 
 
-def _supported_constraints(two_forms, ricci_flat):
-    """Linear constraints on symmetric forms S on span{lam_a}, one column per pair.
+def _table_basis(lams, Y, terms, keep_imag):
+    """(S, L): unit forms Re S_r, then Im S_r where keep_imag[r]; L = lams flattened.
 
-    Column p is the pair a <= b in upper-triangle order and stands for
-    t = lam_a (x) lam_b + lam_b (x) lam_a (lam_a (x) lam_a when a = b).
-    Its rows hold the Bianchi sums t(ijkl) + t(kijl) + t(jkil) over the
-    quadruples i < j < k < l and then, if `ricci_flat`, the Ricci traces
-    sum_i t(iyiw) over y <= w, each added in that order.
+    S_r = sum W[:, x] W[:, y]^T over the pairs (x, y) in terms[r], made exactly
+    symmetric, with W_a = Z^* lam_a Y on the unitary frame Z and x = (i, j)
+    at i k + j.  Rows are summed a chunk at a time, so no complex array the
+    size of S is built.
     """
-    lams = np.asarray(two_forms)
-    N, d = lams.shape[:2]
-    ia, ib = np.triu_indices(N)
-    la, lb = lams[ia], lams[ib]
-    off = (ia != ib)[:, None]
-
-    def t(x, y, z, w):
-        # 0.0 + x turns -0.0 into +0.0 as the einsum outer products of the dense
-        # construction (tests/oracles.py) do: the SVD's reflector signs see
-        # signed zeros, so this keeps its nullspace, and each seeded draw
-        p = 0.0 + la[:, x, y] * lb[:, z, w]
-        return np.where(off, p + lb[:, x, y] * la[:, z, w], p)
-
-    i, j, k, l = np.array(list(itertools.combinations(range(d), 4)), dtype=int).reshape(-1, 4).T
-    rows = [t(i, j, k, l) + t(k, i, j, l) + t(j, k, i, l)]
-    if ricci_flat:
-        y, w = np.triu_indices(d)
-        ric = np.zeros((len(ia), len(y)))
-        for x in range(d):
-            ric = ric + t(x, y, x, w)
-        rows.append(ric)
-    return np.concatenate(rows, axis=1).T
-
-
-def _supported_curvature_basis(two_forms, ricci_flat, expected_dim):
-    """Symmetric forms spanning {Rm = sum_ab S_ab lam_a (x) lam_b : Bianchi, (Ricci-flat)}.
-
-    Returns (S, L): S of shape (R, N, N) holds the R nullspace directions
-    of `_supported_constraints`, which must number `expected_dim`, and
-    L of shape (N, d^2) stacks the two-forms lam_a.
-    """
-    lams = np.asarray(two_forms)
-    N, d = lams.shape[:2]
-    null = nullspace(_supported_constraints(lams, ricci_flat), expected_dim)
-    forms = np.zeros((len(null), N, N))
-    ia, ib = np.triu_indices(N)
-    forms[:, ia, ib] = null
-    forms[:, ib, ia] = null
-    return forms, lams.reshape(N, d * d)
+    k = Y.shape[1]
+    Wt = (_unitary_frame(k).conj().T @ lams @ Y).reshape(len(lams), -1).T
+    R = len(terms)
+    forms = np.empty((R + np.count_nonzero(keep_imag),) + (len(lams),) * 2)
+    dest = R - 1 + np.cumsum(keep_imag)
+    for lo in range(0, R, 64):
+        rows = slice(lo, lo + 64)
+        S = np.matmul(Wt[terms[rows, :, 0]].transpose(0, 2, 1), Wt[terms[rows, :, 1]])
+        S = S + S.transpose(0, 2, 1)
+        forms[:R][rows] = S.real
+        forms[dest[rows][keep_imag[rows]]] = S.imag[keep_imag[rows]]
+    forms /= np.sqrt(np.einsum("rab,rab->r", forms, forms))[:, None, None]
+    return forms, lams.reshape(len(lams), -1)
 
 
 def _random_supported(space, forms, L, rng, kahler=False, quaternion=False, scale=1.0):
@@ -648,16 +623,41 @@ def _random_supported(space, forms, L, rng, kahler=False, quaternion=False, scal
 
 @lru_cache(maxsize=None)
 def _kahler_basis(algebra):
-    """Supported-curvature basis on a u(n) algebra: n^2 (n+1)^2 / 4 forms."""
-    n = algebra.space.dim // 2
-    return _supported_curvature_basis(algebra.matrices.transpose(0, 2, 1), False, (n * (n + 1) // 2) ** 2)
+    """Supported-curvature basis on a u(n) algebra: n^2 (n+1)^2 / 4 forms.
+
+    W_a(i, j) = lam_a(Zbar_i, Z_j) is unitary on u(n), and sum_ab S_ab
+    lam_a (x) lam_b is Kahler exactly when R(Zbar_i, Z_j, Zbar_k, Z_l) is
+    symmetric in (i, k) and in (j, l): a Hermitian form on Sym^2 C^n.  Row
+    P <= Q sums over the orderings (i, k) of P and (j, l) of Q, x = ij, y = kl.
+    """
+    n = algebra.space.n
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    rows = [(P, Q) for a, P in enumerate(pairs) for Q in pairs[a:]]
+    terms = [[(i * n + j, k * n + l) for i, k in itertools.permutations(P)
+              for j, l in itertools.permutations(Q)] for P, Q in rows]
+    return _table_basis(algebra.matrices.transpose(0, 2, 1), _unitary_frame(n), np.array(terms),
+                        np.array([P != Q for P, Q in rows]))
 
 
 @lru_cache(maxsize=None)
 def _hyperkahler_basis(space):
-    """Ricci-flat supported-curvature basis on sp(m) (built once per space)."""
-    return _supported_curvature_basis(_sp_m_two_forms(space), True,
-                                      math.comb(2 * (space.dim // 4) + 3, 4))
+    """Ricci-flat supported-curvature basis on sp(m): C(2m+3, 4) forms.
+
+    V_a(i, j) = lam_a(Zbar_i, J^T Zbar_j), which is W_a tau^T for the signed
+    permutation tau = Zbar^T J Zbar, is complex symmetric and identifies
+    sp(m) (x) C with S^2 C^{2m}; the tensors are the real points of
+    S^4 C^{2m}.  tau pairs 2a with 2a + 1, so conjugation maps the monomial
+    t to sorted(t ^ 1): each pair of monomials gives a real and an imaginary
+    part, a monomial paired with itself its real part.
+    """
+    k = 2 * space.m
+    partner = {t: tuple(sorted(x ^ 1 for x in t))
+               for t in itertools.combinations_with_replacement(range(k), 4)}
+    mono = [t for t, u in partner.items() if t <= u]
+    terms = [[(i * k + p, j * k + q) for i, p, j, q in itertools.permutations(t)] for t in mono]
+    return _table_basis(_avatars(space.dim, _sp_m_commutant(space)).transpose(0, 2, 1),
+                        space.quaternionic_structure[1].T @ _unitary_frame(k).conj(),
+                        np.array(terms), np.array([t != partner[t] for t in mono]))
 
 
 def random_kahler_curvature(space, rng, algebra=None, scale=1.0):

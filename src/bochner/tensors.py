@@ -490,16 +490,16 @@ def _int_field(obj, key):
 
 def _component_pairs(comps):
     """The [re, im] pairs of a tensor file as a complex vector, bit for bit
-    `complex(re, im)` per pair.  Anything but a list of real number pairs
-    raises: the dtype check keeps numpy from reading null as NaN or
+    `complex(re, im)` per pair.  Anything but a list of finite real number
+    pairs raises: the dtype check keeps numpy from reading null as NaN or
     "1.5" as 1.5, and the type scan from reading true as 1.0."""
     try:
         entries = [*itertools.chain.from_iterable(comps)] if set(map(len, comps)) == {2} else None
         flat = None if entries is None or bool in set(map(type, entries)) else np.array(entries)
     except (TypeError, ValueError, OverflowError):
         flat = None
-    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf":
-        raise ValueError('tensor file "components" must be a list of [re, im] number pairs')
+    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf" or not np.isfinite(flat).all():
+        raise ValueError('tensor file "components" must be a list of finite [re, im] number pairs')
     return flat.astype(float, copy=False).view(complex)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: round trips, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_check_pq_flat_parallel(capsys):
     v = json.loads(out)
     assert v["conclusion"] == "parallel"
     assert v["condition_value"] == 0.0
+
+
+def test_check_pq_sums_the_spectrum_exactly(tmp_path, capsys):
+    # C(4, 2, 0) = 3, and -1e16 - 1 + 1e16 is -1 exactly; summed left to
+    # right in floats, -1e16 - 1 rounds to -1e16 and the sum to 0 (parallel)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([-1e16, -1.0] + [1e16] * 14))
+    code, out, _ = run_cli(capsys, "check", "pq", "--n", "4", "--p", "2", "--q", "0",
+                           "--spectrum", str(spec))
+    assert code == 2
+    v = json.loads(out)
+    assert v["conclusion"] == "inconclusive"
+    assert v["condition_value"] == -1.0
 
 
 def test_check_pq_stratum_flag(tmp_path, capsys):
@@ -413,17 +427,22 @@ def _set_component(index, value):
     _set_component(0, [None, 1.0]),
     _set_component(0, 1.0),
     _set_component(17, [True, 0.0]),  # the entry holds [1.0, 0.0]
+    _set_component(17, [math.nan, 0.0]),
+    _set_component(17, [math.inf, 0.0]),
     lambda obj: obj.pop("dim"),
     lambda obj: obj.update(flags=5),
-], ids=["string-pair", "null-entry", "bare-number", "bool-entry", "missing-dim", "scalar-flags"])
+], ids=["string-pair", "null-entry", "bare-number", "bool-entry", "nan-entry", "infinity-entry",
+        "missing-dim", "scalar-flags"])
 def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit):
+    # json.dumps writes NaN and Infinity as the bare tokens json.load reads back
     path = tmp_path / "bad.json"
     _malformed_curvature(path, edit)
     capsys.readouterr()
-    code, out, err = run_cli(capsys, "sharp-norm", "-i", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
+    for argv in (["sharp-norm"], ["decompose", "kahler"], ["spectrum", "--algebra", "u"]):
+        code, out, err = run_cli(capsys, *argv, "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 @pytest.mark.parametrize("text", [

@@ -126,6 +126,10 @@ def test_weighted_partial_sum():
         weighted_partial_sum(spec, 4, Fraction(1, 2))
     with pytest.raises(ValueError):
         weighted_partial_sum([1.0, 0.0], 1)
+    # exact, then rounded once: no float cancellation, and the weighted
+    # term is the product of the exact weight and eigenvalue
+    assert weighted_partial_sum([-1e16, -1.0, 1e16], 3) == -1.0
+    assert weighted_partial_sum([-1.0, 49.0], 1, Fraction(1, 49)) == 0.0
 
 
 # ---------------------------------------------------------------------------

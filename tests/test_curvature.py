@@ -1,6 +1,10 @@
 """Curvature tensors, operators, models, decompositions, sharp-norm identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,20 +39,13 @@ from bochner import (
     tf_ricci,
     to_operator,
 )
-from bochner.curvature import (
-    _hyperkahler_basis,
-    _kahler_basis,
-    _sp_m_two_forms,
-    _supported_constraints,
-    _supported_curvature_basis,
-)
-from bochner.holonomy import cached_algebra
+from bochner.curvature import _hyperkahler_basis, _kahler_basis
+from bochner.holonomy import _sp_m_commutant, cached_algebra
 
 from oracles import (
     from_operator_naive,
     quaternion_sharp_constant_naive,
     ricci_naive,
-    supported_constraints_naive,
     supported_curvature_basis_naive,
 )
 
@@ -84,6 +81,14 @@ def test_validation_rejects_asymmetric_input(c2):
     arr[0, 1, 0, 1] = 1.0  # missing the partner entries
     with pytest.raises(ValueError):
         AlgebraicCurvatureTensor(c2, arr)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validation_rejects_non_finite_components(c2, value):
+    arr = chsc_model(c2).array.copy()
+    arr[0, 1, 0, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        AlgebraicCurvatureTensor(c2, arr, kahler=True)
 
 
 def test_kahler_flag_validation(c2, rng):
@@ -231,55 +236,64 @@ def test_random_hyperkahler_properties(h2, rng):
         assert scalar_curvature(r0) == pytest.approx(0.0, abs=1e-9)
 
 
-def _u_two_forms(space):
-    return [b.two_form() for b in cached_algebra(space, "u").basis]
-
-
-def test_supported_bases_have_the_known_dimension(c2, c3, h2):
-    # Kahler curvature: (n(n+1)/2)^2; hyperkahler: C(2m+3, 4) = 35 at m = 2
-    for space in (c2, c3):
-        dim = (space.n * (space.n + 1) // 2) ** 2
-        forms, L = _supported_curvature_basis(_u_two_forms(space), False, dim)
-        assert forms.shape == (dim, space.n ** 2, space.n ** 2)
-        assert L.shape == (space.n ** 2, space.dim ** 2)
-        assert np.array_equal(forms, np.transpose(forms, (0, 2, 1)))
-        with pytest.raises(ValueError, match="nullspace has dimension"):
-            _supported_curvature_basis(_u_two_forms(space), False, 1)
-    assert len(_supported_curvature_basis(_sp_m_two_forms(h2), True, 35)[0]) == 35
-
-
-@pytest.mark.parametrize("kind,size", [("u", 2), ("u", 3), ("u", 4), ("u", 5),
-                                       ("sp", 2), ("sp", 3)])
-def test_supported_constraints_match_the_oracle(kind, size):
-    if kind == "u":
-        lams, ricci_flat = _u_two_forms(EuclideanSpace.complex_space(size)), False
-    else:
-        lams, ricci_flat = _sp_m_two_forms(EuclideanSpace.quaternionic_space(size)), True
-    ours = _supported_constraints(lams, ricci_flat)
-    ref, _ = supported_constraints_naive(lams, ricci_flat)
-    assert ours.shape == ref.shape
-    # bit for bit, signed zeros included: the nullspace, and so every
-    # seeded draw, depends on them
-    assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
-
-
-@pytest.mark.parametrize("kind,size", [("u", 1), ("u", 2), ("u", 3), ("sp", 2)])
-def test_supported_draws_match_the_oracle_expansion(kind, size):
+def _supported_basis(kind, size):
+    """(space, forms, L, support rows, known dimension) of a supported basis:
+    Kahler on u(n), (n(n+1)/2)^2 forms; hyperkahler on sp(m), C(2m+3, 4)."""
     if kind == "u":
         space = EuclideanSpace.complex_space(size)
-        basis = supported_curvature_basis_naive(_u_two_forms(space), False,
-                                                (size * (size + 1) // 2) ** 2)
-        draw = random_kahler_curvature
+        algebra = cached_algebra(space, "u")
+        forms, L = _kahler_basis(algebra)
+        return space, forms, L, algebra.coeff_matrix, (size * (size + 1) // 2) ** 2
+    space = EuclideanSpace.quaternionic_space(size)
+    forms, L = _hyperkahler_basis(space)
+    return space, forms, L, _sp_m_commutant(space), math.comb(2 * size + 3, 4)
+
+
+def _expanded(forms, L, d):
+    """The basis tensors sum_ab S_ab lam_a (x) lam_b, shape (R, d, d, d, d)."""
+    return (L.T @ forms @ L).reshape((len(forms),) + (d,) * 4)
+
+
+@pytest.mark.parametrize("kind,size", [("u", n) for n in range(1, 7)]
+                         + [("sp", m) for m in range(1, 5)])
+def test_supported_bases_are_orthonormal_members_of_the_known_dimension(kind, size):
+    # independent members of the right number span the space
+    space, forms, L, support, dim = _supported_basis(kind, size)
+    assert forms.shape == (dim,) + (len(support),) * 2
+    assert np.array_equal(forms, np.transpose(forms, (0, 2, 1)))
+    gram = np.einsum("rab,sab->rs", forms, forms)
+    assert np.abs(gram - np.eye(dim)).max() <= 1e-12
+    if size > (5 if kind == "u" else 3):
+        return
+    d = space.dim
+    arr = _expanded(forms, L, d)
+    assert np.allclose(np.einsum("rxyzw,rxyzw->r", arr, arr), 4.0, rtol=1e-12)
+    bianchi = arr + np.transpose(arr, (0, 2, 3, 1, 4)) + np.transpose(arr, (0, 3, 1, 2, 4))
+    assert np.abs(bianchi).max() <= 1e-12
+    if kind == "u":
+        J = space.j_matrix()
+        jj = np.einsum("ax,by,rxyzw->rabzw", J, J, arr, optimize=True)
+        assert np.abs(jj - arr).max() <= 1e-12
     else:
-        space = EuclideanSpace.quaternionic_space(size)
-        basis = supported_curvature_basis_naive(_sp_m_two_forms(space), True,
-                                                math.comb(2 * size + 3, 4))
-        draw = random_hyperkahler_curvature
-    for seed in range(3):
-        rm = draw(space, np.random.default_rng(seed), scale=2.0)
-        coeffs = np.random.default_rng(seed).standard_normal(len(basis)) * 2.0
-        ref = sum(c * t for c, t in zip(coeffs, basis))
-        assert np.abs(rm.array - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(np.einsum("riyiw->ryw", arr)).max() <= 1e-12
+    # the operators on Lambda^2 annihilate the complement of the algebra
+    i, j = np.triu_indices(d, 1)
+    ops = arr[:, i[:, None], j[:, None], i, j]
+    leak = ops @ (np.eye(len(i)) - support.T @ support)
+    assert np.linalg.norm(leak, axis=(1, 2)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind,size", [("u", 1), ("u", 2), ("u", 3), ("u", 4),
+                                       ("sp", 1), ("sp", 2)])
+def test_supported_bases_span_the_oracle_space(kind, size):
+    space, forms, L, _, dim = _supported_basis(kind, size)
+    d = space.dim
+    two_forms = list(L.reshape(-1, d, d))
+    ref = supported_curvature_basis_naive(two_forms, kind == "sp", dim)
+    ours = np.linalg.qr(_expanded(forms, L, d).reshape(dim, -1).T)[0]
+    theirs = np.linalg.qr(np.array(ref).reshape(dim, -1).T)[0]
+    # the largest principal-angle sine between the two spans
+    assert np.linalg.norm(ours - theirs @ (theirs.T @ ours), 2) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10, 12])
@@ -292,9 +306,11 @@ def test_from_operator_matches_the_oracle(d, rng):
     assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("kind,size,dim", [("sp", 4, 330), ("u", 6, 441)])
+@pytest.mark.parametrize("kind,size,dim", [("sp", 4, 330), ("u", 6, 441),
+                                           ("u", 8, 1296), ("sp", 6, 1365)])
 def test_supported_curvature_at_the_new_sizes(kind, size, dim, rng):
-    # hyperkahler m = 4: C(11, 4) = 330; Kahler n = 6: 21^2 = 441
+    # Kahler n = 6, 8: 21^2 = 441, 36^2 = 1296; hyperkahler m = 4, 6:
+    # C(11, 4) = 330, C(15, 4) = 1365
     if kind == "sp":
         space = EuclideanSpace.quaternionic_space(size)
         rm = random_hyperkahler_curvature(space, rng)
@@ -308,6 +324,35 @@ def test_supported_curvature_at_the_new_sizes(kind, size, dim, rng):
     assert len(forms) == dim
     assert bianchi_max(rm.array) < 1e-10
     assert to_operator(rm).leakage(cached_algebra(space, kind)) < 1e-10
+
+
+_BUILD = """
+import resource, sys
+from bochner import EuclideanSpace
+from bochner.curvature import _hyperkahler_basis, _kahler_basis
+from bochner.holonomy import cached_algebra
+kind, size = sys.argv[1], int(sys.argv[2])
+if kind == "u":
+    _kahler_basis(cached_algebra(EuclideanSpace.complex_space(size), "u"))
+else:
+    _hyperkahler_basis(EuclideanSpace.quaternionic_space(size))
+try:
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("kind,size", [("u", 8), ("sp", 6)])
+def test_supported_basis_builds_in_bounded_memory(kind, size):
+    # peak RSS in KiB of a fresh interpreter; wall time is left unasserted.
+    # On Linux ru_maxrss keeps the parent's peak across fork and exec, so it
+    # would read the test process; VmHWM is the peak of the new image alone
+    src = str(Path(sys.modules["bochner"].__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _BUILD, kind, str(size)], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) < 200 * 1024
 
 
 # ---------------------------------------------------------------------------
