@@ -37,6 +37,7 @@ __all__ = [
     "quaternion_parity_coefficient",
     "weighted_partial_sum",
     "serre_remap",
+    "serre_stratum",
     "check_pq",
     "check_bochner",
     "check_einstein_flat",
@@ -152,6 +153,8 @@ def weighted_partial_sum(spectrum, count, weight=Fraction(0)):
     spectrum = list(spectrum)
     if any(spectrum[i] > spectrum[i + 1] + 1e-12 for i in range(len(spectrum) - 1)):
         raise ValueError("spectrum must be ascending")
+    # the check leaves 1e-12 of slack: the sum takes the smallest values
+    spectrum.sort()
     if count > len(spectrum):
         raise ValueError(f"spectrum too short: need {count} eigenvalues, got {len(spectrum)}")
     total = sum(map(Fraction, spectrum[:count]), Fraction(0))
@@ -167,6 +170,20 @@ def serre_remap(n, p, q):
     if p + q > n:
         return n - p, n - q, True
     return p, q, False
+
+
+def serre_stratum(n, p, q, k):
+    """Stratum index of the Serre dual of a (p, q)-form of stratum k.
+
+    Duality preserves the primitive content (p - k, q - k), so k shifts
+    by p + q - n along with the type; a negative result is an empty
+    stratum and raises ValueError.
+    """
+    if p + q <= n:
+        return k
+    if k < p + q - n:
+        raise ValueError(f"stratum k = {k} is empty for type ({p}, {q}) at n = {n}")
+    return k - (p + q - n)
 
 
 CONCLUSIONS = ("parallel", "vanishing", "flat", "bochner_flat", "inconclusive")
@@ -219,15 +236,11 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None, lq_finite=True)
     if not (0 <= p <= n and 0 <= q <= n) or p + q < 1:
         raise ValueError(f"form type ({p}, {q}) out of range for n = {n}")
     notes = []
-    p0, q0 = p, q
+    if k is not None:
+        k = serre_stratum(n, p, q, k)
     p, q, remapped = serre_remap(n, p, q)
     if remapped:
         notes.append(f"type remapped to ({p}, {q}) by duality")
-        if k is not None:
-            # duality preserves the primitive content, shifting the stratum
-            k = k - (p0 + q0 - n)
-            if k < 0:
-                raise ValueError(f"stratum is empty for type ({p0}, {q0}) at n = {n}")
     if k is None:
         C = form_constant(n, p, q)
     else:

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .criteria import serre_remap
+from .criteria import serre_remap, serre_stratum
 from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
 from .tensors import Bivector, ComplexTensor, nullspace, tensor_from_json, tensor_to_json
 
@@ -359,25 +359,16 @@ def construct_Vpqk(psi1, psi2, k):
     return _pq(out.space, out.p, out.q, out.coeffs, k)
 
 
-def circ(phi, normalization="orthogonal"):
+def circ(phi):
     """Remove the Omega^p component of a (p, p)-form; identity otherwise.
 
-    `normalization="orthogonal"` divides the projection coefficient by
-    |Omega^p|^2 so the result is exactly orthogonal to Omega^p.  The
-    `"printed"` variant divides by the first power of the norm instead;
-    it does not produce an orthogonal remainder and exists to make the
-    difference between the two readings observable.
+    The projection coefficient is divided by |Omega^p|^2, so the result is
+    exactly orthogonal to Omega^p.
     """
     if phi.p != phi.q:
         return _pq(phi.space, phi.p, phi.q, phi.coeffs, phi.k)
     omp = omega_power(phi.space, phi.p)
-    inner = phi.inner(omp)
-    if normalization == "orthogonal":
-        coeff = inner / omp.inner(omp)
-    elif normalization == "printed":
-        coeff = inner / math.sqrt(omp.inner(omp).real)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    coeff = phi.inner(omp) / omp.inner(omp)
     return _pq(phi.space, phi.p, phi.q, phi.coeffs - coeff * omp.coeffs, phi.k)
 
 
@@ -416,16 +407,11 @@ def sharp_norm_coefficient_check(phi, algebra=None):
     space = phi.space
     n = space.n
     p, q, k = phi.p, phi.q, phi.k
-    pr, qr, kr = p, q, k
-    if p + q > n:
-        # duality preserves the primitive content (p-k, q-k), so the
-        # stratum index shifts along with the type
-        pr, qr, _ = serre_remap(n, p, q)
-        kr = k - (p + q - n)
+    kr = serre_stratum(n, p, q, k)
+    pr, qr, remapped = serre_remap(n, p, q)
+    if remapped:
         log.info("remapping (p, q, k) = (%d, %d, %d) to the complementary (%d, %d, %d)",
                  p, q, k, pr, qr, kr)
-        if kr < 0:
-            raise ValueError(f"stratum k = {k} is empty for type ({p}, {q}) at n = {n}")
     coeff = float(sharp_coefficient(n, pr, qr, kr))
     if algebra is None:
         algebra = cached_algebra(space, AlgebraKind.U)

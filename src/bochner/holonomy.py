@@ -1,8 +1,8 @@
 """Holonomy subalgebras of so(V) and the sharp decomposition of tensors.
 
 Builds orthonormal bases of so(d), u(n) and sp(m)+sp(1) inside
-Lambda^2 V and computes, for a tensor T, the stack of slices
-{Xi_alpha T} whose squared norms sum to |T^g|^2.
+Lambda^2 V in closed form and computes, for a tensor T, the stack of
+slices {Xi_alpha T} whose squared norms sum to |T^g|^2.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensors import Bivector, _act_matrix, _avatars, _wedge_coefficients, nullspace, wedge_pairs
+from .tensors import (
+    Bivector,
+    _act_matrix,
+    _avatars,
+    _block_quaternionic_structure,
+    _wedge_coefficients,
+    wedge_pairs,
+)
 
 __all__ = [
     "AlgebraKind",
@@ -23,36 +30,12 @@ __all__ = [
     "build_algebra",
     "sharp",
     "project_bivector",
-    "gram_schmidt",
 ]
 
 class AlgebraKind(str, Enum):
     SO = "so"
     U = "u"
     SP_SP1 = "sp"
-
-
-def gram_schmidt(vectors, against=(), drop_tol=1e-12):
-    """Orthonormalize rows in order, dropping near-dependent entries.
-
-    `against` supplies already-orthonormal vectors that the result must
-    also be orthogonal to (they are not returned).
-    """
-    basis = [np.asarray(v, dtype=float) for v in against]
-    kept = []
-    for v in vectors:
-        w = np.asarray(v, dtype=float).copy()
-        for b in basis:
-            w -= (w @ b) * b
-        # second pass for numerical stability
-        for b in basis:
-            w -= (w @ b) * b
-        nrm = np.linalg.norm(w)
-        if nrm > drop_tol:
-            w /= nrm
-            basis.append(w)
-            kept.append(w)
-    return kept
 
 
 class HolonomySubalgebra:
@@ -138,22 +121,45 @@ def _expected_dim(space, kind):
     return m * (2 * m + 1) + 3
 
 
+# the anti-self-dual forms e12 - e34, e13 + e24, e14 - e23 on a block of four;
+# they commute with the self-dual e12 + e34, e13 - e24, e14 + e23 by which
+# I, J and K act there
+_ANTI_SELF_DUAL = _avatars(4, [[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
+
+
+def _unit_rows(rows):
+    rows = np.asarray(rows, dtype=float)
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
 def _sp_m_commutant(space):
-    """Orthonormal wedge-coefficient basis of sp(m) = {A skew : [A, I] = [A, J] = 0}."""
-    d = space.dim
-    m = d // 4
-    I, J, _ = space.quaternionic_structure
-    S = _avatars(d, np.eye(len(wedge_pairs(d))))
-    rows = np.concatenate([(S @ X - X @ S).reshape(len(S), -1) for X in (I, J)], axis=1)
-    return nullspace(rows.T, m * (2 * m + 1))
+    """Orthonormal wedge-coefficient rows of sp(m), the skew commutant of I, J, K.
+
+    The avatars E_ab (x) X - E_ba (x) X^T, with X = 1_4 for a < b and X an
+    anti-self-dual form for a <= b, commute with I, J and K.  Their wedge
+    supports are disjoint across (a, b) and orthogonal within one, so they
+    are m(2m + 1) orthogonal elements: a basis once normalised.
+    """
+    m = space.m
+    if not all(np.array_equal(A, B) for A, B in
+               zip(space.quaternionic_structure, _block_quaternionic_structure(m))):
+        raise ValueError("sp(m) is built for the block quaternionic structure")
+    blocks = [(a, b, X) for a, b in itertools.combinations_with_replacement(range(m), 2)
+              for X in ([np.eye(4)] if a < b else []) + list(_ANTI_SELF_DUAL)]
+    M = np.zeros((len(blocks), m, 4, m, 4))
+    for r, (a, b, X) in enumerate(blocks):
+        M[r, a, :, b] += X
+        M[r, b, :, a] -= X.T
+    return _unit_rows(_wedge_coefficients(M.reshape(len(blocks), space.dim, space.dim)))
 
 
-def _u_spanning_set(space, permutation=None):
+def _u_spanning_set(space):
     """Canonical u(n) spanning set in the block convention.
 
     Families, in order: {eps_i ^ eps_j + J eps_i ^ J eps_j : i < j},
     {eps_i ^ J eps_i}, {eps_i ^ J eps_j + eps_j ^ J eps_i : i < j},
-    where eps_i = e_{2i-1} and J eps_i = e_{2i}.
+    where eps_i = e_{2i-1} and J eps_i = e_{2i}.  The elements have
+    disjoint wedge supports, so they are pairwise orthogonal.
     """
     n = space.dim // 2
     out = []
@@ -163,61 +169,35 @@ def _u_spanning_set(space, permutation=None):
         out.append(Bivector.wedge(space, 2 * i, 2 * i + 1))
     for i, j in itertools.combinations(range(n), 2):
         out.append(Bivector.wedge(space, 2 * i, 2 * j + 1) + Bivector.wedge(space, 2 * j, 2 * i + 1))
-    if permutation is not None:
-        out = [out[p] for p in permutation]
     return out
 
 
-def structure_two_form_bivector(space, A):
-    """Bivector of the 2-form omega_A(X, Y) = g(A X, Y) for a structure matrix A."""
-    return Bivector.from_two_form(space, np.asarray(A).T)
+def build_algebra(space, kind):
+    """Construct a holonomy subalgebra basis in closed form.
 
-
-def build_algebra(space, kind, permutation=None):
-    """Construct a holonomy subalgebra basis.
-
-    so(d) uses the wedge basis directly.  u(n) orthonormalizes the
-    canonical commuting-with-J spanning set by Gram-Schmidt in a fixed
-    order.  sp(m)+sp(1) places the normalized structure 2-forms
-    omega_I, omega_J, omega_K first and then the skew commutant of
-    {I, J, K}, orthonormalized against them.
-
-    `permutation` reorders the spanning set before orthonormalization
-    (used to exercise basis independence); the resulting span is
-    unchanged.
+    so(d) is the wedge basis.  u(n) is the canonical spanning set of
+    `_u_spanning_set`, each element divided by its norm.  sp(m)+sp(1)
+    places the structure 2-forms omega_I, omega_J, omega_K, divided by
+    sqrt(2m), first and the sp(m) rows of `_sp_m_commutant` after them.
+    Each basis is orthonormal by construction; `HolonomySubalgebra`
+    checks that, the known dimension and closure under brackets.
     """
     kind = AlgebraKind(kind)
     if kind == AlgebraKind.SO:
-        basis = [Bivector.wedge(space, i, j) for (i, j) in wedge_pairs(space.dim)]
-        if permutation is not None:
-            basis = [basis[p] for p in permutation]
-        return HolonomySubalgebra(space, kind, basis)
-    if kind == AlgebraKind.U:
+        rows = np.eye(len(wedge_pairs(space.dim)))
+    elif kind == AlgebraKind.U:
         if space.complex_structure is None:
             raise ValueError("u(n) needs a complex structure")
-        if space.dim % 2 != 0:
-            raise ValueError("u(n) needs even real dimension")
-        spanning = _u_spanning_set(space, permutation)
-        rows = gram_schmidt([b.coeffs for b in spanning])
-        basis = [Bivector(space, r) for r in rows]
-        return HolonomySubalgebra(space, kind, basis)
-    # sp(m) + sp(1)
-    if space.quaternionic_structure is None:
-        raise ValueError("sp(m)+sp(1) needs a quaternionic structure")
-    if space.dim % 4 != 0:
-        raise ValueError("sp(m)+sp(1) needs real dimension divisible by 4")
-    m = space.dim // 4
-    if m < 2:
-        raise ValueError("sp(m)+sp(1) needs m >= 2")
-    I, J, K = space.quaternionic_structure
-    sp1 = [structure_two_form_bivector(space, A) for A in (I, J, K)]
-    sp1_rows = [b.coeffs / b.norm() for b in sp1]
-    commutant = _sp_m_commutant(space)
-    if permutation is not None:
-        commutant = commutant[list(permutation)]
-    spm_rows = gram_schmidt(list(commutant), against=sp1_rows)
-    basis = [Bivector(space, r) for r in sp1_rows + spm_rows]
-    return HolonomySubalgebra(space, AlgebraKind.SP_SP1, basis)
+        rows = _unit_rows([b.coeffs for b in _u_spanning_set(space)])
+    else:
+        if space.quaternionic_structure is None:
+            raise ValueError("sp(m)+sp(1) needs a quaternionic structure")
+        m = space.m
+        if m < 2:
+            raise ValueError("sp(m)+sp(1) needs m >= 2")
+        sp1 = _wedge_coefficients(np.array(space.quaternionic_structure)) / np.sqrt(2 * m)
+        rows = np.concatenate([sp1, _sp_m_commutant(space)])
+    return HolonomySubalgebra(space, kind, [Bivector(space, r) for r in rows])
 
 
 def cached_algebra(space, kind):

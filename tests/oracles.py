@@ -31,6 +31,20 @@ def bracket_naive(M1, M2):
     return M1 @ M2 - M2 @ M1
 
 
+def skew_commutant_naive(structures):
+    """Orthonormal wedge-coefficient rows of {A skew : A X = X A for each X}:
+    the null right singular vectors of the literal commutator conditions,
+    one column per wedge monomial e_i ^ e_j (avatar E[j, i] = 1, E[i, j] = -1)."""
+    d = structures[0].shape[0]
+    columns = []
+    for i, j in itertools.combinations(range(d), 2):
+        E = np.zeros((d, d))
+        E[j, i], E[i, j] = 1.0, -1.0
+        columns.append(np.concatenate([(E @ X - X @ E).ravel() for X in structures]))
+    _, s, vh = np.linalg.svd(np.array(columns).T, full_matrices=True)
+    return vh[int(np.sum(s > 1e-9 * s[0])):]
+
+
 def gram_projection_naive(vectors, x):
     """Projection onto span(vectors) via the normal equations."""
     V = np.array(vectors).T

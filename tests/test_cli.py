@@ -184,6 +184,20 @@ def test_check_pq_sums_the_spectrum_exactly(tmp_path, capsys):
     assert v["condition_value"] == -1.0
 
 
+@pytest.mark.parametrize("values", [[1e-13, 0.0], [0.0, 1e-13]], ids=["descending", "ascending"])
+def test_check_pq_sums_the_smallest_values(values, tmp_path, capsys):
+    # C(1, 1, 0) = 1; a step down below the 1e-12 ordering slack must not
+    # let the sum take the larger value first (that read "vanishing")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(values))
+    code, out, _ = run_cli(capsys, "check", "pq", "--n", "1", "--p", "1", "--q", "0",
+                           "--spectrum", str(spec))
+    assert code == 0
+    v = json.loads(out)
+    assert v["conclusion"] == "parallel"
+    assert v["condition_value"] == 0.0
+
+
 def test_check_pq_stratum_flag(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]))

@@ -23,7 +23,7 @@ from bochner import (
     stratum_constant,
     to_operator,
 )
-from bochner.criteria import serre_remap, weighted_partial_sum
+from bochner.criteria import serre_remap, serre_stratum, weighted_partial_sum
 from bochner.holonomy import cached_algebra
 
 
@@ -130,6 +130,9 @@ def test_weighted_partial_sum():
     # term is the product of the exact weight and eigenvalue
     assert weighted_partial_sum([-1e16, -1.0, 1e16], 3) == -1.0
     assert weighted_partial_sum([-1.0, 49.0], 1, Fraction(1, 49)) == 0.0
+    # a step down within the 1e-12 ordering slack still sums the smallest values
+    assert weighted_partial_sum([1e-13, 0.0], 1) == 0.0
+    assert weighted_partial_sum([2e-13, 1e-13, 0.0], 1, Fraction(1, 2)) == 5e-14
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +325,15 @@ def test_verdict_json_shape():
 def test_criteria_serre_remap():
     assert serre_remap(3, 2, 2) == (1, 1, True)
     assert serre_remap(3, 1, 1) == (1, 1, False)
+
+
+def test_serre_stratum_shifts_k_with_the_type():
+    assert serre_stratum(3, 1, 1, 1) == 1
+    assert serre_stratum(3, 2, 2, 1) == 0
+    assert serre_stratum(3, 3, 1, 1) == 0
+    empty = r"^stratum k = 0 is empty for type \(2, 2\) at n = 3$"
+    with pytest.raises(ValueError, match=empty):
+        serre_stratum(3, 2, 2, 0)
+    # check_pq remaps through it, with the same message
+    with pytest.raises(ValueError, match=empty):
+        check_pq([1.0] * 9, 3, 2, 2, k=0)

@@ -14,10 +14,15 @@ from bochner import (
     sharp,
 )
 from bochner.forms import dz_covector, kahler_form
-from bochner.holonomy import AlgebraKind, HolonomySubalgebra, cached_algebra, gram_schmidt
+from bochner.holonomy import AlgebraKind, HolonomySubalgebra, _sp_m_commutant, cached_algebra
 from bochner.tensors import _act_matrix
 
-from oracles import act_matrix_naive, action_supremum_naive, gram_projection_naive
+from oracles import (
+    act_matrix_naive,
+    action_supremum_naive,
+    gram_projection_naive,
+    skew_commutant_naive,
+)
 
 
 def test_dimensions(c3, h2):
@@ -84,11 +89,65 @@ def test_sp_basis_structure(h2):
         assert np.abs(M - X).max() < 1e-9
 
 
+def _closed_form_case(kind, size):
+    """(rows, structures they commute with, known dimension) of u(n) or sp(m)."""
+    if kind == "u":
+        space = EuclideanSpace.complex_space(size)
+        return build_algebra(space, "u").coeff_matrix, [space.j_matrix()], size * size
+    space = EuclideanSpace.quaternionic_space(size)
+    return _sp_m_commutant(space), list(space.quaternionic_structure), size * (2 * size + 1)
+
+
+_CLOSED_FORM_CASES = [("u", n) for n in range(1, 9)] + [("sp", m) for m in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind,size", _CLOSED_FORM_CASES,
+                         ids=[f"{k}-{s}" for k, s in _CLOSED_FORM_CASES])
+def test_closed_form_rows_are_orthonormal_members_of_the_known_dimension(kind, size):
+    # independent members of the known number span the commutant
+    rows, structures, dim = _closed_form_case(kind, size)
+    assert rows.shape == (dim, len(rows[0]))
+    assert np.abs(rows @ rows.T - np.eye(dim)).max() <= 1e-12
+    space = EuclideanSpace.euclidean(structures[0].shape[0])
+    Ms = np.array([Bivector(space, r).matrix() for r in rows])
+    for X in structures:
+        assert np.abs(Ms @ X - X @ Ms).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind,size", [("u", n) for n in range(1, 5)] + [("sp", m) for m in range(1, 4)])
+def test_closed_form_rows_span_the_commutant_oracle(kind, size):
+    rows, structures, dim = _closed_form_case(kind, size)
+    ref = skew_commutant_naive(structures)
+    assert ref.shape == rows.shape
+    # the largest principal-angle sine between the two spans
+    assert np.linalg.norm(rows - (rows @ ref.T) @ ref, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_sp_algebra_is_sp1_then_the_sp_m_rows(m):
+    space = EuclideanSpace.quaternionic_space(m)
+    algebra = build_algebra(space, "sp")
+    assert algebra.dim == m * (2 * m + 1) + 3
+    assert np.array_equal(algebra.coeff_matrix[3:], _sp_m_commutant(space))
+    for M, X in zip(algebra.matrices[:3], space.quaternionic_structure):
+        assert np.abs(M * np.sqrt(2 * m) - X).max() <= 1e-14
+
+
+def test_sp_needs_the_block_quaternionic_structure():
+    # the block triple conjugated by a swap of e_1 and e_5 is a valid
+    # quaternionic structure, but not the one the closed form is built for
+    P = np.eye(8)[[4, 1, 2, 3, 0, 5, 6, 7]]
+    I, J, K = (P @ A @ P.T for A in EuclideanSpace.quaternionic_space(2).quaternionic_structure)
+    space = EuclideanSpace(8, complex_structure=I, quaternionic_structure=(I, J, K))
+    with pytest.raises(ValueError, match="block quaternionic structure"):
+        build_algebra(space, "sp")
+
+
 def test_validate_rejects_a_basis_not_closed_under_brackets(c2):
-    # u(2) with its first element replaced by e_1 ^ e_3, re-orthonormalised
-    rows = [b.coeffs for b in build_algebra(c2, "u").basis]
-    rows[0] = Bivector.wedge(c2, 0, 2).coeffs
-    basis = [Bivector(c2, r) for r in gram_schmidt(rows)]
+    # u(2) with its first element replaced by e_1 ^ e_3, which is a unit
+    # vector orthogonal to the other three
+    basis = build_algebra(c2, "u").basis
+    basis[0] = Bivector.wedge(c2, 0, 2)
     with pytest.raises(ValueError, match=r"^basis not closed under brackets, leak 7\.07e-01$"):
         HolonomySubalgebra(c2, "u", basis)
 
@@ -192,17 +251,16 @@ def test_sharp_norm_reconstruction(c2, rng):
 
 
 def test_basis_independence_of_sharp_norm(c2, h2, rng):
-    T2 = ComplexTensor.random(c2, 2, rng)
-    base = sharp(T2, build_algebra(c2, "u")).norm2()
-    for _ in range(3):
-        perm = rng.permutation(4)
-        alg = build_algebra(c2, "u", permutation=list(perm))
-        assert abs(sharp(T2, alg).norm2() - base) < 1e-9 * max(base, 1.0)
-    Tq = ComplexTensor.random(h2, 2, rng)
-    baseq = sharp(Tq, build_algebra(h2, "sp")).norm2()
-    perm = rng.permutation(10)
-    algq = build_algebra(h2, "sp", permutation=list(perm))
-    assert abs(sharp(Tq, algq).norm2() - baseq) < 1e-9 * max(baseq, 1.0)
+    # rotating the basis rows by an orthogonal matrix keeps |T^g|^2
+    for space, kind, draws in ((c2, "u", 3), (h2, "sp", 1)):
+        algebra = build_algebra(space, kind)
+        T = ComplexTensor.random(space, 2, rng)
+        base = sharp(T, algebra).norm2()
+        for _ in range(draws):
+            Q = np.linalg.qr(rng.standard_normal((algebra.dim, algebra.dim)))[0]
+            rotated = HolonomySubalgebra(space, kind,
+                                         [Bivector(space, r) for r in Q @ algebra.coeff_matrix])
+            assert abs(sharp(T, rotated).norm2() - base) < 1e-9 * max(base, 1.0)
 
 
 def test_projector_splits_identity(c2):
