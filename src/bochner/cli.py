@@ -40,16 +40,15 @@ def _note(msg):
     sys.stderr.write(msg + "\n")
 
 
-def _space_for(args, need=None):
-    if getattr(args, "m", None) is not None:
+def _space_for(args):
+    if args.m is not None:
         return EuclideanSpace.quaternionic_space(args.m)
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         return EuclideanSpace.complex_space(args.n)
-    if getattr(args, "d", None) is not None:
-        d = args.d
-        if need == "complex" or (need is None and d % 2 == 0):
-            return EuclideanSpace.complex_space(d // 2)
-        return EuclideanSpace.euclidean(d)
+    if args.d is not None:
+        if args.d % 2:
+            raise ValueError(f"real dimension must be positive and even, got {args.d}")
+        return EuclideanSpace.complex_space(args.d // 2)
     raise ValueError("one of --n, --m, --d is required")
 
 
@@ -187,13 +186,12 @@ def _suite_prop27(seed, samples, tol):
     rng = np.random.default_rng(seed)
     for (n, p, q, k) in _pq_configurations():
         space = EuclideanSpace.complex_space(n)
-        algebra = cached_algebra(space, AlgebraKind.U)
         basis = fms.stratum_basis(space, p, q, k)
         forms = [(f"basis{i:02d}", f) for i, f in enumerate(basis)]
         for s in range(samples):
             forms.append((f"random{s:02d}", fms.random_stratum_form(space, p, q, k, rng)))
         for name, f in forms:
-            r = fms.sharp_norm_coefficient_check(f, algebra=algebra)
+            r = fms.sharp_norm_coefficient_check(f)
             if r["vacuous"]:
                 continue
             rep.add(f"prop27/n{n}p{p}q{q}k{k}/{name}", r["sharp_norm2"],
@@ -211,9 +209,8 @@ def _suite_prop28(seed, samples, tol):
     rng = np.random.default_rng(seed)
     for (n, p, q, k) in _pq_configurations():
         space = EuclideanSpace.complex_space(n)
-        algebra = cached_algebra(space, AlgebraKind.U)
         for s in range(samples):
-            r = fms.action_bound_check(_random_prop28_form(space, p, q, k, rng), algebra=algebra)
+            r = fms.action_bound_check(_random_prop28_form(space, p, q, k, rng))
             if r["vacuous"]:
                 continue
             rep.add_bound(f"prop28/n{n}p{p}q{q}k{k}/sample{s:03d}", r["max_ratio"], 1.0, "bound")
@@ -335,22 +332,11 @@ def cmd_verify(args):
 
 
 def cmd_model(args):
-    if args.kind == "hpm":
-        if args.m is None:
-            raise ValueError("model hpm requires --m")
-        space = EuclideanSpace.quaternionic_space(args.m)
-        rm = curv.quaternionic_projective_model(space)
-    elif args.kind == "chsc":
-        if args.n is None:
-            raise ValueError("model chsc requires --n")
-        space = EuclideanSpace.complex_space(args.n)
-        rm = curv.chsc_model(space, args.c)
-    elif args.kind == "cs":
-        space = _space_for(args)
-        rm = curv.constant_sectional_model(space, args.c)
-    else:
-        space = _space_for(args)
-        rm = curv.flat_model(space)
+    need = {"hpm": "m", "chsc": "n"}.get(args.kind)
+    if need and getattr(args, need) is None:
+        raise ValueError(f"model {args.kind} requires --{need}")
+    space = EuclideanSpace.complex_space(args.n) if args.kind == "chsc" else _space_for(args)
+    rm = curv.model(args.kind, space, c=args.c)
     obj = curv.curvature_to_json(rm)
     if args.out:
         _write_json(obj, args.out)
@@ -374,7 +360,7 @@ def cmd_spectrum(args):
 
 
 def cmd_algebra(args):
-    space = _space_for(args, need="complex" if args.algebra == "u" else None)
+    space = _space_for(args)
     algebra = cached_algebra(space, AlgebraKind(args.algebra))
     obj = {
         "kind": args.algebra,
@@ -480,9 +466,9 @@ def cmd_forms(args):
     least = 1 if args.what == "check-prop28" else 0
     if args.samples < least:
         raise ValueError(f"forms {args.what} --samples must be at least {least}, got {args.samples}")
+    crit.check_stratum(args.p, args.q, args.k)
     space = EuclideanSpace.complex_space(args.n)
     rng = np.random.default_rng(args.seed)
-    algebra = cached_algebra(space, AlgebraKind.U)
     if args.what == "check-prop27":
         reports = []
         p, q, k = args.p, args.q, args.k
@@ -491,12 +477,12 @@ def cmd_forms(args):
         for i1, psi1 in enumerate(basis1):
             for i2, psi2 in enumerate(basis2):
                 f = fms.construct_Vpqk(psi1, psi2, k)
-                r = fms.sharp_norm_coefficient_check(f, algebra=algebra)
+                r = fms.sharp_norm_coefficient_check(f)
                 r["id"] = f"product{i1:02d}x{i2:02d}"
                 reports.append(r)
         for s in range(args.samples):
             f = fms.random_stratum_form(space, p, q, k, rng)
-            r = fms.sharp_norm_coefficient_check(f, algebra=algebra)
+            r = fms.sharp_norm_coefficient_check(f)
             r["id"] = f"stratum-random{s:02d}"
             reports.append(r)
         _emit({"check": "prop27", "n": args.n, "p": p, "q": q, "k": k,
@@ -506,8 +492,8 @@ def cmd_forms(args):
               "(products mixing wedge strata deviate by design; stratum forms are exact)")
         return 0
     # what == "check-prop28"
-    reports = [fms.action_bound_check(_random_prop28_form(space, args.p, args.q, args.k, rng),
-                                      algebra=algebra) for _ in range(args.samples)]
+    reports = [fms.action_bound_check(_random_prop28_form(space, args.p, args.q, args.k, rng))
+               for _ in range(args.samples)]
     worst = max((r["max_ratio"] for r in reports), default=0.0)
     vacuous = all(r["vacuous"] for r in reports)
     _emit({"check": "prop28", "n": args.n, "p": args.p, "q": args.q, "k": args.k,
@@ -544,16 +530,11 @@ def _spectrum_from_args(args, algebra_kind):
                           max(map(abs, spectrum), default=0.0))
         return spectrum
     if args.model:
-        if args.model == "hpm":
+        if args.model == "hpm" or algebra_kind == AlgebraKind.SP_SP1:
             _require(args, "m")
             space = EuclideanSpace.quaternionic_space(args.m)
-        elif args.model in ("chsc", "flat", "cs"):
-            if algebra_kind == AlgebraKind.SP_SP1:
-                space = EuclideanSpace.quaternionic_space(args.m)
-            else:
-                space = EuclideanSpace.complex_space(args.n)
         else:
-            raise ValueError(f"unknown model {args.model!r}")
+            space = EuclideanSpace.complex_space(args.n)
         op = curv.to_operator(curv.model(args.model, space, c=args.c))
         vals, leak = curv.restricted_spectrum(op, cached_algebra(space, algebra_kind))
         curv._refuse_leak(f"model {args.model}", leak, float(np.abs(op.matrix).max()))
@@ -607,7 +588,7 @@ def build_parser():
     p.add_argument("kind", choices=["flat", "cs", "chsc", "hpm"])
     p.add_argument("--n", type=int, help="complex dimension")
     p.add_argument("--m", type=int, help="quaternionic dimension")
-    p.add_argument("--d", type=int, help="real dimension")
+    p.add_argument("--d", type=int, help="real dimension (even)")
     p.add_argument("--c", type=float, default=1.0, help="curvature scale")
     p.add_argument("-o", "--out", help="output path (stdout when omitted)")
     p.set_defaults(fn=cmd_model)
@@ -621,7 +602,7 @@ def build_parser():
     p.add_argument("--algebra", choices=["so", "u", "sp"], required=True)
     p.add_argument("--n", type=int, help="complex dimension")
     p.add_argument("--m", type=int, help="quaternionic dimension")
-    p.add_argument("--d", type=int, help="real dimension")
+    p.add_argument("--d", type=int, help="real dimension (even)")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=cmd_algebra)
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 __all__ = [
     "VacuousStratumError",
     "VanishingVerdict",
+    "check_stratum",
     "stratum_constant",
     "form_constant",
     "kato_constant",
@@ -62,15 +63,21 @@ class ConstantValue(NamedTuple):
         return float(self.value)
 
 
+def check_stratum(p, q, k):
+    """Raise ValueError unless 0 <= k <= min(p, q), the stratum indices of type (p, q)."""
+    if not 0 <= k <= min(p, q):
+        raise ValueError(f"stratum k = {k} out of range for type ({p}, {q}); "
+                         "need 0 <= k <= min(p, q)")
+
+
 def stratum_constant(n, p, q, k=0):
     """C(n, p, q, k) = n + 1 - (p + q) + 2 (p q - k^2) / (p + q - 2k).
 
     The eigenvalue count governing forms of stratum k; requires
-    p + q - 2k != 0 and k <= min(p, q).  Inputs with p + q > n should be
-    remapped by Serre duality first.
+    p + q - 2k != 0 and 0 <= k <= min(p, q).  Inputs with p + q > n
+    should be remapped by Serre duality first.
     """
-    if k > min(p, q):
-        raise ValueError(f"k = {k} exceeds min(p, q) = {min(p, q)}")
+    check_stratum(p, q, k)
     if p + q - 2 * k == 0:
         raise VacuousStratumError(f"vacuous stratum: p + q - 2k = 0 at (p, q, k) = ({p}, {q}, {k})")
     value = Fraction(n + 1 - (p + q)) + Fraction(2 * (p * q - k * k), p + q - 2 * k)
@@ -81,8 +88,7 @@ def form_constant(n, p, q):
     """C(n, p, q) = n + 1 - (p^2 + q^2) / (p + q); the k = 0 stratum constant."""
     if p + q < 1:
         raise ValueError("form constant needs p + q >= 1")
-    value = Fraction(n + 1) - Fraction(p * p + q * q, p + q)
-    return ConstantValue(value, math.floor(value))
+    return stratum_constant(n, p, q, 0)
 
 
 def kato_constant(n, p, q):
@@ -177,8 +183,9 @@ def serre_stratum(n, p, q, k):
 
     Duality preserves the primitive content (p - k, q - k), so k shifts
     by p + q - n along with the type; a negative result is an empty
-    stratum and raises ValueError.
+    stratum and raises ValueError, as does k outside 0 <= k <= min(p, q).
     """
+    check_stratum(p, q, k)
     if p + q <= n:
         return k
     if k < p + q - n:

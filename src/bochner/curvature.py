@@ -103,14 +103,14 @@ def _pair_symmetry_residual(arr):
 class AlgebraicCurvatureTensor:
     """Real rank-4 tensor with curvature symmetries and first Bianchi identity."""
 
-    def __init__(self, space, rm, kahler=False, quaternion=False, validate=True, atol=1e-8):
+    def __init__(self, space, rm, kahler=False, quaternion=False, validate=True):
         self.space = space
         if isinstance(rm, ComplexTensor):
             arr = rm.components
         else:
             arr = np.asarray(rm)
         if np.iscomplexobj(arr):
-            if np.abs(arr.imag).max() > atol * max(1.0, np.abs(arr.real).max()):
+            if np.abs(arr.imag).max() > 1e-8 * max(1.0, np.abs(arr.real).max()):
                 raise ValueError("curvature components must be real")
             arr = arr.real
         arr = np.array(arr, dtype=float)
@@ -121,23 +121,23 @@ class AlgebraicCurvatureTensor:
         self.kahler = bool(kahler)
         self.quaternion = bool(quaternion)
         if validate:
-            self._validate(atol)
+            self._validate()
 
-    def _validate(self, atol):
+    def _validate(self):
         if not np.isfinite(self.array).all():
             raise ValueError("curvature components must be finite")
-        scale = max(1.0, np.abs(self.array).max())
+        tol = 1e-8 * max(1.0, np.abs(self.array).max())
         dev = _pair_symmetry_residual(self.array)
-        if dev > atol * scale:
+        if dev > tol:
             raise ValueError(f"curvature pair symmetries violated, deviation {dev:.2e}")
         dev = np.abs(_bianchi_residual(self.array)).max()
-        if dev > atol * scale:
+        if dev > tol:
             raise ValueError(f"first Bianchi identity violated, deviation {dev:.2e}")
         if self.kahler:
             J = self.space.j_matrix()
             jj = np.einsum("ax,by,xyzw->abzw", J, J, self.array)
             dev = np.abs(jj - self.array).max()
-            if dev > atol * scale:
+            if dev > tol:
                 raise ValueError(f"Kahler pair invariance violated, deviation {dev:.2e}")
         if self.quaternion and self.space.quaternionic_structure is None:
             raise ValueError("quaternion flag requires a quaternionic structure")
@@ -182,13 +182,13 @@ class AlgebraicCurvatureTensor:
 class CurvatureOperator:
     """Symmetric operator on Lambda^2 V in the wedge-orthonormal basis."""
 
-    def __init__(self, space, matrix, validate=True, atol=1e-9):
+    def __init__(self, space, matrix):
         self.space = space
         M = np.asarray(matrix, dtype=float)
         P = space.dim * (space.dim - 1) // 2
         if M.shape != (P, P):
             raise ValueError(f"operator matrix has shape {M.shape}, expected ({P}, {P})")
-        if validate and np.abs(M - M.T).max() > atol * max(1.0, np.abs(M).max()):
+        if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
             raise ValueError("curvature operator must be symmetric")
         M = 0.5 * (M + M.T)
         M.setflags(write=False)
@@ -211,7 +211,7 @@ class CurvatureOperator:
         return f"CurvatureOperator(dim={self.space.dim})"
 
 
-def to_operator(rm_tensor, atol=1e-8):
+def to_operator(rm_tensor):
     """Curvature operator with g(R(e_i ^ e_j), e_k ^ e_l) = Rm(e_i, e_j, e_k, e_l).
 
     The duality |Rm|^2 = 4 |R|^2 is checked on conversion; it holds
@@ -224,12 +224,12 @@ def to_operator(rm_tensor, atol=1e-8):
     M = arr[idx[:, 0][:, None], idx[:, 1][:, None], idx[:, 0][None, :], idx[:, 1][None, :]]
     op = CurvatureOperator(rm_tensor.space, M)
     rm2, op2 = rm_tensor.norm2(), op.norm2()
-    if rm2 > 0 and abs(rm2 - 4 * op2) > atol * rm2:
+    if rm2 > 0 and abs(rm2 - 4 * op2) > 1e-8 * rm2:
         raise ValueError(f"norm duality |Rm|^2 = 4|R|^2 violated: {rm2:.6g} vs {4 * op2:.6g}")
     return op
 
 
-def from_operator(op, kahler=False, quaternion=False, validate=True):
+def from_operator(op, validate=True):
     """Rank-4 tensor of a symmetric operator on Lambda^2 V; inverse of `to_operator`."""
     d = op.space.dim
     k, l = np.array(wedge_pairs(d)).T
@@ -240,8 +240,7 @@ def from_operator(op, kahler=False, quaternion=False, validate=True):
     arr[j, i, k, l] = -M
     arr[i, j, l, k] = -M
     arr[j, i, l, k] = M
-    return AlgebraicCurvatureTensor(op.space, arr, kahler=kahler, quaternion=quaternion,
-                                    validate=validate)
+    return AlgebraicCurvatureTensor(op.space, arr, validate=validate)
 
 
 def ricci(rm_tensor):
@@ -342,17 +341,19 @@ def quaternionic_projective_model(space):
 
 
 def model(kind, space, c=1.0):
-    """Dispatch on the model name: flat | cs | chsc | hpm."""
+    """Dispatch on the model name: flat | cs | chsc | hpm.  The scale c must be finite."""
+    if not math.isfinite(c):
+        raise ValueError(f"model scale c must be finite, got {c}")
     kind = str(kind)
     if kind == "flat":
         return flat_model(space)
-    if kind in ("cs", "constant_sectional"):
+    if kind == "cs":
         return constant_sectional_model(space, c)
     if kind == "chsc":
         return chsc_model(space, c)
     if kind == "hpm":
         return quaternionic_projective_model(space)
-    raise ValueError(f"unknown model kind {kind!r}")
+    raise ValueError(f"unknown model {kind!r}")
 
 
 @dataclass
@@ -459,7 +460,7 @@ def restricted_spectrum(op, algebra):
 # sharp-norm identities
 
 
-def kahler_sharp_identity(rm_tensor, algebra=None):
+def kahler_sharp_identity(rm_tensor):
     """Norm identity between the u(n) sharp of Rm and its component norms.
 
     With full-tensor norms the identity reads
@@ -476,8 +477,7 @@ def kahler_sharp_identity(rm_tensor, algebra=None):
         raise ValueError("identity applies to Kahler curvature tensors")
     space = rm_tensor.space
     n = space.n
-    if algebra is None:
-        algebra = cached_algebra(space, AlgebraKind.U)
+    algebra = cached_algebra(space, AlgebraKind.U)
     dec = kahler_decompose(rm_tensor)
     sh = sharp(rm_tensor.rm, algebra)
     lhs = sh.norm2()
@@ -505,7 +505,7 @@ def kahler_sharp_identity(rm_tensor, algebra=None):
     return report
 
 
-def quaternion_sharp_identity(rm_tensor, algebra=None):
+def quaternion_sharp_identity(rm_tensor):
     """Norm ratio between the sp(m)+sp(1) sharp of Rm and its remainder.
 
     The sharp norm of a quaternionic curvature tensor comes entirely
@@ -531,8 +531,7 @@ def quaternion_sharp_identity(rm_tensor, algebra=None):
     """
     space = rm_tensor.space
     m = space.m
-    if algebra is None:
-        algebra = cached_algebra(space, AlgebraKind.SP_SP1)
+    algebra = cached_algebra(space, AlgebraKind.SP_SP1)
     dec = quaternion_decompose(rm_tensor)
     sh = sharp(rm_tensor.rm, algebra)
     lhs = sh.norm2()
@@ -569,7 +568,7 @@ def sharp_norm_identities(rm_tensor):
 # random generators
 
 
-def random_curvature(space, rng, scale=1.0):
+def random_curvature(space, rng):
     """Random algebraic curvature tensor (full so(d) support).
 
     Draws a random symmetric operator on Lambda^2 and removes the
@@ -577,7 +576,7 @@ def random_curvature(space, rng, scale=1.0):
     subspace satisfying the first Bianchi identity.
     """
     P = space.dim * (space.dim - 1) // 2
-    M = rng.standard_normal((P, P)) * scale
+    M = rng.standard_normal((P, P))
     M = 0.5 * (M + M.T)
     arr = from_operator(CurvatureOperator(space, M), validate=False).array
     alt = (arr + np.transpose(arr, (1, 2, 0, 3)) + np.transpose(arr, (2, 0, 1, 3))) / 3.0
@@ -612,9 +611,9 @@ def _table_basis(lams, Y, terms, keep_imag):
     return forms, lams.reshape(len(lams), -1)
 
 
-def _random_supported(space, forms, L, rng, kahler=False, quaternion=False, scale=1.0):
+def _random_supported(space, forms, L, rng, kahler=False, quaternion=False):
     """Rm = L^T M L with M = sum_r c_r S_r for standard normal c_r."""
-    coeffs = rng.standard_normal(len(forms)) * scale
+    coeffs = rng.standard_normal(len(forms))
     M = np.tensordot(coeffs, forms, axes=1)
     arr = (L.T @ M @ L).reshape((space.dim,) * 4)
     return AlgebraicCurvatureTensor(space, arr, kahler=kahler, quaternion=quaternion,
@@ -660,26 +659,23 @@ def _hyperkahler_basis(space):
                         np.array(terms), np.array([t != partner[t] for t in mono]))
 
 
-def random_kahler_curvature(space, rng, algebra=None, scale=1.0):
+def random_kahler_curvature(space, rng):
     """Random Kahler curvature tensor: u(n)-supported symmetric form with Bianchi."""
-    if algebra is None:
-        algebra = cached_algebra(space, AlgebraKind.U)
-    return _random_supported(space, *_kahler_basis(algebra), rng, kahler=True, scale=scale)
+    return _random_supported(space, *_kahler_basis(cached_algebra(space, AlgebraKind.U)), rng,
+                             kahler=True)
 
 
-def random_hyperkahler_curvature(space, rng, scale=1.0):
+def random_hyperkahler_curvature(space, rng):
     """Random Ricci-flat curvature tensor supported on sp(m) alone."""
     if space.quaternionic_structure is None:
         raise ValueError("hyperkahler generator needs a quaternionic structure")
-    return _random_supported(space, *_hyperkahler_basis(space), rng, quaternion=True,
-                             scale=scale)
+    return _random_supported(space, *_hyperkahler_basis(space), rng, quaternion=True)
 
 
-def random_quaternion_kahler_curvature(space, rng, model_weight=1.0, scale=1.0):
+def random_quaternion_kahler_curvature(space, rng):
     """Model multiple plus a random hyperkahler remainder."""
-    base = quaternionic_projective_model(space) * (model_weight * (0.5 + rng.random()))
-    pert = random_hyperkahler_curvature(space, rng, scale=scale)
-    return base + pert
+    base = quaternionic_projective_model(space) * (0.5 + rng.random())
+    return base + random_hyperkahler_curvature(space, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +695,7 @@ def curvature_to_json(rm_tensor):
     return obj
 
 
-def curvature_from_json(obj, validate=True):
+def curvature_from_json(obj):
     if not isinstance(obj, dict) or obj.get("kind") != "curvature":
         raise ValueError("not a curvature file (missing kind == 'curvature')")
     flags = obj.get("flags", [])
@@ -716,13 +712,13 @@ def curvature_from_json(obj, validate=True):
         space = EuclideanSpace.euclidean(d)
     T = tensor_from_json(obj, space=space)
     return AlgebraicCurvatureTensor(space, T, kahler="kahler" in flags,
-                                    quaternion="quaternion" in flags, validate=validate)
+                                    quaternion="quaternion" in flags)
 
 
 def save_curvature(rm_tensor, path):
     _write_json(curvature_to_json(rm_tensor), path)
 
 
-def load_curvature(path, validate=True):
+def load_curvature(path):
     with open(path) as fh:
-        return curvature_from_json(json.load(fh), validate=validate)
+        return curvature_from_json(json.load(fh))

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .criteria import serre_remap, serre_stratum
+from .criteria import check_stratum, serre_remap, serre_stratum
 from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
 from .tensors import Bivector, ComplexTensor, nullspace, tensor_from_json, tensor_to_json
 
@@ -225,23 +225,23 @@ class PQForm(Form):
     `tensor` is a Form or a dense antisymmetric ComplexTensor, which is
     read off through the coframe minors."""
 
-    def __init__(self, space, p, q, tensor, k=None, validate=True, atol=1e-9):
+    def __init__(self, space, p, q, tensor, k=None, validate=True):
         self.p = int(p)
         self.q = int(q)
         self.k = None if k is None else int(k)
         form = tensor
         if isinstance(tensor, ComplexTensor):
-            form = Form.from_tensor(tensor, atol=atol if validate else None)
+            form = Form.from_tensor(tensor, atol=1e-9 if validate else None)
         if form.degree != self.p + self.q:
             raise ValueError(f"degree {form.degree} does not match (p, q) = ({self.p}, {self.q})")
         super().__init__(space, form.degree, form.coeffs)
         self._tensor = form._tensor
         if not validate:
             return
-        if self.k is not None and self.k > min(self.p, self.q):
-            raise ValueError(f"declared k = {self.k} exceeds min(p, q)")
+        if self.k is not None:
+            check_stratum(self.p, self.q, self.k)
         pure = np.where(_type_mask(space.n, self.p, self.q), self.coeffs, 0)
-        if not np.allclose(pure, self.coeffs, atol=atol * math.sqrt(self.norm2())):
+        if not np.allclose(pure, self.coeffs, atol=1e-9 * math.sqrt(self.norm2())):
             raise ValueError(f"tensor is not of pure type ({self.p}, {self.q})")
 
     def __add__(self, other):
@@ -282,6 +282,8 @@ def kahler_form_bivector(space):
 
 def omega_power(space, p):
     """Omega^p, with omega = (i/2) sum_a dz^a ^ dzbar^a (cached per space)."""
+    if p < 0:
+        raise ValueError(f"Omega^{p}: the power must be nonnegative")
     return _omega_power(space, p)
 
 
@@ -353,8 +355,7 @@ def construct_Vpqk(psi1, psi2, k):
         raise ValueError(f"psi1 must have type (*, 0), got ({psi1.p}, {psi1.q})")
     if psi2.p != 0:
         raise ValueError(f"psi2 must have type (0, *), got ({psi2.p}, {psi2.q})")
-    if k < 0:
-        raise ValueError("stratum index k must be nonnegative")
+    check_stratum(psi1.p + k, psi2.q + k, k)
     out = wedge(wedge(psi1, omega_power(psi1.space, k)), psi2)
     return _pq(out.space, out.p, out.q, out.coeffs, k)
 
@@ -394,7 +395,7 @@ def sharp_coefficient(n, p, q, k):
     return 2 * (p - k) * (q - k) + (p + q - 2 * k) * ((n + 1) - (p + q - 2 * k))
 
 
-def sharp_norm_coefficient_check(phi, algebra=None):
+def sharp_norm_coefficient_check(phi):
     """Compare |phi^u|^2 against the closed-form multiple of |circ(phi)|^2.
 
     Report-only: returns both values, the coefficient and the relative
@@ -413,9 +414,7 @@ def sharp_norm_coefficient_check(phi, algebra=None):
         log.info("remapping (p, q, k) = (%d, %d, %d) to the complementary (%d, %d, %d)",
                  p, q, k, pr, qr, kr)
     coeff = float(sharp_coefficient(n, pr, qr, kr))
-    if algebra is None:
-        algebra = cached_algebra(space, AlgebraKind.U)
-    lhs = sharp_form(phi, algebra).norm2()
+    lhs = sharp_form(phi, cached_algebra(space, AlgebraKind.U)).norm2()
     ringed = circ(phi)
     rhs_base = ringed.norm2()
     rhs = coeff * rhs_base
@@ -431,7 +430,7 @@ def sharp_norm_coefficient_check(phi, algebra=None):
     }
 
 
-def action_bound_check(phi, algebra=None):
+def action_bound_check(phi):
     """sup over unit L in u(n) of |L phi|^2 / ((p+q-2k) |L|^2 |circ(phi)|^2).
 
     The supremum is exact (`SharpDecomposition.max_action_norm2`); the
@@ -440,14 +439,12 @@ def action_bound_check(phi, algebra=None):
     """
     if phi.k is None:
         raise ValueError("action bound check needs a declared stratum index k")
-    space = phi.space
     p, q, k = phi.p, phi.q, phi.k
     weight = p + q - 2 * k
     ringed2 = circ(phi).norm2()
     if weight == 0 or ringed2 < 1e-14 * max(phi.norm2(), 1e-300):
         return {"p": p, "q": q, "k": k, "max_ratio": 0.0, "vacuous": True}
-    if algebra is None:
-        algebra = cached_algebra(space, AlgebraKind.U)
+    algebra = cached_algebra(phi.space, AlgebraKind.U)
     ratio = sharp_form(phi, algebra).max_action_norm2() / (weight * ringed2)
     return {"p": p, "q": q, "k": k, "max_ratio": ratio, "vacuous": False}
 
@@ -485,6 +482,7 @@ def primitive_pq_basis(space, p, q):
 def _stratum_rows(space, p, q, k):
     """Coefficient rows of Omega^k ^ (primitive (p-k, q-k) basis) as one
     read-only (dim, C(2n, p+q)) array, built once per space."""
+    check_stratum(p, q, k)
     omk = omega_power(space, k)
     rows = np.array([wedge(omk, f).coeffs for f in primitive_pq_basis(space, p - k, q - k)],
                     dtype=complex).reshape(-1, math.comb(2 * space.n, p + q))
@@ -530,7 +528,6 @@ def pqform_to_json(phi):
     return obj
 
 
-def pqform_from_json(obj, space=None, validate=True):
-    T = tensor_from_json(obj, space=space)
-    return PQForm(T.space, int(obj["p"]), int(obj["q"]), T,
-                  k=obj.get("k"), validate=validate)
+def pqform_from_json(obj):
+    T = tensor_from_json(obj)
+    return PQForm(T.space, int(obj["p"]), int(obj["q"]), T, k=obj.get("k"))

@@ -45,7 +45,7 @@ class HolonomySubalgebra:
     `matrices` as the read-only (N, d, d) stack of their matrix avatars.
     """
 
-    def __init__(self, space, kind, basis, validate=True, atol=1e-9):
+    def __init__(self, space, kind, basis):
         self.space = space
         self.kind = AlgebraKind(kind)
         self.basis = list(basis)
@@ -53,8 +53,7 @@ class HolonomySubalgebra:
         self.coeff_matrix = np.array([b.coeffs for b in self.basis])
         self.matrices = _avatars(space.dim, self.coeff_matrix)
         self.matrices.setflags(write=False)
-        if validate:
-            self._validate(atol)
+        self._validate()
 
     @property
     def dim(self):
@@ -82,7 +81,7 @@ class HolonomySubalgebra:
         """Coefficients of the projection of L onto the algebra."""
         return self.coeff_matrix @ L.coeffs
 
-    def _validate(self, atol):
+    def _validate(self):
         gram = self.coeff_matrix @ self.coeff_matrix.T
         if not np.allclose(gram, np.eye(self.dim), atol=1e-10):
             raise ValueError("algebra basis is not orthonormal")
@@ -98,12 +97,12 @@ class HolonomySubalgebra:
             rest = Ms[a + 1:]
             brackets = _wedge_coefficients(Ms[a] @ rest - rest @ Ms[a])
             leaks = np.linalg.norm(brackets @ complement, axis=-1)
-            bad = np.flatnonzero(leaks > atol)
+            bad = np.flatnonzero(leaks > 1e-9)
             if bad.size:
                 raise ValueError(f"basis not closed under brackets, leak {leaks[bad[0]]:.2e}")
         if self.kind == AlgebraKind.U:
             J = self.space.j_matrix()
-            if not np.allclose(Ms @ J, J @ Ms, atol=atol):
+            if not np.allclose(Ms @ J, J @ Ms, atol=1e-9):
                 raise ValueError("u(n) element does not commute with J")
 
     def __repr__(self):

@@ -46,8 +46,6 @@ __all__ = [
     "tensor_from_json",
 ]
 
-DEFAULT_ATOL = 1e-10
-
 
 @lru_cache(maxsize=None)
 def wedge_pairs(dim):
@@ -109,8 +107,7 @@ class EuclideanSpace:
     them so spaces can serve as dictionary keys for derived data.
     """
 
-    def __init__(self, real_dim, complex_structure=None, quaternionic_structure=None,
-                 validate=True, atol=DEFAULT_ATOL):
+    def __init__(self, real_dim, complex_structure=None, quaternionic_structure=None):
         if real_dim <= 0 or real_dim % 2 != 0:
             raise ValueError(f"real dimension must be positive and even, got {real_dim}")
         self.dim = int(real_dim)
@@ -119,8 +116,7 @@ class EuclideanSpace:
             self.quaternionic_structure = None
         else:
             self.quaternionic_structure = tuple(np.array(A, dtype=float) for A in quaternionic_structure)
-        if validate:
-            self._validate(atol)
+        self._validate()
         for A in self._all_structures():
             A.setflags(write=False)
 
@@ -132,8 +128,8 @@ class EuclideanSpace:
             out.extend(self.quaternionic_structure)
         return out
 
-    def _validate(self, atol):
-        d = self.dim
+    def _validate(self):
+        d, atol = self.dim, 1e-10
         eye = np.eye(d)
         for A in self._all_structures():
             if A.shape != (d, d):
@@ -254,10 +250,6 @@ class ComplexTensor:
 
     def copy(self):
         return ComplexTensor(self.space, self.components.copy())
-
-    def allclose(self, other, atol=DEFAULT_ATOL):
-        _check_same_space(self, other)
-        return np.allclose(self.components, other.components, atol=atol)
 
     def __add__(self, other):
         _check_same_space(self, other)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import weighted_partial_sum
-from .curvature import AlgebraicCurvatureTensor, CurvatureOperator, _refuse_leak, ricci, to_operator
+from .curvature import AlgebraicCurvatureTensor, _refuse_leak, ricci, to_operator
 from .holonomy import sharp
 from .tensors import ComplexTensor, hermitian_inner
 
@@ -97,17 +97,14 @@ class CurvatureTerm:
         return abs(self.value - self.gram_value) / scale
 
 
-def curvature_term(op, algebra, T):
+def curvature_term(rm_tensor, algebra, T):
     """Evaluate the restricted curvature term by two independent routes.
 
-    `op` may be a CurvatureOperator or an AlgebraicCurvatureTensor.  The
-    eigen route diagonalizes the Gram restriction and sums
-    mu_a |Theta_a T|^2 in the eigenbasis; the direct route contracts the
-    Gram matrix against the slice inner products.
+    The eigen route diagonalizes the Gram restriction of the curvature
+    operator and sums mu_a |Theta_a T|^2 in the eigenbasis; the direct
+    route contracts the Gram matrix against the slice inner products.
     """
-    if isinstance(op, AlgebraicCurvatureTensor):
-        op = to_operator(op)
-    gram = op.restricted_gram(algebra)
+    gram = to_operator(rm_tensor).restricted_gram(algebra)
     return _curvature_term(gram, np.linalg.eigh(gram), algebra, T)
 
 
@@ -160,8 +157,11 @@ def verify_weitzenbock_restriction(rm_tensor, algebra, tensors):
     return reports
 
 
-def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors, slack=1e-10):
+def verify_eigenvalue_sum_bound(rm_or_gram, algebra, C, ell, kappa, tensors, slack=1e-10):
     """Check the eigenvalue partial-sum lower bound on admitted tensors.
+
+    `rm_or_gram` is a curvature tensor or, as an array, the Gram
+    restriction [g(R Xi_a, Xi_b)] of its operator to the algebra.
 
     Hypothesis: |L T|^2 <= (1/C) |T^g|^2 |L|^2 for all L in the algebra,
     tested exactly through the supremum over unit L
@@ -173,12 +173,10 @@ def verify_eigenvalue_sum_bound(op, algebra, C, ell, kappa, tensors, slack=1e-10
       then g(R(T^g), conj T^g) >= kappa (ell + 1) / C |T^g|^2,
     * strict positivity when the premise is strict and T^g != 0.
     """
-    if isinstance(op, AlgebraicCurvatureTensor):
-        op = to_operator(op)
-    if isinstance(op, CurvatureOperator):
-        gram = op.restricted_gram(algebra)
+    if isinstance(rm_or_gram, AlgebraicCurvatureTensor):
+        gram = to_operator(rm_or_gram).restricted_gram(algebra)
     else:
-        gram = np.asarray(op, dtype=float)
+        gram = np.asarray(rm_or_gram, dtype=float)
     if C < 1:
         raise ValueError("C must be at least 1")
     ell = int(ell)

@@ -134,7 +134,6 @@ def test_criterion_03_sharp_norm_coefficient(n, p, q, k):
     """
     rng = np.random.default_rng(SEED + 100 * n + 10 * p + q + k)
     space = EuclideanSpace.complex_space(n)
-    algebra = cached_algebra(space, "u")
     coeff = float(sharp_coefficient(n, p, q, k))
     forms = []
     basis1 = build_pq_basis(space, p - k, 0)
@@ -150,10 +149,10 @@ def test_criterion_03_sharp_norm_coefficient(n, p, q, k):
     worst = 0.0
     excess = 0.0
     for f in forms:
-        r = sharp_norm_coefficient_check(_stratum_component(f, stratum), algebra=algebra)
+        r = sharp_norm_coefficient_check(_stratum_component(f, stratum))
         if not r["vacuous"]:
             worst = max(worst, r["relative_deviation"])
-        r = sharp_norm_coefficient_check(f, algebra=algebra)
+        r = sharp_norm_coefficient_check(f)
         if not r["vacuous"]:
             excess = max(excess, r["sharp_norm2"] / r["coefficient_times_circ"] - 1.0)
     assert worst < 1e-8, (
@@ -172,13 +171,12 @@ def test_criterion_04_action_bound(n, p, q, k):
     on the exact supremum over unit L."""
     rng = np.random.default_rng(SEED + 100 * n + 10 * p + q + k)
     space = EuclideanSpace.complex_space(n)
-    algebra = cached_algebra(space, "u")
     psi1 = random_pq_form(space, p - k, 0, rng)
     psi2 = random_pq_form(space, 0, q - k, rng)
     f = construct_Vpqk(psi1, psi2, k)
     from bochner import action_bound_check
 
-    r = action_bound_check(f, algebra=algebra)
+    r = action_bound_check(f)
     if not r["vacuous"]:
         assert r["max_ratio"] <= 1.0 + 1e-9
     _report(4, f"(n={n} p={p} q={q} k={k}, max ratio {r.get('max_ratio', 0.0):.6f})")

@@ -393,6 +393,16 @@ def test_verify_suites_pass(capsys):
      "--samples must be at least 1"),
     (["forms", "check-prop27", "--n", "2", "--p", "1", "--q", "0", "--samples", "-1"],
      "--samples must be at least 0"),
+    (["check", "pq", "--n", "3", "--p", "1", "--q", "1", "--stratum", "-1", "--model", "chsc"],
+     "stratum k = -1 out of range"),
+    (["forms", "check-prop28", "--n", "2", "--p", "1", "--q", "1", "--k", "-1", "--samples", "1"],
+     "stratum k = -1 out of range"),
+    (["forms", "check-prop27", "--n", "2", "--p", "1", "--q", "1", "--k", "2"],
+     "stratum k = 2 out of range"),
+    (["algebra", "--algebra", "u", "--d", "5"], "must be positive and even, got 5"),
+    (["model", "chsc", "--n", "2", "--c", "nan"], "must be finite, got nan"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--c", "inf"],
+     "must be finite, got inf"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, models that leak off the algebra and empty suites

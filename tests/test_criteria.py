@@ -1,5 +1,6 @@
 """Closed-form constants (exact arithmetic) and verdict checkers."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from bochner import (
     stratum_constant,
     to_operator,
 )
+from bochner import criteria
 from bochner.criteria import serre_remap, serre_stratum, weighted_partial_sum
 from bochner.holonomy import cached_algebra
 
@@ -43,6 +45,21 @@ def test_stratum_constant_values():
         stratum_constant(3, 1, 0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: criteria.check_stratum(2, 1, 2),
+    lambda: criteria.check_stratum(2, 1, -1),
+    lambda: stratum_constant(3, 1, 1, -1),
+    lambda: serre_stratum(3, 2, 2, -1),
+    lambda: check_pq([1.0] * 9, 3, 1, 1, k=-1),
+    lambda: check_pq([1.0] * 9, 3, 2, 2, k=3),
+], ids=["above-min", "negative", "stratum-constant", "serre-negative", "check-pq-negative",
+        "check-pq-above-min-before-remap"])
+def test_stratum_index_outside_zero_to_min_pq_is_out_of_range(call):
+    # one rule, 0 <= k <= min(p, q), on the declared type before any remap
+    with pytest.raises(ValueError, match=r"^stratum k = -?\d+ out of range for type"):
+        call()
+
+
 def test_form_constant_values():
     assert form_constant(3, 2, 1).value == Fraction(7, 3)
     assert form_constant(3, 2, 1).floor == 2
@@ -61,6 +78,11 @@ def test_form_constant_equals_zero_stratum():
                 if p + q == 0:
                     continue
                 assert form_constant(n, p, q).value == stratum_constant(n, p, q, 0).value
+    # exactly the same constant, floor included, on every type up to n = 6
+    for n in range(1, 7):
+        for p, q in itertools.product(range(n + 1), repeat=2):
+            if p + q:
+                assert form_constant(n, p, q) == stratum_constant(n, p, q, 0)
 
 
 def test_kato_constant_values():

@@ -127,6 +127,21 @@ def test_pq_form_validation(c2):
         PQForm(c2, 1, 1, f, k=2)
 
 
+def test_stratum_index_rule(c2, rng):
+    # 0 <= k <= min(p, q) for a declared k, a product and a stratum; no negative power
+    f = wedge(dz_covector(c2, 0), dzbar_covector(c2, 1))
+    with pytest.raises(ValueError, match="stratum k = -1 out of range"):
+        PQForm(c2, 1, 1, f, k=-1)
+    with pytest.raises(ValueError, match="stratum k = -1 out of range"):
+        construct_Vpqk(dz_covector(c2, 0), dzbar_covector(c2, 1), -1)
+    with pytest.raises(ValueError, match="stratum k = -1 out of range"):
+        random_stratum_form(c2, 1, 1, -1, rng)
+    with pytest.raises(ValueError, match="stratum k = 2 out of range"):
+        stratum_basis(c2, 1, 1, 2)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        omega_power(c2, -1)
+
+
 def test_build_pq_basis_counts(c2, c3):
     assert len(build_pq_basis(c2, 1, 0)) == 2
     assert len(build_pq_basis(c3, 2, 1)) == 9
@@ -226,25 +241,23 @@ def test_sharp_coefficient_values():
 
 
 def test_coefficient_check_one_zero_forms(c2, rng):
-    alg = cached_algebra(c2, "u")
     for f in build_pq_basis(c2, 1, 0):
-        r = sharp_norm_coefficient_check(f, algebra=alg)
+        r = sharp_norm_coefficient_check(f)
         assert r["coefficient"] == 2.0
         assert r["relative_deviation"] < 1e-9
 
 
 def test_coefficient_check_primitive_one_one(c2, rng):
-    alg = cached_algebra(c2, "u")
     for _ in range(5):
         f = random_pq_form(c2, 1, 1, rng)
-        r = sharp_norm_coefficient_check(f, algebra=alg)
+        r = sharp_norm_coefficient_check(f)
         assert r["coefficient"] == 4.0
         assert r["relative_deviation"] < 1e-9
 
 
 def test_coefficient_check_omega_vacuous(c2):
     f = PQForm(c2, 1, 1, omega_power(c2, 1), k=1, validate=False)
-    r = sharp_norm_coefficient_check(f, algebra=cached_algebra(c2, "u"))
+    r = sharp_norm_coefficient_check(f)
     assert r["vacuous"]
     assert r["sharp_norm2"] < 1e-20
 
@@ -254,20 +267,19 @@ def test_coefficient_exact_on_strata_full_grid(rng):
     configuration with p + q <= n <= 3."""
     for n in (1, 2, 3):
         space = EuclideanSpace.complex_space(n)
-        alg = cached_algebra(space, "u")
         for p in range(0, n + 1):
             for q in range(0, n + 1 - p):
                 for k in range(0, min(p, q) + 1):
                     if p + q - 2 * k == 0:
                         continue
                     for f in stratum_basis(space, p, q, k):
-                        r = sharp_norm_coefficient_check(f, algebra=alg)
+                        r = sharp_norm_coefficient_check(f)
                         if r["vacuous"]:
                             continue
                         assert r["relative_deviation"] < 1e-8, (n, p, q, k)
                     for _ in range(5):
                         f = random_stratum_form(space, p, q, k, rng)
-                        r = sharp_norm_coefficient_check(f, algebra=alg)
+                        r = sharp_norm_coefficient_check(f)
                         assert r["relative_deviation"] < 1e-8, (n, p, q, k)
 
 
@@ -275,15 +287,14 @@ def test_coefficient_fails_on_stratum_mixing_products(c3):
     """dz^{12} ^ dzbar^1 mixes the strata with constants 7 and 3 in equal
     parts, so its measured ratio is 5; the disjoint-index product is
     primitive and exact.  This pins the domain of validity."""
-    alg = cached_algebra(c3, "u")
     mixed = PQForm(c3, 2, 1, wedge(wedge(dz_covector(c3, 0), dz_covector(c3, 1)),
                                    dzbar_covector(c3, 0)), k=0, validate=False)
-    r = sharp_norm_coefficient_check(mixed, algebra=alg)
+    r = sharp_norm_coefficient_check(mixed)
     assert r["coefficient"] == 7.0
     assert r["sharp_norm2"] / r["circ_norm2"] == pytest.approx(5.0, rel=1e-10)
     disjoint = PQForm(c3, 2, 1, wedge(wedge(dz_covector(c3, 0), dz_covector(c3, 1)),
                                       dzbar_covector(c3, 2)), k=0, validate=False)
-    r = sharp_norm_coefficient_check(disjoint, algebra=alg)
+    r = sharp_norm_coefficient_check(disjoint)
     assert r["relative_deviation"] < 1e-10
 
 
@@ -362,14 +373,13 @@ def test_serre_remap():
 def test_coefficient_check_beyond_half_degree_remaps_stratum(c3, rng):
     # a (2,2)-form of stratum 1 on C^3 dualizes to (1,1) at stratum 0;
     # its primitive content keeps the constant 2n = 6
-    alg = cached_algebra(c3, "u")
     f = random_stratum_form(c3, 2, 2, 1, rng)
-    r = sharp_norm_coefficient_check(f, algebra=alg)
+    r = sharp_norm_coefficient_check(f)
     assert r["coefficient"] == 6.0
     assert r["relative_deviation"] < 1e-9
     # stratum 1 of type (3, 1) dualizes to (0, 2) at stratum 0, constant 4
     g = random_stratum_form(c3, 3, 1, 1, rng)
-    r = sharp_norm_coefficient_check(g, algebra=alg)
+    r = sharp_norm_coefficient_check(g)
     assert r["coefficient"] == 4.0
     assert r["relative_deviation"] < 1e-9
 
