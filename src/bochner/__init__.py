@@ -27,7 +27,6 @@ from .criteria import (
 )
 from .curvature import (
     AlgebraicCurvatureTensor,
-    CurvatureOperator,
     KahlerDecomposition,
     QuaternionDecomposition,
     chsc_model,
@@ -56,7 +55,6 @@ from .curvature import (
     scalar_curvature,
     sharp_norm_identities,
     tf_ricci,
-    to_operator,
 )
 from .forms import (
     Form,

@@ -121,10 +121,10 @@ def _suite_identities(seed, samples, tol):
         space = EuclideanSpace.complex_space(d // 2)
         for s in range(samples):
             rm = curv.random_curvature(space, rng)
-            op = curv.to_operator(rm)
-            rep.add(f"identities/d{d}/sample{s:03d}/norm-duality", rm.norm2(), 4.0 * op.norm2(), "norm")
+            rep.add(f"identities/d{d}/sample{s:03d}/norm-duality", rm.norm2(),
+                    4.0 * float(np.sum(rm.operator * rm.operator)), "norm")
         rm = curv.random_curvature(space, rng)
-        back = curv.from_operator(curv.to_operator(rm))
+        back = curv.from_operator(space, rm.operator)
         rep.add(f"identities/d{d}/round-trip", float(np.abs(back.array - rm.array).max()), 0.0, "norm")
         kn = curv.kulkarni_nomizu(np.eye(d), np.eye(d))
         rep.add(f"identities/d{d}/kn-bianchi",
@@ -309,6 +309,8 @@ _SUITES = {
 def cmd_verify(args):
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"verify --samples must be at least 1, got {args.samples}")
+    if args.tol is not None:
+        crit._require_finite(tol=args.tol)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     exit_code = 0
     for name in names:
@@ -351,11 +353,10 @@ def cmd_model(args):
 def cmd_spectrum(args):
     rm = curv.load_curvature(args.input)
     algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
-    op = curv.to_operator(rm)
-    vals, leak = curv.restricted_spectrum(op, algebra)
+    vals, leak = curv.restricted_spectrum(rm, algebra)
     # the spectrum is printed either way; a leak then exits 1 through main
     _emit({"eigenvalues": [float(v) for v in vals], "leakage": leak, "dim": algebra.dim})
-    curv._refuse_leak("operator", leak, float(np.abs(op.matrix).max()))
+    curv._refuse_leak("operator", leak, float(np.abs(rm.operator).max()))
     return 0
 
 
@@ -416,6 +417,10 @@ def cmd_weitz(args):
         raise ValueError("weitz verify requires a target: prop24 or lemma26")
     if args.action == "verify" and args.samples < 1:
         raise ValueError(f"weitz verify --samples must be at least 1, got {args.samples}")
+    if args.target == "lemma26" and args.rank < 1:
+        raise ValueError(f"weitz verify lemma26 --rank must be at least 1, got {args.rank}")
+    if args.tol is not None:
+        crit._require_finite(tol=args.tol)
     rm = curv.load_curvature(args.input)
     if args.action == "ric":
         T = load_tensor(args.tensor, space=rm.space)
@@ -535,9 +540,9 @@ def _spectrum_from_args(args, algebra_kind):
             space = EuclideanSpace.quaternionic_space(args.m)
         else:
             space = EuclideanSpace.complex_space(args.n)
-        op = curv.to_operator(curv.model(args.model, space, c=args.c))
-        vals, leak = curv.restricted_spectrum(op, cached_algebra(space, algebra_kind))
-        curv._refuse_leak(f"model {args.model}", leak, float(np.abs(op.matrix).max()))
+        rm = curv.model(args.model, space, c=args.c)
+        vals, leak = curv.restricted_spectrum(rm, cached_algebra(space, algebra_kind))
+        curv._refuse_leak(f"model {args.model}", leak, float(np.abs(rm.operator).max()))
         return [float(v) for v in vals]
     raise ValueError("provide --spectrum FILE or --model KIND")
 

@@ -63,6 +63,14 @@ class ConstantValue(NamedTuple):
         return float(self.value)
 
 
+def _require_finite(**values):
+    """Raise ValueError naming the first of the keyword values that is an
+    infinity or NaN; ints and Fractions are always finite."""
+    for name, x in values.items():
+        if not isinstance(x, (int, Fraction)) and not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
 def check_stratum(p, q, k):
     """Raise ValueError unless 0 <= k <= min(p, q), the stratum indices of type (p, q)."""
     if not 0 <= k <= min(p, q):
@@ -114,6 +122,7 @@ def kappa_bound(Q, c, a=0):
     `a` is the gain of a refined Kato inequality |nabla T|^2 >=
     (1 + a) |nabla |T||^2; a = 0 is the unrefined bound.
     """
+    _require_finite(Q=Q, c=c, a=a)
     Q = Fraction(Q)
     c = Fraction(c)
     a = Fraction(a)
@@ -132,6 +141,7 @@ def kappa_bound_harmonic_field(n, p, q, Q, c=1):
     This is the printed harmonic-field form; it equals kappa_bound with
     a = 1/D - 2.  At Q = 2, c = 1 it reduces to 1/D - 1.
     """
+    _require_finite(Q=Q, c=c)
     D = kato_constant(n, p, q)
     Q = Fraction(Q)
     c = Fraction(c)
@@ -242,6 +252,7 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None, lq_finite=True)
     """
     if not (0 <= p <= n and 0 <= q <= n) or p + q < 1:
         raise ValueError(f"form type ({p}, {q}) out of range for n = {n}")
+    _require_finite(kappa=kappa, rho=rho, Q=Q)
     notes = []
     if k is not None:
         k = serre_stratum(n, p, q, k)
@@ -307,6 +318,7 @@ def _kahler_parity_sum_check(spectrum, n, k, rho, Q, theorem_id, conclusion, not
     """The parity sum on n^2 eigenvalues with admissibility k < (Q - 1) / Q^2."""
     if len(spectrum) != n * n:
         raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
+    _require_finite(k=k, rho=rho, Q=Q)
     Qf = Fraction(Q)
     if Qf < 2:
         raise ValueError("Q must be >= 2")
@@ -343,6 +355,7 @@ def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
     expected = m * (2 * m + 1) + 3
     if len(spectrum) != expected:
         raise ValueError(f"spectrum length {len(spectrum)} differs from m(2m+1)+3 = {expected}")
+    _require_finite(k=k, rho=rho, Q=Q)
     Qf = Fraction(Q)
     if Qf < 2:
         raise ValueError("Q must be >= 2")

@@ -1,11 +1,14 @@
-"""Algebraic curvature tensors, curvature operators and their decompositions.
+"""Algebraic curvature tensors, their operators and their decompositions.
 
 A curvature tensor here is a purely pointwise object: a real rank-4
 tensor with the pair symmetries and the first Bianchi identity, no
-manifold attached.  The module provides
+manifold attached.  Its curvature operator R on Lambda^2 V is a view of
+the same object: `AlgebraicCurvatureTensor.operator` is the symmetric
+matrix in the wedge-orthonormal basis, computed once per tensor, and
+the restricted Gram matrix and the leakage off a holonomy algebra are
+read from the tensor.  The module provides
 
-* conversion between the (0,4) tensor and the symmetric operator on
-  Lambda^2 V (wedge-orthonormal basis),
+* the operator view and its inverse `from_operator`,
 * Ricci contractions and the Kulkarni-Nomizu product,
 * model tensors: flat, constant sectional curvature, constant
   holomorphic sectional curvature (chsc) and the quaternionic projective
@@ -42,10 +45,8 @@ from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _int_field, _writ
 
 __all__ = [
     "AlgebraicCurvatureTensor",
-    "CurvatureOperator",
     "KahlerDecomposition",
     "QuaternionDecomposition",
-    "to_operator",
     "from_operator",
     "ricci",
     "scalar_curvature",
@@ -70,6 +71,8 @@ __all__ = [
     "random_quaternion_kahler_curvature",
     "curvature_to_json",
     "curvature_from_json",
+    "save_curvature",
+    "load_curvature",
 ]
 
 
@@ -91,6 +94,15 @@ def _kahler_form_array(space):
 
 def _bianchi_residual(arr):
     return arr + np.transpose(arr, (1, 2, 0, 3)) + np.transpose(arr, (2, 0, 1, 3))
+
+
+def _symmetric_operator(M):
+    """0.5 (M + M^T), read-only, of a matrix symmetric to 1e-9 |M|_max."""
+    if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
+        raise ValueError("curvature operator must be symmetric")
+    M = 0.5 * (M + M.T)
+    M.setflags(write=False)
+    return M
 
 
 def _pair_symmetry_residual(arr):
@@ -118,6 +130,7 @@ class AlgebraicCurvatureTensor:
             raise ValueError(f"components shape {arr.shape} incompatible with dim {space.dim}")
         arr.setflags(write=False)
         self.array = arr
+        self._operator = None
         self.kahler = bool(kahler)
         self.quaternion = bool(quaternion)
         if validate:
@@ -141,6 +154,34 @@ class AlgebraicCurvatureTensor:
                 raise ValueError(f"Kahler pair invariance violated, deviation {dev:.2e}")
         if self.quaternion and self.space.quaternionic_structure is None:
             raise ValueError("quaternion flag requires a quaternionic structure")
+
+    @property
+    def operator(self):
+        """Curvature operator with g(R(e_i ^ e_j), e_k ^ e_l) = Rm(e_i, e_j, e_k, e_l).
+
+        The read-only (P, P) matrix on the wedge-orthonormal basis, built on
+        first use.  The duality |Rm|^2 = 4 |R|^2 is checked then; it holds
+        identically once the pair symmetries do.
+        """
+        if self._operator is None:
+            k, l = np.array(wedge_pairs(self.space.dim)).T
+            M = _symmetric_operator(self.array[k[:, None], l[:, None], k, l])
+            rm2, op2 = self.norm2(), float(np.sum(M * M))
+            if rm2 > 0 and abs(rm2 - 4 * op2) > 1e-8 * rm2:
+                raise ValueError(f"norm duality |Rm|^2 = 4|R|^2 violated: "
+                                 f"{rm2:.6g} vs {4 * op2:.6g}")
+            self._operator = M
+        return self._operator
+
+    def restricted_gram(self, algebra):
+        """The Gram restriction [g(R Xi_a, Xi_b)] of the operator to the algebra."""
+        B = algebra.coeff_matrix
+        return B @ self.operator @ B.T
+
+    def leakage(self, algebra):
+        """Spectral norm of R applied to the orthogonal complement of the algebra."""
+        Q = algebra.complement_projector()
+        return float(np.linalg.norm(self.operator @ Q, 2))
 
     @property
     def rm(self):
@@ -179,68 +220,23 @@ class AlgebraicCurvatureTensor:
         return f"AlgebraicCurvatureTensor(dim={self.space.dim}{extra})"
 
 
-class CurvatureOperator:
-    """Symmetric operator on Lambda^2 V in the wedge-orthonormal basis."""
-
-    def __init__(self, space, matrix):
-        self.space = space
-        M = np.asarray(matrix, dtype=float)
-        P = space.dim * (space.dim - 1) // 2
-        if M.shape != (P, P):
-            raise ValueError(f"operator matrix has shape {M.shape}, expected ({P}, {P})")
-        if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
-            raise ValueError("curvature operator must be symmetric")
-        M = 0.5 * (M + M.T)
-        M.setflags(write=False)
-        self.matrix = M
-
-    def norm2(self):
-        """Squared Frobenius norm |R|^2; satisfies |Rm|^2 = 4 |R|^2."""
-        return float(np.sum(self.matrix * self.matrix))
-
-    def restricted_gram(self, algebra):
-        B = algebra.coeff_matrix
-        return B @ self.matrix @ B.T
-
-    def leakage(self, algebra):
-        """Spectral norm of R applied to the orthogonal complement of the algebra."""
-        Q = algebra.complement_projector()
-        return float(np.linalg.norm(self.matrix @ Q, 2))
-
-    def __repr__(self):
-        return f"CurvatureOperator(dim={self.space.dim})"
-
-
-def to_operator(rm_tensor):
-    """Curvature operator with g(R(e_i ^ e_j), e_k ^ e_l) = Rm(e_i, e_j, e_k, e_l).
-
-    The duality |Rm|^2 = 4 |R|^2 is checked on conversion; it holds
-    identically once the pair symmetries do.
-    """
-    arr = rm_tensor.array
-    d = rm_tensor.space.dim
-    pl = wedge_pairs(d)
-    idx = np.array(pl)
-    M = arr[idx[:, 0][:, None], idx[:, 1][:, None], idx[:, 0][None, :], idx[:, 1][None, :]]
-    op = CurvatureOperator(rm_tensor.space, M)
-    rm2, op2 = rm_tensor.norm2(), op.norm2()
-    if rm2 > 0 and abs(rm2 - 4 * op2) > 1e-8 * rm2:
-        raise ValueError(f"norm duality |Rm|^2 = 4|R|^2 violated: {rm2:.6g} vs {4 * op2:.6g}")
-    return op
-
-
-def from_operator(op, validate=True):
-    """Rank-4 tensor of a symmetric operator on Lambda^2 V; inverse of `to_operator`."""
-    d = op.space.dim
+def from_operator(space, matrix, validate=True):
+    """Rank-4 tensor of a symmetric operator on Lambda^2 V, a (P, P) matrix with
+    P = d (d - 1) / 2; inverse of `AlgebraicCurvatureTensor.operator`."""
+    d = space.dim
+    P = d * (d - 1) // 2
+    M = np.asarray(matrix, dtype=float)
+    if M.shape != (P, P):
+        raise ValueError(f"operator matrix has shape {M.shape}, expected ({P}, {P})")
+    M = _symmetric_operator(M)
     k, l = np.array(wedge_pairs(d)).T
     i, j = k[:, None], l[:, None]
-    M = op.matrix
     arr = np.zeros((d, d, d, d))
     arr[i, j, k, l] = M
     arr[j, i, k, l] = -M
     arr[i, j, l, k] = -M
     arr[j, i, l, k] = M
-    return AlgebraicCurvatureTensor(op.space, arr, validate=validate)
+    return AlgebraicCurvatureTensor(space, arr, validate=validate)
 
 
 def ricci(rm_tensor):
@@ -433,9 +429,8 @@ def quaternion_decompose(rm_tensor):
     if m < 2:
         raise ValueError("quaternionic decomposition needs m >= 2")
     algebra = cached_algebra(space, AlgebraKind.SP_SP1)
-    op = to_operator(rm_tensor)
-    leak = op.leakage(algebra)
-    _refuse_leak("operator", leak, float(np.abs(op.matrix).max()))
+    leak = rm_tensor.leakage(algebra)
+    _refuse_leak("operator", leak, float(np.abs(rm_tensor.operator).max()))
     scal = scalar_curvature(rm_tensor)
     coeff = scal / (16.0 * m * (m + 2))
     r0 = AlgebraicCurvatureTensor(
@@ -444,16 +439,15 @@ def quaternion_decompose(rm_tensor):
     return QuaternionDecomposition(coeff, r0, leak)
 
 
-def restricted_spectrum(op, algebra):
+def restricted_spectrum(rm_tensor, algebra):
     """Ascending eigenvalues of the Gram restriction [g(R Xi_a, Xi_b)].
 
     Returns (eigenvalues, leakage); leakage is the spectral norm of the
     operator applied to the complement of the algebra and is reported,
     never raised.
     """
-    gram = op.restricted_gram(algebra)
-    vals = np.linalg.eigvalsh(gram)
-    return vals, op.leakage(algebra)
+    vals = np.linalg.eigvalsh(rm_tensor.restricted_gram(algebra))
+    return vals, rm_tensor.leakage(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +480,7 @@ def kahler_sharp_identity(rm_tensor):
     tfric_norm2 = float(np.sum(dec.tf_ricci * dec.tf_ricci))
     # the trace-free Gram restriction does not vanish on the chsc model,
     # so it cannot play the role of the ringed norm; exposed for comparison
-    gram = to_operator(rm_tensor).restricted_gram(algebra)
+    gram = rm_tensor.restricted_gram(algebra)
     gram_tf = gram - (np.trace(gram) / gram.shape[0]) * np.eye(gram.shape[0])
     rhs_tensor = 4.0 * (n + 1) * ringed_norm2 - 16.0 * tfric_norm2
     report = {
@@ -578,7 +572,7 @@ def random_curvature(space, rng):
     P = space.dim * (space.dim - 1) // 2
     M = rng.standard_normal((P, P))
     M = 0.5 * (M + M.T)
-    arr = from_operator(CurvatureOperator(space, M), validate=False).array
+    arr = from_operator(space, M, validate=False).array
     alt = (arr + np.transpose(arr, (1, 2, 0, 3)) + np.transpose(arr, (2, 0, 1, 3))) / 3.0
     return AlgebraicCurvatureTensor(space, arr - alt, validate=False)
 

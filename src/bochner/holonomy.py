@@ -18,7 +18,6 @@ from .tensors import (
     Bivector,
     _act_matrix,
     _avatars,
-    _block_quaternionic_structure,
     _wedge_coefficients,
     wedge_pairs,
 )
@@ -28,6 +27,7 @@ __all__ = [
     "HolonomySubalgebra",
     "SharpDecomposition",
     "build_algebra",
+    "cached_algebra",
     "sharp",
     "project_bivector",
 ]
@@ -140,9 +140,6 @@ def _sp_m_commutant(space):
     are m(2m + 1) orthogonal elements: a basis once normalised.
     """
     m = space.m
-    if not all(np.array_equal(A, B) for A, B in
-               zip(space.quaternionic_structure, _block_quaternionic_structure(m))):
-        raise ValueError("sp(m) is built for the block quaternionic structure")
     blocks = [(a, b, X) for a, b in itertools.combinations_with_replacement(range(m), 2)
               for X in ([np.eye(4)] if a < b else []) + list(_ANTI_SELF_DUAL)]
     M = np.zeros((len(blocks), m, 4, m, 4))

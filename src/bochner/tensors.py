@@ -3,9 +3,10 @@
 Everything downstream (holonomy algebras, curvature operators, form
 spaces) is built on three small carriers:
 
-* :class:`EuclideanSpace` fixes the dimension and the optional complex or
-  quaternionic structure matrices.  The metric is the identity in the
-  stored basis, so raising and lowering indices is free.
+* :class:`EuclideanSpace` fixes the dimension and, optionally, the block
+  complex or quaternionic structure, which it builds itself.  The metric
+  is the identity in the stored basis, so raising and lowering indices
+  is free.
 * :class:`ComplexTensor` is a dense complex (0, k)-tensor.
 * :class:`Bivector` is an element of so(V) = Lambda^2 V stored as real
   coefficients on the orthonormal wedge basis {e_i ^ e_j : i < j}.
@@ -44,6 +45,8 @@ __all__ = [
     "nullspace",
     "tensor_to_json",
     "tensor_from_json",
+    "save_tensor",
+    "load_tensor",
 ]
 
 
@@ -77,15 +80,17 @@ def _wedge_coefficients(M):
 
 
 def _block_complex_structure(d):
+    """J e_{2i} = e_{2i+1}, J e_{2i+1} = -e_{2i} (0-based), read-only."""
     J = np.zeros((d, d))
     for i in range(d // 2):
         J[2 * i + 1, 2 * i] = 1.0
         J[2 * i, 2 * i + 1] = -1.0
+    J.setflags(write=False)
     return J
 
 
 def _block_quaternionic_structure(m):
-    """(I, J, K) acting on blocks of four; I J = -J I = K."""
+    """(I, J, K) acting on blocks of four, read-only; I J = -J I = K."""
     d = 4 * m
     bi = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
     bj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
@@ -96,6 +101,7 @@ def _block_quaternionic_structure(m):
         for a in range(m):
             s = slice(4 * a, 4 * a + 4)
             M[s, s] = blk
+        M.setflags(write=False)
         mats.append(M)
     return tuple(mats)
 
@@ -107,43 +113,22 @@ class EuclideanSpace:
     them so spaces can serve as dictionary keys for derived data.
     """
 
-    def __init__(self, real_dim, complex_structure=None, quaternionic_structure=None):
+    def __init__(self, real_dim, structure=None):
+        """`structure` is None, "complex" (the block J) or "quaternionic" (the
+        block I, J, K, with I as the complex structure)."""
         if real_dim <= 0 or real_dim % 2 != 0:
             raise ValueError(f"real dimension must be positive and even, got {real_dim}")
-        self.dim = int(real_dim)
-        self.complex_structure = None if complex_structure is None else np.array(complex_structure, dtype=float)
-        if quaternionic_structure is None:
-            self.quaternionic_structure = None
-        else:
-            self.quaternionic_structure = tuple(np.array(A, dtype=float) for A in quaternionic_structure)
-        self._validate()
-        for A in self._all_structures():
-            A.setflags(write=False)
-
-    def _all_structures(self):
-        out = []
-        if self.complex_structure is not None:
-            out.append(self.complex_structure)
-        if self.quaternionic_structure is not None:
-            out.extend(self.quaternionic_structure)
-        return out
-
-    def _validate(self):
-        d, atol = self.dim, 1e-10
-        eye = np.eye(d)
-        for A in self._all_structures():
-            if A.shape != (d, d):
-                raise ValueError(f"structure matrix has shape {A.shape}, expected {(d, d)}")
-            if not np.allclose(A @ A, -eye, atol=atol):
-                raise ValueError("structure matrix does not square to -Id")
-            if not np.allclose(A.T @ A, eye, atol=atol):
-                raise ValueError("structure matrix is not orthogonal")
-        if self.quaternionic_structure is not None:
+        self.dim = d = int(real_dim)
+        self.complex_structure = self.quaternionic_structure = None
+        if structure == "complex":
+            self.complex_structure = _block_complex_structure(d)
+        elif structure == "quaternionic":
             if d % 4 != 0:
                 raise ValueError(f"quaternionic structure needs dim divisible by 4, got {d}")
-            I, J, K = self.quaternionic_structure
-            if not (np.allclose(I @ J, K, atol=atol) and np.allclose(J @ I, -K, atol=atol)):
-                raise ValueError("quaternionic triple does not satisfy IJ = -JI = K")
+            self.quaternionic_structure = _block_quaternionic_structure(d // 4)
+            self.complex_structure = self.quaternionic_structure[0]
+        elif structure is not None:
+            raise ValueError(f"unknown structure {structure!r}")
 
     # memoized: one space object per size, so caches keyed on spaces are shared
 
@@ -157,14 +142,13 @@ class EuclideanSpace:
     @lru_cache(maxsize=None)
     def complex_space(cls, n):
         """C^n = R^{2n} with the block complex structure."""
-        return cls(2 * n, complex_structure=_block_complex_structure(2 * n))
+        return cls(2 * n, "complex")
 
     @classmethod
     @lru_cache(maxsize=None)
     def quaternionic_space(cls, m):
         """H^m = R^{4m} with the block quaternionic triple; J-structure is I."""
-        I, J, K = _block_quaternionic_structure(m)
-        return cls(4 * m, complex_structure=I, quaternionic_structure=(I, J, K))
+        return cls(4 * m, "quaternionic")
 
     @property
     def n(self):

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import weighted_partial_sum
-from .curvature import AlgebraicCurvatureTensor, _refuse_leak, ricci, to_operator
+from .criteria import _require_finite, weighted_partial_sum
+from .curvature import AlgebraicCurvatureTensor, _refuse_leak, ricci
 from .holonomy import sharp
 from .tensors import ComplexTensor, hermitian_inner
 
@@ -70,6 +70,7 @@ def weitzenbock_ric(rm_tensor, T):
 def lichnerowicz_zero_order(rm_tensor, T, c):
     """c times the Weitzenbock action: the zero-order part of the
     corresponding Laplacian.  Presets: c = 1 (forms), c = 1/2 (curvature)."""
+    _require_finite(c=c)
     if c <= 0:
         raise ValueError(f"the scaling constant must be positive, got {c}")
     return weitzenbock_ric(rm_tensor, T) * c
@@ -104,7 +105,7 @@ def curvature_term(rm_tensor, algebra, T):
     operator and sums mu_a |Theta_a T|^2 in the eigenbasis; the direct
     route contracts the Gram matrix against the slice inner products.
     """
-    gram = to_operator(rm_tensor).restricted_gram(algebra)
+    gram = rm_tensor.restricted_gram(algebra)
     return _curvature_term(gram, np.linalg.eigh(gram), algebra, T)
 
 
@@ -134,10 +135,9 @@ def verify_weitzenbock_restriction(rm_tensor, algebra, tensors):
     Returns one report dict per tensor, with both sides and the relative
     deviation.
     """
-    op = to_operator(rm_tensor)
-    leak = op.leakage(algebra)
-    _refuse_leak("operator", leak, float(np.abs(op.matrix).max()))
-    gram = op.restricted_gram(algebra)
+    leak = rm_tensor.leakage(algebra)
+    _refuse_leak("operator", leak, float(np.abs(rm_tensor.operator).max()))
+    gram = rm_tensor.restricted_gram(algebra)
     eigh = np.linalg.eigh(gram)
     reports = []
     for T in tensors:
@@ -172,9 +172,12 @@ def verify_eigenvalue_sum_bound(rm_or_gram, algebra, C, ell, kappa, tensors, sla
     * if mu_1 + ... + mu_ell + (C - ell) mu_{ell+1} >= kappa (ell + 1)
       then g(R(T^g), conj T^g) >= kappa (ell + 1) / C |T^g|^2,
     * strict positivity when the premise is strict and T^g != 0.
+
+    C, kappa and slack must be finite.
     """
+    _require_finite(C=C, kappa=kappa, slack=slack)
     if isinstance(rm_or_gram, AlgebraicCurvatureTensor):
-        gram = to_operator(rm_or_gram).restricted_gram(algebra)
+        gram = rm_or_gram.restricted_gram(algebra)
     else:
         gram = np.asarray(rm_or_gram, dtype=float)
     if C < 1:

@@ -403,11 +403,34 @@ def test_verify_suites_pass(capsys):
     (["model", "chsc", "--n", "2", "--c", "nan"], "must be finite, got nan"),
     (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--c", "inf"],
      "must be finite, got inf"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--kappa", "0.1",
+      "--rho", "inf"], "rho must be finite, got inf"),
+    (["check", "quaternion", "--m", "2", "--model", "hpm", "--k", "0.1", "--rho", "inf"],
+     "rho must be finite, got inf"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--kappa", "0.1",
+      "--rho", "nan"], "rho must be finite, got nan"),
+    (["check", "bochner", "--n", "2", "--model", "chsc", "--k", "inf"],
+     "k must be finite, got inf"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--kappa", "inf"],
+     "kappa must be finite, got inf"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--kappa", "0.1",
+      "--Q", "inf"], "Q must be finite, got inf"),
+    (["weitz", "verify", "lemma26", "-i", "chsc.json", "--C", "inf"], "C must be finite, got inf"),
+    (["weitz", "verify", "lemma26", "-i", "chsc.json", "--kappa", "nan"],
+     "kappa must be finite, got nan"),
+    (["weitz", "ric", "-i", "chsc.json", "-t", "t.json", "--c", "nan"], "c must be finite, got nan"),
+    (["verify", "lemma26", "--tol", "inf"], "tol must be finite, got inf"),
+    (["weitz", "verify", "lemma26", "-i", "chsc.json", "--rank", "0"],
+     "--rank must be at least 1"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
-    # malformed input, models that leak off the algebra and empty suites
-    # exit 1 with an error line and no output, never a traceback
+    # malformed input, non-finite weights, models that leak off the algebra
+    # and empty suites exit 1 with an error line and no output, never a
+    # traceback
     monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "model", "chsc", "--n", "2", "-o", "chsc.json")
+    (tmp_path / "t.json").write_text(json.dumps(
+        {"dim": 4, "rank": 1, "j_convention": "block", "components": [[1.0, 0.0]] * 4}))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -518,10 +541,9 @@ def test_every_support_guard_applies_one_leak_rule(tmp_path, capsys, rng, kind, 
         check = ["check", "quaternion", "--m", "2"]
     algebra = cached_algebra(space, kind)
     pert = curv.random_curvature(space, rng)
-    t = ratio * max(1.0, np.abs(base.array).max()) / curv.to_operator(pert).leakage(algebra)
+    t = ratio * max(1.0, np.abs(base.array).max()) / pert.leakage(algebra)
     rm = curv.AlgebraicCurvatureTensor(space, base.array + t * pert.array, quaternion=kind == "sp")
-    op = curv.to_operator(rm)
-    assert op.leakage(algebra) / max(1.0, np.abs(op.matrix).max()) == pytest.approx(ratio, rel=1e-3)
+    assert rm.leakage(algebra) / max(1.0, np.abs(rm.operator).max()) == pytest.approx(ratio, rel=1e-3)
     path, spec = tmp_path / "rm.json", tmp_path / "spec.json"
     curv.save_curvature(rm, path)
     code, out, err = run_cli(capsys, "spectrum", "-i", str(path), "--algebra", kind)

@@ -1,6 +1,7 @@
 """Closed-form constants (exact arithmetic) and verdict checkers."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from bochner import (
     quaternion_parity_coefficient,
     restricted_spectrum,
     stratum_constant,
-    to_operator,
 )
 from bochner import criteria
 from bochner.criteria import serre_remap, serre_stratum, weighted_partial_sum
@@ -169,7 +169,7 @@ def test_check_pq_flat_parallel():
 
 
 def test_check_pq_chsc_vanishing(c2):
-    spec, _ = restricted_spectrum(to_operator(chsc_model(c2, 4.0)), cached_algebra(c2, "u"))
+    spec, _ = restricted_spectrum(chsc_model(c2, 4.0), cached_algebra(c2, "u"))
     v = check_pq(list(spec), 2, 1, 0, kappa=0.0)
     assert v.conclusion == "vanishing"
     assert v.condition_value > 0
@@ -277,8 +277,7 @@ def test_check_einstein_flat(c2):
     assert v.theorem_id == "T4_1"
     # strictly positive chsc spectrum at n = 4
     space = EuclideanSpace.complex_space(4)
-    spec, _ = restricted_spectrum(to_operator(chsc_model(space, 2.0)),
-                                  cached_algebra(space, "u"))
+    spec, _ = restricted_spectrum(chsc_model(space, 2.0), cached_algebra(space, "u"))
     v = check_einstein_flat(list(spec), 4, k=0.0, Q=2)
     assert v.conclusion == "flat"
     assert v.condition_value > 0
@@ -315,7 +314,7 @@ def test_check_lq_nonneg():
 
 
 def test_check_lq_nonneg_chsc(c3):
-    spec, _ = restricted_spectrum(to_operator(chsc_model(c3, 1.0)), cached_algebra(c3, "u"))
+    spec, _ = restricted_spectrum(chsc_model(c3, 1.0), cached_algebra(c3, "u"))
     v = check_lq_nonneg(list(spec), 3)
     assert v.conclusion == "vanishing"
     assert v.condition_value > 0
@@ -329,12 +328,31 @@ def test_strict_verdict_implies_positive_curvature_term(c2, rng):
 
     u = cached_algebra(c2, "u")
     rm = chsc_model(c2, 4.0)
-    spec, _ = restricted_spectrum(to_operator(rm), u)
+    spec, _ = restricted_spectrum(rm, u)
     v = check_pq(list(spec), 2, 1, 0, kappa=0.0)
     assert v.conclusion == "vanishing" and v.condition_value > 0
     for _ in range(10):
         phi = random_pq_form(c2, 1, 0, rng)
         assert curvature_term(rm, u, phi.tensor).gram_value > 0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call,name", [
+    (lambda x: check_pq([0.0] * 4, 2, 1, 0, kappa=x), "kappa"),
+    (lambda x: check_pq([0.0] * 4, 2, 1, 0, kappa=0.1, rho=x), "rho"),
+    (lambda x: check_pq([0.0] * 4, 2, 1, 0, Q=x), "Q"),
+    (lambda x: check_bochner([0.0] * 4, 2, k=x), "k"),
+    (lambda x: check_einstein_flat([0.0] * 4, 2, rho=x), "rho"),
+    (lambda x: check_quaternion([0.0] * 13, 2, Q=x), "Q"),
+    (lambda x: kappa_bound(x, 1), "Q"),
+    (lambda x: kappa_bound(2, 1, a=x), "a"),
+    (lambda x: kappa_bound_harmonic_field(2, 1, 0, 2, c=x), "c"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_non_finite_weights_are_rejected(call, name, value):
+    # an infinite weight once turned into a -inf threshold and a passing
+    # verdict, or an OverflowError in Fraction; a NaN one into a NaN threshold
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        call(value)
 
 
 def test_verdict_json_shape():

@@ -12,7 +12,6 @@ import pytest
 from bochner import (
     AlgebraicCurvatureTensor,
     ComplexTensor,
-    CurvatureOperator,
     EuclideanSpace,
     act_on_tensor,
     chsc_model,
@@ -37,7 +36,6 @@ from bochner import (
     scalar_curvature,
     sharp,
     tf_ricci,
-    to_operator,
 )
 from bochner.curvature import _hyperkahler_basis, _kahler_basis
 from bochner.holonomy import _sp_m_commutant, cached_algebra
@@ -63,17 +61,16 @@ def test_operator_round_trip_random(rng):
         space = EuclideanSpace.complex_space(d // 2)
         for _ in range(100):
             rm = random_curvature(space, rng)
-            op = to_operator(rm)
-            back = from_operator(op)
+            back = from_operator(space, rm.operator)
             assert np.abs(back.array - rm.array).max() < 1e-10
-            assert rm.norm2() == pytest.approx(4.0 * op.norm2(), rel=1e-12)
+            assert rm.norm2() == pytest.approx(4.0 * np.sum(rm.operator * rm.operator), rel=1e-12)
 
 
 def test_zero_and_constant_sectional_operator(c3):
-    assert to_operator(flat_model(c3)).norm2() == 0.0
+    assert np.sum(flat_model(c3).operator ** 2) == 0.0
     # sectional curvature c corresponds to c times the identity on wedges
-    op = to_operator(constant_sectional_model(c3, 2.5))
-    assert np.abs(op.matrix - 2.5 * np.eye(15)).max() < 1e-12
+    op = constant_sectional_model(c3, 2.5).operator
+    assert np.abs(op - 2.5 * np.eye(15)).max() < 1e-12
 
 
 def test_validation_rejects_asymmetric_input(c2):
@@ -160,16 +157,14 @@ def test_kn_symmetric_inputs_give_curvature_symmetries(c2, rng):
 def test_hpm_annihilates_complement(h2):
     rm = quaternionic_projective_model(h2)
     alg = cached_algebra(h2, "sp")
-    op = to_operator(rm)
     Q = alg.complement_projector()
-    assert np.linalg.norm(op.matrix @ Q, 2) < 1e-9
+    assert np.linalg.norm(rm.operator @ Q, 2) < 1e-9
     assert scalar_curvature(rm) == pytest.approx(16 * 2 * (2 + 2))
 
 
 def test_hpm_restricted_spectrum(h2):
     # 4 with multiplicity dim sp(m), 4m on the three structure directions
-    vals, leak = restricted_spectrum(to_operator(quaternionic_projective_model(h2)),
-                                     cached_algebra(h2, "sp"))
+    vals, leak = restricted_spectrum(quaternionic_projective_model(h2), cached_algebra(h2, "sp"))
     assert leak < 1e-9
     assert np.allclose(np.sort(vals), [4.0] * 10 + [8.0] * 3, atol=1e-9)
 
@@ -177,8 +172,7 @@ def test_hpm_restricted_spectrum(h2):
 def test_chsc_supported_on_u_and_bochner_free(c2):
     rm = chsc_model(c2, 4.0)
     alg = cached_algebra(c2, "u")
-    op = to_operator(rm)
-    assert op.leakage(alg) < 1e-12
+    assert rm.leakage(alg) < 1e-12
     dec = kahler_decompose(rm)
     assert np.abs(dec.bochner.array).max() < 1e-12
     assert np.abs(dec.ricci_part.array).max() < 1e-12
@@ -189,8 +183,7 @@ def test_chsc_spectrum_values(c2, c3):
     # c/2 on the trace-free part of u(n), c (n+1)/2 on the form direction
     for space, c in ((c2, 4.0), (c3, 1.5)):
         n = space.n
-        vals, leak = restricted_spectrum(to_operator(chsc_model(space, c)),
-                                         cached_algebra(space, "u"))
+        vals, leak = restricted_spectrum(chsc_model(space, c), cached_algebra(space, "u"))
         expected = np.array([c / 2.0] * (n * n - 1) + [c * (n + 1) / 2.0])
         assert leak < 1e-12
         assert np.allclose(vals, expected, atol=1e-9)
@@ -206,8 +199,7 @@ def test_model_dispatch(c2, h2):
 
 
 def test_restricted_spectrum_constant_sectional_so(c2):
-    vals, leak = restricted_spectrum(to_operator(constant_sectional_model(c2, 1.0)),
-                                     cached_algebra(c2, "so"))
+    vals, leak = restricted_spectrum(constant_sectional_model(c2, 1.0), cached_algebra(c2, "so"))
     assert np.allclose(vals, 1.0, atol=1e-12)
     assert leak < 1e-12
 
@@ -225,7 +217,7 @@ def test_random_kahler_is_kahler(c2, c3, rng):
             jj = np.einsum("ax,by,xyzw->abzw", J, J, rm.array)
             assert np.abs(jj - rm.array).max() < 1e-10
             assert bianchi_max(rm.array) < 1e-10
-            assert to_operator(rm).leakage(alg) < 1e-10
+            assert rm.leakage(alg) < 1e-10
 
 
 def test_random_hyperkahler_properties(h2, rng):
@@ -300,10 +292,33 @@ def test_supported_bases_span_the_oracle_space(kind, size):
 def test_from_operator_matches_the_oracle(d, rng):
     P = d * (d - 1) // 2
     M = rng.standard_normal((P, P))
-    op = CurvatureOperator(EuclideanSpace.euclidean(d), M + M.T)
-    ours = from_operator(op, validate=False).array
-    ref = from_operator_naive(op.matrix, d)
+    ours = from_operator(EuclideanSpace.euclidean(d), M + M.T, validate=False).array
+    ref = from_operator_naive(M + M.T, d)
     assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+def test_from_operator_rejects_a_wrong_shape_and_a_non_symmetric_matrix(c2):
+    with pytest.raises(ValueError, match=r"^operator matrix has shape \(5, 5\), expected \(6, 6\)$"):
+        from_operator(c2, np.zeros((5, 5)))
+    M = np.zeros((6, 6))
+    M[0, 1] = 1.0
+    with pytest.raises(ValueError, match="^curvature operator must be symmetric$"):
+        from_operator(c2, M)
+
+
+def test_operator_is_built_once_and_read_only(c2, rng):
+    rm = random_kahler_curvature(c2, rng)
+    assert rm.operator is rm.operator
+    assert not rm.operator.flags.writeable
+    with pytest.raises(ValueError):
+        rm.operator[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        rm.operator = np.eye(6)
+    # an unvalidated tensor without the pair symmetries has no operator
+    arr = np.zeros((4, 4, 4, 4))
+    arr[0, 1, 0, 2] = 1.0
+    with pytest.raises(ValueError, match="^curvature operator must be symmetric$"):
+        AlgebraicCurvatureTensor(c2, arr, validate=False).operator
 
 
 @pytest.mark.parametrize("kind,size,dim", [("sp", 4, 330), ("u", 6, 441),
@@ -323,7 +338,7 @@ def test_supported_curvature_at_the_new_sizes(kind, size, dim, rng):
     # the forms the generator drew from
     assert len(forms) == dim
     assert bianchi_max(rm.array) < 1e-10
-    assert to_operator(rm).leakage(cached_algebra(space, kind)) < 1e-10
+    assert rm.leakage(cached_algebra(space, kind)) < 1e-10
 
 
 _BUILD = """

@@ -133,16 +133,6 @@ def test_sp_algebra_is_sp1_then_the_sp_m_rows(m):
         assert np.abs(M * np.sqrt(2 * m) - X).max() <= 1e-14
 
 
-def test_sp_needs_the_block_quaternionic_structure():
-    # the block triple conjugated by a swap of e_1 and e_5 is a valid
-    # quaternionic structure, but not the one the closed form is built for
-    P = np.eye(8)[[4, 1, 2, 3, 0, 5, 6, 7]]
-    I, J, K = (P @ A @ P.T for A in EuclideanSpace.quaternionic_space(2).quaternionic_structure)
-    space = EuclideanSpace(8, complex_structure=I, quaternionic_structure=(I, J, K))
-    with pytest.raises(ValueError, match="block quaternionic structure"):
-        build_algebra(space, "sp")
-
-
 def test_validate_rejects_a_basis_not_closed_under_brackets(c2):
     # u(2) with its first element replaced by e_1 ^ e_3, which is a unit
     # vector orthogonal to the other three

@@ -40,9 +40,21 @@ def test_space_structures_validate():
     # the complex structure of a quaternionic space is I
     assert np.allclose(h2.j_matrix(), I)
     with pytest.raises(ValueError):
-        EuclideanSpace(4, complex_structure=np.eye(4))
-    with pytest.raises(ValueError):
         EuclideanSpace(3)
+
+
+def test_space_kinds_hold_the_block_structures():
+    for space in (EuclideanSpace.complex_space(3), EuclideanSpace.quaternionic_space(2)):
+        J = space.j_matrix()
+        assert not J.flags.writeable
+        assert np.array_equal(J[1::2, ::2], np.eye(space.dim // 2))
+    h2 = EuclideanSpace.quaternionic_space(2)
+    assert h2.complex_structure is h2.quaternionic_structure[0]
+    assert EuclideanSpace.euclidean(4).complex_structure is None
+    with pytest.raises(ValueError, match="divisible by 4"):
+        EuclideanSpace(6, "quaternionic")
+    with pytest.raises(ValueError, match="unknown structure 'hyper'"):
+        EuclideanSpace(4, "hyper")
 
 
 def test_bivector_action_defining_formula(c2):

@@ -12,7 +12,6 @@ from bochner import (
     lichnerowicz_zero_order,
     quaternionic_projective_model,
     random_kahler_curvature,
-    to_operator,
     verify_eigenvalue_sum_bound,
     verify_weitzenbock_restriction,
     weitzenbock_ric,
@@ -126,7 +125,7 @@ def test_curvature_term_matches_naive_gram_contraction(c2, rng):
     rm = random_kahler_curvature(c2, rng)
     T = ComplexTensor.random(c2, 2, rng)
     term = curvature_term(rm, u, T)
-    gram = to_operator(rm).restricted_gram(u)
+    gram = rm.restricted_gram(u)
     slices = list(sharp(T, u).stack)
     expected = curvature_term_naive(gram, slices)
     assert term.gram_value == pytest.approx(expected.real, rel=1e-10)
@@ -272,6 +271,20 @@ def test_eigenvalue_sum_bound_argument_validation(c2):
         verify_eigenvalue_sum_bound(G, u, C=0.5, ell=1, kappa=0.0, tensors=[])
 
 
+def test_non_finite_arguments_are_rejected(c2, rng):
+    # an infinite slack passed every case, an infinite C overflowed in floor,
+    # and a NaN kappa or scale went through to a NaN result
+    u = cached_algebra(c2, "u")
+    for kwargs, name in (({"C": np.inf}, "C"), ({"kappa": np.nan}, "kappa"),
+                         ({"slack": np.inf}, "slack")):
+        args = {"C": 2.0, "ell": 1, "kappa": 0.0, "tensors": [], **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {args[name]}$"):
+            verify_eigenvalue_sum_bound(np.eye(4), u, **args)
+    rm = random_kahler_curvature(c2, rng)
+    with pytest.raises(ValueError, match="^c must be finite, got nan$"):
+        lichnerowicz_zero_order(rm, ComplexTensor.random(c2, 1, rng), np.nan)
+
+
 # ---------------------------------------------------------------------------
 # stratum lower bounds driven by the constants
 
@@ -294,7 +307,7 @@ def test_stratum_lower_bound_on_sampled_forms(c3, rng):
         C = float(stratum_constant(n, p, q, k).value)
         for _ in range(3):
             rm = random_kahler_curvature(c3, rng)
-            gram = to_operator(rm).restricted_gram(u)
+            gram = rm.restricted_gram(u)
             kappa, ell = _premise_kappa(gram, C)
             for _ in range(5):
                 phi = random_stratum_form(c3, p, q, k, rng)
@@ -313,7 +326,7 @@ def test_form_constant_lower_bound_grouped(c3, rng):
         C = float(form_constant(n, p, q).value)
         for _ in range(3):
             rm = random_kahler_curvature(c3, rng)
-            gram = to_operator(rm).restricted_gram(u)
+            gram = rm.restricted_gram(u)
             kappa, _ = _premise_kappa(gram, C)
             for _ in range(5):
                 phi = random_stratum_form(c3, p, q, 0, rng)
