@@ -58,47 +58,48 @@ def _space_for(args):
 
 @dataclass
 class VerificationReport:
-    """Outcome of one named suite: per-case lhs/rhs/deviation and a pass bit.
+    """Outcome of one named check: per-case lhs/rhs/deviation and a pass bit.
 
-    Serialization omits the wall time so that reports are byte-stable
-    for a fixed seed; the human summary on stderr carries it instead.
+    The only record of every check command, printed by `_finish`.  It omits
+    the wall time so that reports are byte-stable for a fixed seed.
     """
 
     suite: str
     seed: int
     tolerances: dict
     cases: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def add(self, case_id, lhs, rhs, tol_name):
-        tol = self.tolerances[tol_name]
-        lhs = float(lhs)
-        rhs = float(rhs)
+        lhs, rhs = float(lhs), float(rhs)
         deviation = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
         self.cases.append({
             "id": case_id,
             "lhs": lhs,
             "rhs": rhs,
             "deviation": deviation,
-            "pass": bool(deviation <= tol),
+            "pass": bool(deviation <= self.tolerances[tol_name]),
         })
 
     def add_bound(self, case_id, value, bound, tol_name):
         """Pass when value <= bound + tol (one-sided check)."""
-        tol = self.tolerances[tol_name]
-        value = float(value)
-        bound = float(bound)
+        self.add_decided(case_id, value, bound,
+                         float(value) <= float(bound) + self.tolerances[tol_name])
+
+    def add_decided(self, case_id, value, bound, passed):
+        """A one-sided case value <= bound whose pass bit the library decided."""
+        value, bound = float(value), float(bound)
         self.cases.append({
             "id": case_id,
             "lhs": value,
             "rhs": bound,
             "deviation": max(0.0, value - bound),
-            "pass": bool(value <= bound + tol),
+            "pass": bool(passed),
         })
 
     @property
     def ok(self):
-        return all(c["pass"] for c in self.cases)
+        """An empty report checked nothing, so it does not pass."""
+        return bool(self.cases) and all(c["pass"] for c in self.cases)
 
     def to_json(self):
         return {
@@ -108,6 +109,19 @@ class VerificationReport:
             "cases": self.cases,
             "all_pass": self.ok,
         }
+
+
+def _finish(rep, t0):
+    """Print a report and its stderr summary; the exit code of every check."""
+    wall_time = time.perf_counter() - t0
+    _emit(rep.to_json())
+    _note(f"[{rep.suite}] {len(rep.cases)} cases, {'pass' if rep.ok else 'FAIL'}, {wall_time:.2f}s")
+    if not rep.cases:
+        _note(f"[{rep.suite}] no case was checked")
+    elif not rep.ok:
+        worst = max((c for c in rep.cases if not c["pass"]), key=lambda c: c["deviation"])
+        _note(f"[{rep.suite}] worst case: {worst['id']} deviation {worst['deviation']:.3e}")
+    return 0 if rep.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +193,16 @@ def _pq_configurations(max_n=3):
     return out
 
 
+def _prop27_cases(rep, prefix, forms):
+    """Sharp-norm coefficient cases over (name, form, exact) triples: equality
+    where `exact`, an upper bound elsewhere; vacuous forms are skipped."""
+    for name, f, exact in forms:
+        r = fms.sharp_norm_coefficient_check(f)
+        if not r["vacuous"]:
+            add = rep.add if exact else rep.add_bound
+            add(f"{prefix}{name}", r["sharp_norm2"], r["coefficient_times_circ"], "identity")
+
+
 def _suite_prop27(seed, samples, tol):
     """Sharp-norm coefficient identity on its exact domain: forms of the
     stratum Omega^k ^ primitive (p-k, q-k)."""
@@ -187,15 +211,10 @@ def _suite_prop27(seed, samples, tol):
     for (n, p, q, k) in _pq_configurations():
         space = EuclideanSpace.complex_space(n)
         basis = fms.stratum_basis(space, p, q, k)
-        forms = [(f"basis{i:02d}", f) for i, f in enumerate(basis)]
-        for s in range(samples):
-            forms.append((f"random{s:02d}", fms.random_stratum_form(space, p, q, k, rng)))
-        for name, f in forms:
-            r = fms.sharp_norm_coefficient_check(f)
-            if r["vacuous"]:
-                continue
-            rep.add(f"prop27/n{n}p{p}q{q}k{k}/{name}", r["sharp_norm2"],
-                    r["coefficient_times_circ"], "identity")
+        forms = [(f"basis{i:02d}", f, True) for i, f in enumerate(basis)]
+        forms += [(f"random{s:02d}", fms.random_stratum_form(space, p, q, k, rng), True)
+                  for s in range(samples)]
+        _prop27_cases(rep, f"prop27/n{n}p{p}q{q}k{k}/", forms)
     return rep
 
 
@@ -204,17 +223,31 @@ def _random_prop28_form(space, p, q, k, rng):
     return fms.random_stratum_form(space, p, q, k, rng) if k else fms.random_pq_form(space, p, q, rng)
 
 
+def _prop28_cases(rep, prefix, space, p, q, k, samples, rng):
+    """Action-bound cases max_ratio <= 1 on random forms; vacuous ones are skipped."""
+    for s in range(samples):
+        r = fms.action_bound_check(_random_prop28_form(space, p, q, k, rng))
+        if not r["vacuous"]:
+            rep.add_bound(f"{prefix}sample{s:03d}", r["max_ratio"], 1.0, "bound")
+
+
 def _suite_prop28(seed, samples, tol):
     rep = VerificationReport("prop28", seed, {"bound": 1e-9 if tol is None else tol})
     rng = np.random.default_rng(seed)
     for (n, p, q, k) in _pq_configurations():
-        space = EuclideanSpace.complex_space(n)
-        for s in range(samples):
-            r = fms.action_bound_check(_random_prop28_form(space, p, q, k, rng))
-            if r["vacuous"]:
-                continue
-            rep.add_bound(f"prop28/n{n}p{p}q{q}k{k}/sample{s:03d}", r["max_ratio"], 1.0, "bound")
+        _prop28_cases(rep, f"prop28/n{n}p{p}q{q}k{k}/", EuclideanSpace.complex_space(n),
+                      p, q, k, samples, rng)
     return rep
+
+
+def _lemma26_cases(rep, prefix, gram, algebra, C, ell, kappa, tensors):
+    """Record the library's Lemma 2.6 cases as bound <= term, with its pass
+    bits at slack tolerances["bound"]; returns the library's result."""
+    r = wb.verify_eigenvalue_sum_bound(gram, algebra, C, ell, kappa, tensors,
+                                       slack=rep.tolerances["bound"])
+    for case in r["cases"]:
+        rep.add_decided(f"{prefix}sample{case['id']:03d}", case["rhs"], case["lhs"], case["pass"])
+    return r
 
 
 def _suite_lemma26(seed, samples, tol):
@@ -237,10 +270,8 @@ def _suite_lemma26(seed, samples, tol):
             if premise < kappa * (ell + 1):
                 continue
             tensors = [fms.random_pq_form(space, 1, 0, rng).tensor for _ in range(samples)]
-            r = wb.verify_eigenvalue_sum_bound(G, algebra, C, ell, kappa, tensors)
-            for case in r["cases"]:
-                rep.add_bound(f"lemma26/op{operators}/ell{ell}/sample{case['id']:03d}",
-                              case["rhs"], case["lhs"], "bound")
+            _lemma26_cases(rep, f"lemma26/op{operators}/ell{ell}/", G, algebra, C, ell, kappa,
+                           tensors)
             operators += 1
             break
     return rep
@@ -317,15 +348,7 @@ def cmd_verify(args):
         fn, default_samples = _SUITES[name]
         samples = args.samples if args.samples is not None else default_samples
         t0 = time.perf_counter()
-        rep = fn(args.seed, samples, args.tol)
-        rep.wall_time = time.perf_counter() - t0
-        _emit(rep.to_json())
-        status = "pass" if rep.ok else "FAIL"
-        _note(f"[{name}] {len(rep.cases)} cases, {status}, {rep.wall_time:.2f}s")
-        if not rep.ok:
-            exit_code = 1
-            worst = max(rep.cases, key=lambda c: c["deviation"])
-            _note(f"[{name}] worst case: {worst['id']} deviation {worst['deviation']:.3e}")
+        exit_code |= _finish(fn(args.seed, samples, args.tol), t0)
     return exit_code
 
 
@@ -447,24 +470,24 @@ def cmd_weitz(args):
         })
         return 0
     # action == "verify"
+    t0 = time.perf_counter()
     algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-8
     if args.target == "prop24":
-        cases = [{"id": case_id, "lhs": r["lhs"], "rhs": r["rhs"], "deviation": r["deviation"],
-                  "pass": r["deviation"] <= tol}
-                 for case_id, r in _prop24_cases(rm, algebra, args.samples, rng)]
-        ok = all(c["pass"] for c in cases)
-        _emit({"check": "prop24", "seed": args.seed, "cases": cases, "all_pass": ok})
-        return 0 if ok else 1
+        rep = VerificationReport("prop24", args.seed, {"identity": tol})
+        for case_id, r in _prop24_cases(rm, algebra, args.samples, rng):
+            rep.add(case_id, r["lhs"], r["rhs"], "identity")
+        return _finish(rep, t0)
     # target == "lemma26"
+    rep = VerificationReport("lemma26", args.seed, {"bound": tol})
     tensors = [ComplexTensor.random(rm.space, args.rank, rng) for _ in range(args.samples)]
-    r = wb.verify_eigenvalue_sum_bound(rm, algebra, args.C, args.ell, args.kappa,
-                                       tensors, slack=tol)
-    r["check"] = "lemma26"
-    r["seed"] = args.seed
-    _emit(r)
-    return 0 if r["all_pass"] else 1
+    r = _lemma26_cases(rep, "", rm.restricted_gram(algebra), algebra, args.C, args.ell,
+                       args.kappa, tensors)
+    holds = "holds" if r["premise_holds"] else "fails"
+    _note(f"[lemma26] premise {r['premise_value']:.6g} ({holds}), {r['admitted']} admitted, "
+          f"{r['rejected']} rejected")
+    return _finish(rep, t0)
 
 
 def cmd_forms(args):
@@ -472,39 +495,23 @@ def cmd_forms(args):
     if args.samples < least:
         raise ValueError(f"forms {args.what} --samples must be at least {least}, got {args.samples}")
     crit.check_stratum(args.p, args.q, args.k)
+    t0 = time.perf_counter()
     space = EuclideanSpace.complex_space(args.n)
     rng = np.random.default_rng(args.seed)
-    if args.what == "check-prop27":
-        reports = []
-        p, q, k = args.p, args.q, args.k
-        basis1 = fms.build_pq_basis(space, p - k, 0)
-        basis2 = fms.build_pq_basis(space, 0, q - k)
-        for i1, psi1 in enumerate(basis1):
-            for i2, psi2 in enumerate(basis2):
-                f = fms.construct_Vpqk(psi1, psi2, k)
-                r = fms.sharp_norm_coefficient_check(f)
-                r["id"] = f"product{i1:02d}x{i2:02d}"
-                reports.append(r)
-        for s in range(args.samples):
-            f = fms.random_stratum_form(space, p, q, k, rng)
-            r = fms.sharp_norm_coefficient_check(f)
-            r["id"] = f"stratum-random{s:02d}"
-            reports.append(r)
-        _emit({"check": "prop27", "n": args.n, "p": p, "q": q, "k": k,
-               "seed": args.seed, "cases": reports})
-        worst = max((r["relative_deviation"] for r in reports if not r["vacuous"]), default=0.0)
-        _note(f"coefficient check: {len(reports)} forms, worst relative deviation {worst:.3e} "
-              "(products mixing wedge strata deviate by design; stratum forms are exact)")
-        return 0
-    # what == "check-prop28"
-    reports = [fms.action_bound_check(_random_prop28_form(space, args.p, args.q, args.k, rng))
-               for _ in range(args.samples)]
-    worst = max((r["max_ratio"] for r in reports), default=0.0)
-    vacuous = all(r["vacuous"] for r in reports)
-    _emit({"check": "prop28", "n": args.n, "p": args.p, "q": args.q, "k": args.k,
-           "seed": args.seed, "samples": args.samples, "max_ratio": worst,
-           "vacuous": vacuous})
-    return 0 if vacuous or worst <= 1.0 + 1e-9 else 1
+    p, q, k = args.p, args.q, args.k
+    if args.what == "check-prop28":
+        rep = VerificationReport("prop28", args.seed, {"bound": 1e-9})
+        _prop28_cases(rep, "", space, p, q, k, args.samples, rng)
+        return _finish(rep, t0)
+    # what == "check-prop27": products mix wedge strata, so they are upper-bound cases
+    rep = VerificationReport("prop27", args.seed, {"identity": 1e-8})
+    forms = [(f"product{i1:02d}x{i2:02d}", fms.construct_Vpqk(psi1, psi2, k), False)
+             for i1, psi1 in enumerate(fms.build_pq_basis(space, p - k, 0))
+             for i2, psi2 in enumerate(fms.build_pq_basis(space, 0, q - k))]
+    forms += [(f"stratum-random{s:02d}", fms.random_stratum_form(space, p, q, k, rng), True)
+              for s in range(args.samples)]
+    _prop27_cases(rep, "", forms)
+    return _finish(rep, t0)
 
 
 def _finite_number(x):

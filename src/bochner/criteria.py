@@ -21,6 +21,7 @@ as user-asserted and are not verified here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -69,6 +70,12 @@ def _require_finite(**values):
     for name, x in values.items():
         if not isinstance(x, (int, Fraction)) and not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
+
+
+def _require_dimension(name, x):
+    """Raise ValueError unless the dimension x (n or m) is an integer of at least 1."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {x}")
 
 
 def check_stratum(p, q, k):
@@ -166,6 +173,8 @@ def weighted_partial_sum(spectrum, count, weight=Fraction(0)):
     accessed when its weight is nonzero, so a spectrum of length exactly
     `count` is admissible for integer counts.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     spectrum = list(spectrum)
     if any(spectrum[i] > spectrum[i + 1] + 1e-12 for i in range(len(spectrum) - 1)):
         raise ValueError("spectrum must be ascending")
@@ -238,7 +247,7 @@ _GLOBAL_HYPOTHESES = ("completeness, finite L^Q norm and, for weighted bounds, t
                       "space are user-asserted and not verified here")
 
 
-def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None, lq_finite=True):
+def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
     """Eigenvalue condition for harmonic (p, q)-forms.
 
     With kappa = 0: weighted sum S >= 0 concludes parallel, S > 0
@@ -250,6 +259,7 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None, lq_finite=True)
     notes record.  A type outside 0 <= p, q <= n, p + q >= 1 raises
     ValueError.
     """
+    _require_dimension("n", n)
     if not (0 <= p <= n and 0 <= q <= n) or p + q < 1:
         raise ValueError(f"form type ({p}, {q}) out of range for n = {n}")
     _require_finite(kappa=kappa, rho=rho, Q=Q)
@@ -277,7 +287,7 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None, lq_finite=True)
     notes.append(_GLOBAL_HYPOTHESES)
     notes.append("threshold constant follows the grouped reading (n + 2 - |p - q|) (p + q)")
     if kappa == 0.0:
-        if S > 0 and lq_finite:
+        if S > 0:
             concl = "vanishing"
         elif S >= 0:
             concl = "parallel"
@@ -316,6 +326,7 @@ def _parity_sum_check(spectrum, n_or_m, parity_coeff, k, rho, Q, kappa_bound_val
 
 def _kahler_parity_sum_check(spectrum, n, k, rho, Q, theorem_id, conclusion, notes):
     """The parity sum on n^2 eigenvalues with admissibility k < (Q - 1) / Q^2."""
+    _require_dimension("n", n)
     if len(spectrum) != n * n:
         raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
     _require_finite(k=k, rho=rho, Q=Q)
@@ -352,6 +363,7 @@ def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
     against -k rho, with admissibility k < (Q - 1) / Q.  For k = 0 the
     scalar-flatness assertion is not needed and the notes say so.
     """
+    _require_dimension("m", m)
     expected = m * (2 * m + 1) + 3
     if len(spectrum) != expected:
         raise ValueError(f"spectrum length {len(spectrum)} differs from m(2m+1)+3 = {expected}")
@@ -372,12 +384,15 @@ def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
 
 
 def check_lq_nonneg(spectrum, n):
-    """Partial-sum nonnegativity: mu_1 + ... + mu_ceil(n/2) >= 0.
+    """Partial-sum nonnegativity on n^2 eigenvalues: mu_1 + ... + mu_ceil(n/2) >= 0.
 
     A passing verdict concludes parallel (vanishing under the finite
     L^Q assertion); the reduced-cohomology consequence is trivial in odd
     degrees, which the notes record.
     """
+    _require_dimension("n", n)
+    if len(spectrum) != n * n:
+        raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
     count = math.ceil(n / 2)
     S = weighted_partial_sum(spectrum, count)
     notes = [_GLOBAL_HYPOTHESES,

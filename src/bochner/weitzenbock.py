@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _require_finite, weighted_partial_sum
-from .curvature import AlgebraicCurvatureTensor, _refuse_leak, ricci
+from .curvature import _refuse_leak, ricci
 from .holonomy import sharp
 from .tensors import ComplexTensor, hermitian_inner
 
@@ -157,29 +157,26 @@ def verify_weitzenbock_restriction(rm_tensor, algebra, tensors):
     return reports
 
 
-def verify_eigenvalue_sum_bound(rm_or_gram, algebra, C, ell, kappa, tensors, slack=1e-10):
+def verify_eigenvalue_sum_bound(gram, algebra, C, ell, kappa, tensors, slack=1e-10):
     """Check the eigenvalue partial-sum lower bound on admitted tensors.
 
-    `rm_or_gram` is a curvature tensor or, as an array, the Gram
-    restriction [g(R Xi_a, Xi_b)] of its operator to the algebra.
-
+    `gram` is the Gram restriction [g(R Xi_a, Xi_b)] of a curvature
+    operator to the algebra (`AlgebraicCurvatureTensor.restricted_gram`).
     Hypothesis: |L T|^2 <= (1/C) |T^g|^2 |L|^2 for all L in the algebra,
     tested exactly through the supremum over unit L
     (`SharpDecomposition.max_action_norm2`); tensors violating it are
-    rejected rather than rescaled.  Conclusion checked on every admitted
-    tensor:
+    rejected rather than rescaled.  The one Lemma 2.6 rule: when the premise
+    mu_1 + ... + mu_ell + (C - ell) mu_{ell+1} >= kappa (ell + 1) holds,
+    each admitted tensor is a case that passes when
 
-    * if mu_1 + ... + mu_ell + (C - ell) mu_{ell+1} >= kappa (ell + 1)
-      then g(R(T^g), conj T^g) >= kappa (ell + 1) / C |T^g|^2,
-    * strict positivity when the premise is strict and T^g != 0.
+    * g(R(T^g), conj T^g) >= kappa (ell + 1) / C |T^g|^2 - slack (absolute), and
+    * g(R(T^g), conj T^g) > 0 when the premise is strict (positive).
 
-    C, kappa and slack must be finite.
+    When the premise fails no case is compared; `all_pass` needs a compared
+    case.  C, kappa and slack must be finite.
     """
     _require_finite(C=C, kappa=kappa, slack=slack)
-    if isinstance(rm_or_gram, AlgebraicCurvatureTensor):
-        gram = rm_or_gram.restricted_gram(algebra)
-    else:
-        gram = np.asarray(rm_or_gram, dtype=float)
+    gram = np.asarray(gram, dtype=float)
     if C < 1:
         raise ValueError("C must be at least 1")
     ell = int(ell)
@@ -193,7 +190,6 @@ def verify_eigenvalue_sum_bound(rm_or_gram, algebra, C, ell, kappa, tensors, sla
     strict_premise = premise_value > 0
     cases = []
     admitted = rejected = 0
-    all_pass = True
     for idx, T in enumerate(tensors):
         sh = sharp(T, algebra)
         tg2 = sh.norm2()
@@ -205,14 +201,11 @@ def verify_eigenvalue_sum_bound(rm_or_gram, algebra, C, ell, kappa, tensors, sla
             rejected += 1
             continue
         admitted += 1
+        if not premise:
+            continue
         term = float(np.sum(gram * sh.pairings()).real)
         bound = kappa * (ell + 1) / C * tg2
-        ok = True
-        if premise:
-            ok = term >= bound - slack * max(1.0, abs(bound))
-        if strict_premise:
-            ok = ok and (term > 0.0)
-        all_pass = all_pass and ok
+        ok = term >= bound - slack and (term > 0.0 or not strict_premise)
         cases.append({"id": idx, "lhs": term, "rhs": bound, "pass": bool(ok),
                       "measured_ratio": ratio})
     return {
@@ -222,5 +215,5 @@ def verify_eigenvalue_sum_bound(rm_or_gram, algebra, C, ell, kappa, tensors, sla
         "admitted": admitted,
         "rejected": rejected,
         "cases": cases,
-        "all_pass": bool(all_pass),
+        "all_pass": bool(cases) and all(c["pass"] for c in cases),
     }

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,13 +137,18 @@ def test_weitz_verify_prop24(tmp_path, capsys):
     assert len(rep["cases"]) == 9
 
 
+def _relative_deviations(rep):
+    """|lhs - rhs| / max(|lhs|, |rhs|) of each case of a report."""
+    return [abs(c["lhs"] - c["rhs"]) / max(abs(c["lhs"]), abs(c["rhs"]), 1e-300)
+            for c in rep["cases"]]
+
+
 def test_forms_check_prop27(capsys):
     code, out, err = run_cli(capsys, "forms", "check-prop27", "--n", "2", "--p", "1",
                              "--q", "0", "--k", "0", "--samples", "5", "--seed", "3")
     assert code == 0
     rep = json.loads(out)
-    devs = [c["relative_deviation"] for c in rep["cases"] if not c["vacuous"]]
-    assert max(devs) < 1e-9
+    assert max(_relative_deviations(rep)) < 1e-9
 
 
 def test_forms_check_prop28(capsys):
@@ -150,7 +156,7 @@ def test_forms_check_prop28(capsys):
                            "--q", "1", "--k", "0", "--samples", "40", "--seed", "3")
     assert code == 0
     rep = json.loads(out)
-    assert rep["max_ratio"] <= 1.0 + 1e-9
+    assert max(c["lhs"] for c in rep["cases"]) <= 1.0 + 1e-9
 
 
 def test_check_pq_chsc_vanishing(capsys):
@@ -254,12 +260,12 @@ def test_check_error_exit(tmp_path, capsys):
 def test_weitz_verify_lemma26(tmp_path, capsys):
     mpath = tmp_path / "m.json"
     run_cli(capsys, "model", "chsc", "--n", "2", "--c", "4", "-o", str(mpath))
-    code, out, _ = run_cli(capsys, "weitz", "verify", "lemma26", "-i", str(mpath),
-                           "--algebra", "u", "--C", "2", "--ell", "1", "--kappa", "-1",
-                           "--rank", "2", "--samples", "10")
+    code, out, err = run_cli(capsys, "weitz", "verify", "lemma26", "-i", str(mpath),
+                             "--algebra", "u", "--C", "2", "--ell", "1", "--kappa", "-1",
+                             "--rank", "2", "--samples", "10")
     assert code == 0
     rep = json.loads(out)
-    assert rep["premise_holds"]
+    assert "(holds)" in err and rep["cases"]
     assert rep["all_pass"]
 
 
@@ -298,8 +304,7 @@ def test_forms_check_prop27_with_stratum(capsys):
                            "--q", "1", "--k", "1", "--samples", "4", "--seed", "5")
     assert code == 0
     rep = json.loads(out)
-    devs = [c["relative_deviation"] for c in rep["cases"] if not c["vacuous"]]
-    assert max(devs) < 1e-8  # single-stratum configuration, exact everywhere
+    assert max(_relative_deviations(rep)) < 1e-8  # single-stratum configuration, exact everywhere
 
 
 def test_algebra_export(tmp_path, capsys):
@@ -422,6 +427,15 @@ def test_verify_suites_pass(capsys):
     (["verify", "lemma26", "--tol", "inf"], "tol must be finite, got inf"),
     (["weitz", "verify", "lemma26", "-i", "chsc.json", "--rank", "0"],
      "--rank must be at least 1"),
+    (["check", "lq", "--n", "-2", "--spectrum", "four.json"], "n must be an integer of at least 1"),
+    (["check", "lq", "--n", "2", "--spectrum", "one.json"], "differs from n^2 = 4"),
+    (["check", "lq", "--n", "3", "--spectrum", "four.json"], "differs from n^2 = 9"),
+    (["check", "quaternion", "--m", "0", "--spectrum", "three.json"],
+     "m must be an integer of at least 1, got 0"),
+    (["check", "bochner", "--n", "-1", "--spectrum", "one.json"],
+     "n must be an integer of at least 1, got -1"),
+    (["check", "quaternion", "--m", "-1", "--spectrum", "four.json"],
+     "m must be an integer of at least 1, got -1"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, non-finite weights, models that leak off the algebra
@@ -431,6 +445,8 @@ def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, m
     run_cli(capsys, "model", "chsc", "--n", "2", "-o", "chsc.json")
     (tmp_path / "t.json").write_text(json.dumps(
         {"dim": 4, "rank": 1, "j_convention": "block", "components": [[1.0, 0.0]] * 4}))
+    for name, values in (("one", [5]), ("three", [1, 2, 3]), ("four", [-1, 2, 3, 4])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(values))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -599,3 +615,103 @@ def test_cli_json_is_indent_2_sorted_with_a_newline(tmp_path, capsys):
         assert out == _canonical(out), argv
         if save:
             save.write_text(out)
+
+
+# ---------------------------------------------------------------------------
+# one report for every check command
+
+
+def _kahler_file(path, seed=5):
+    import bochner
+
+    space = bochner.EuclideanSpace.complex_space(3)
+    rm = bochner.random_kahler_curvature(space, np.random.default_rng(seed))
+    bochner.save_curvature(rm, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [[], ["--C", "1e300"]], ids=["premise-fails", "none-admitted"])
+def test_weitz_verify_lemma26_without_compared_cases_fails(tmp_path, capsys, extra):
+    # a failing premise compares nothing, and a huge C rejects every tensor:
+    # neither is a pass
+    path = _kahler_file(tmp_path / "k.json")
+    code, out, err = run_cli(capsys, "weitz", "verify", "lemma26", "-i", path, *extra)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["cases"] == [] and rep["all_pass"] is False
+    assert "no case was checked" in err
+
+
+@pytest.mark.parametrize("what", ["check-prop27", "check-prop28"])
+def test_forms_check_on_a_vacuous_stratum_fails(capsys, what):
+    # p + q - 2k = 0 leaves every form vacuous
+    code, out, err = run_cli(capsys, "forms", what, "--n", "2", "--p", "1", "--q", "1",
+                             "--k", "1", "--samples", "3")
+    assert code == 1
+    assert json.loads(out)["cases"] == []
+    assert "no case was checked" in err
+
+
+def test_forms_check_prop27_fails_on_a_wrong_coefficient(monkeypatch, capsys):
+    from bochner import forms
+
+    exact = forms.sharp_coefficient
+    monkeypatch.setattr(forms, "sharp_coefficient", lambda *a: exact(*a) + 1)
+    code, out, _ = run_cli(capsys, "forms", "check-prop27", "--n", "3", "--p", "2", "--q", "1",
+                           "--samples", "2")
+    assert code == 1
+    cases = json.loads(out)["cases"]
+    # the products stay below the raised bound; the stratum forms miss the equality
+    assert all(c["pass"] == c["id"].startswith("product") for c in cases)
+
+
+def _check_commands(tmp_path, capsys):
+    run_cli(capsys, "model", "chsc", "--n", "2", "--c", "4", "-o", str(tmp_path / "m.json"))
+    m = str(tmp_path / "m.json")
+    return {
+        "weitz-prop24": ["weitz", "verify", "prop24", "-i", m, "--samples", "1"],
+        "weitz-lemma26": ["weitz", "verify", "lemma26", "-i", m, "--kappa", "-1", "--samples", "2"],
+        "check-prop27": ["forms", "check-prop27", "--n", "2", "--p", "1", "--q", "0",
+                         "--samples", "1"],
+        "check-prop28": ["forms", "check-prop28", "--n", "2", "--p", "1", "--q", "0",
+                         "--samples", "1"],
+    }
+
+
+_CHECKS = ["weitz-prop24", "weitz-lemma26", "check-prop27", "check-prop28"]
+
+
+@pytest.mark.parametrize("name", _CHECKS)
+def test_check_commands_print_one_report(tmp_path, capsys, name):
+    argv = _check_commands(tmp_path, capsys)[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, reference, _ = run_cli(capsys, "verify", "prop24", "--samples", "1")
+    assert set(json.loads(out)) == set(json.loads(reference)) == {
+        "suite", "seed", "tolerances", "cases", "all_pass"}
+
+
+# the per-suite timing pattern of the benchmark harness, copied literally
+SUITE_LINE = re.compile(r"^\[([\w-]+)\] \d+ cases, \w+, ([0-9.]+)s$", re.M)
+
+
+@pytest.mark.parametrize("name", _CHECKS)
+def test_check_command_summaries_match_the_suite_line(tmp_path, capsys, name):
+    argv = _check_commands(tmp_path, capsys)[name]
+    _, _, err = run_cli(capsys, *argv)
+    _, _, verify_err = run_cli(capsys, "verify", "prop24", "--samples", "1")
+    suite = name.split("-")[-1]
+    assert [s for s, _ in SUITE_LINE.findall(err)] == [suite]
+    assert [s for s, _ in SUITE_LINE.findall(verify_err)] == ["prop24"]
+
+
+def test_finish_names_the_worst_failing_case(capsys):
+    # with two tolerances the largest deviation can belong to a passing case
+    from bochner.cli import VerificationReport, _finish
+
+    rep = VerificationReport("mixed", 0, {"loose": 1.0, "tight": 1e-3})
+    rep.add_bound("loose-case", 0.5, 0.0, "loose")
+    rep.add_bound("tight-case", 0.01, 0.0, "tight")
+    assert _finish(rep, 0.0) == 1
+    err = capsys.readouterr().err
+    assert "[mixed] worst case: tight-case deviation 1.000e-02" in err

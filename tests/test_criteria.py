@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -377,3 +378,23 @@ def test_serre_stratum_shifts_k_with_the_type():
     # check_pq remaps through it, with the same message
     with pytest.raises(ValueError, match=empty):
         check_pq([1.0] * 9, 3, 2, 2, k=0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: criteria.check_lq_nonneg([-1.0, 2.0, 3.0, 4.0], -2), "n must be an integer"),
+    (lambda: criteria.check_lq_nonneg([5.0], 2), "differs from n^2 = 4"),
+    (lambda: criteria.check_lq_nonneg([-1.0, 2.0, 3.0, 4.0], 3), "differs from n^2 = 9"),
+    (lambda: criteria.check_quaternion([1.0, 2.0, 3.0], 0), "m must be an integer"),
+    (lambda: criteria.check_quaternion([-1.0, 2.0, 3.0, 4.0], -1), "m must be an integer"),
+    (lambda: criteria.check_bochner([5.0], -1), "n must be an integer"),
+    (lambda: criteria.check_einstein_flat([0.0] * 4, 2.0), "n must be an integer"),
+    (lambda: criteria.check_pq([0.0], True, 1, 0), "n must be an integer"),
+    (lambda: criteria.weighted_partial_sum([1.0, 2.0], -1), "count must be nonnegative"),
+], ids=["lq-negative-n", "lq-short", "lq-n3-four-values", "quaternion-m0",
+        "quaternion-negative-m", "bochner-negative-n", "einstein-float-n", "pq-bool-n",
+        "negative-count"])
+def test_checkers_reject_bad_dimensions(call, message):
+    # each of these printed a verdict from too few values, or a TypeError
+    # traceback from (-1) ** -1 inside Fraction
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -207,7 +207,8 @@ def test_eigenvalue_sum_bound_chsc_one_zero_forms(c2, rng):
     u = cached_algebra(c2, "u")
     rm = chsc_model(c2, 4.0)
     tensors = [random_pq_form(c2, 1, 0, rng).tensor for _ in range(20)]
-    r = verify_eigenvalue_sum_bound(rm, u, C=2.0, ell=2, kappa=-1.0, tensors=tensors)
+    r = verify_eigenvalue_sum_bound(rm.restricted_gram(u), u, C=2.0, ell=2, kappa=-1.0,
+                                    tensors=tensors)
     assert r["premise_holds"] and r["strict_premise"]
     assert r["admitted"] == 20
     assert r["all_pass"]
