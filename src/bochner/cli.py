@@ -13,6 +13,7 @@ default PCG64 generator; reports embed the seed they were run with.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -416,14 +417,15 @@ def cmd_decompose(args):
         _note(f"kahler split: scal {dec.scal:.6g}, bochner traces {t1:.2e} / {t2:.2e}")
     else:
         dec = curv.quaternion_decompose(rm)
+        residual = dec.ricci_residual()
         _emit({
             "hp_coefficient": dec.hp_coefficient,
             "leakage": dec.leakage,
-            "ricci_residual": dec.ricci_residual(),
+            "ricci_residual": residual,
             "r0": curv.curvature_to_json(dec.r0),
         })
         _note(f"quaternion split: coefficient {dec.hp_coefficient:.6g}, "
-              f"ricci residual {dec.ricci_residual():.2e}")
+              f"ricci residual {residual:.2e}")
     return 0
 
 
@@ -457,9 +459,15 @@ def cmd_weitz(args):
         else:
             _emit(tensor_to_json(out))
         return 0
+    t0 = time.perf_counter()
+    algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
+    if args.action == "term" or args.target == "lemma26":
+        # the curvature term and Lemma 2.6 read only the Gram restriction,
+        # which stands for the operator only when nothing leaks off the
+        # algebra; prop24 refuses a leak inside the library
+        curv._refuse_leak("operator", rm.leakage(algebra), float(np.abs(rm.operator).max()))
     if args.action == "term":
         T = load_tensor(args.tensor, space=rm.space)
-        algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
         term = wb.curvature_term(rm, algebra, T)
         _emit({
             "value": term.value,
@@ -470,8 +478,6 @@ def cmd_weitz(args):
         })
         return 0
     # action == "verify"
-    t0 = time.perf_counter()
-    algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
     rng = np.random.default_rng(args.seed)
     tol = args.tol if args.tol is not None else 1e-8
     if args.target == "prop24":
@@ -590,7 +596,10 @@ def cmd_check(args):
 # parser
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The CLI parser, built once per process: parse_args keeps no state
+    between calls, so `main` reuses it."""
     ap = argparse.ArgumentParser(prog="bochner",
                                  description="Pointwise curvature algebra and eigenvalue "
                                              "vanishing criteria")

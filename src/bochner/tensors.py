@@ -507,6 +507,24 @@ class _Unusual(Exception):
     """A value that `_dumps` leaves to `json.dumps`."""
 
 
+def _float_rows(rows, inner):
+    """The list body of an (N, 1) float array as bare floats, or of an
+    (N, 2) one as [re, im] pairs, at the indent level whose newline string
+    is inner.  Each distinct bit pattern is turned into text once, so 0.0
+    and -0.0 stay apart, and the text is joined in one pass."""
+    n, w = rows.shape
+    bits, where = np.unique(rows.reshape(-1).view(np.int64), return_inverse=True)
+    texts = np.array([float.__repr__(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    if any("n" in text for text in texts):  # nan, inf, -inf
+        raise _Unusual
+    head, mid, tail = ("", "", "") if w == 1 else ("[" + inner + "  ", "," + inner + "  ", inner + "]")
+    parts = np.empty((n, w, 2), dtype=object)
+    parts[..., 0] = texts[where.reshape(n, w)]
+    parts[:, :-1, 1] = mid
+    parts[:, -1, 1] = tail + "," + inner + head
+    return head + "".join(parts.reshape(-1)[:-1].tolist()) + tail
+
+
 def _encode(obj, nl):
     """JSON text of obj at the indent level whose newline string is nl."""
     t = type(obj)
@@ -529,18 +547,15 @@ def _encode(obj, nl):
     if t is list:
         if not obj:
             return "[]"
+        flat, width = obj, 1
         kinds = set(map(type, obj))
+        if kinds == {list} and set(map(len, obj)) == {2}:
+            flat, width = [*itertools.chain.from_iterable(obj)], 2
+            kinds = set(map(type, flat))
         if kinds == {float}:
-            body = ("," + inner).join(map(float.__repr__, obj))
-        elif (kinds == {list} and set(map(len, obj)) == {2}
-              and set(map(type, itertools.chain.from_iterable(obj))) == {float}):
-            it = map(float.__repr__, itertools.chain.from_iterable(obj))
-            pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-            body = ("," + inner).join(map(pair.__mod__, zip(it, it)))
+            body = _float_rows(np.fromiter(flat, float, len(flat)).reshape(-1, width), inner)
         else:
-            return "[" + inner + ("," + inner).join([_encode(x, inner) for x in obj]) + nl + "]"
-        if "n" in body:
-            raise _Unusual
+            body = ("," + inner).join([_encode(x, inner) for x in obj])
         return "[" + inner + body + nl + "]"
     if t is dict:
         if not obj:
@@ -557,11 +572,12 @@ def _dumps(obj):
     """Exactly json.dumps(obj, indent=2, sort_keys=True).
 
     With an indent the json module gives up its C encoder.  Here lists of
-    floats and lists of [re, im] float pairs are joined in C (float repr,
-    str.join); str, int, bool, None, dicts and other lists take a short
-    recursive path.  Anything else (NaN and infinities, non-str keys,
-    tuples, numpy scalars, subclasses) hands the whole document to
-    json.dumps.
+    floats and lists of [re, im] float pairs take `_float_rows`, which
+    computes one float repr per distinct bit pattern (curvature files
+    repeat their entries heavily) and joins the text once; str, int, bool,
+    None, dicts and other lists take a short recursive path.  Anything else
+    (NaN and infinities, non-str keys, tuples, numpy scalars, subclasses)
+    hands the whole document to json.dumps.
     """
     try:
         return _encode(obj, "\n")

@@ -579,6 +579,25 @@ def test_every_support_guard_applies_one_leak_rule(tmp_path, capsys, rng, kind, 
             assert code in ((0, 2) if name == "check" else (0,)) and "error" not in err, (name, err)
 
 
+@pytest.mark.parametrize("argv", [["verify", "lemma26", "--kappa", "-1", "--samples", "4"],
+                                  ["term", "--algebra", "u"]], ids=["lemma26", "term"])
+def test_weitz_commands_on_the_gram_restriction_refuse_a_leak(tmp_path, capsys, argv):
+    # a generic so(4) perturbation of a positive Kahler model leaks off u(2);
+    # the Gram restriction alone would hide it
+    import bochner
+
+    space = bochner.EuclideanSpace.complex_space(2)
+    rm = (bochner.random_curvature(space, np.random.default_rng(12))
+          + 3 * bochner.chsc_model(space, 4.0))
+    path, tensor = tmp_path / "g.json", tmp_path / "t.json"
+    bochner.save_curvature(rm, str(path))
+    bochner.save_tensor(bochner.ComplexTensor.basis_covector(space, 0), str(tensor))
+    code, out, err = run_cli(capsys, "weitz", *argv, "-i", str(path), "-t", str(tensor))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: operator leaks off the algebra: residual 1.654e+00")
+
+
 def _canonical(text):
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
@@ -715,3 +734,37 @@ def test_finish_names_the_worst_failing_case(capsys):
     assert _finish(rep, 0.0) == 1
     err = capsys.readouterr().err
     assert "[mixed] worst case: tight-case deviation 1.000e-02" in err
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser: an option given once, or an argparse error, must
+    # not reach the next call, and each call prints what a fresh process prints
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bochner
+    from bochner.cli import build_parser
+
+    assert build_parser() is build_parser()
+    src = str(Path(bochner.__file__).parents[1])
+    m = str(tmp_path / "m.json")
+    pq = ["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--c", "4"]
+    calls = [["model", "chsc", "--n", "2", "--c", "4", "-o", m], pq + ["--kappa", "0.5"], pq,
+             ["check", "pq", "--n", "two"], pq, ["spectrum", "-i", m, "--algebra", "u"],
+             ["decompose", "kahler", "-i", m]]
+    seen = []
+    for argv in calls:
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        except SystemExit as exc:
+            code, out, err = exc.code, *capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "bochner.cli", *argv], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        seen.append((code, out))
+    assert seen[3][0] == 2
+    assert json.loads(seen[1][1])["arithmetic"]["kappa"] == "0.5"
+    assert json.loads(seen[2][1])["arithmetic"]["kappa"] == "0.0"
+    assert seen[2] == seen[4]

@@ -97,3 +97,30 @@ def test_tensor_reader_needs_integer_dim_and_rank(key, value):
         obj[key] = value
     with pytest.raises(ValueError, match=f"integer '{key}'"):
         tensor_from_json(obj)
+
+
+# the writer turns each distinct bit pattern into text once: long lists that
+# repeat a few values, with 0.0 and -0.0 (equal as floats, apart as text) among them
+REPEATED = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 0.1]
+
+
+@pytest.mark.parametrize("size", [300, 701])
+def test_dumps_of_long_lists_from_a_small_pool(size):
+    gen = np.random.default_rng(size)
+    values = [REPEATED[i] for i in gen.integers(len(REPEATED), size=size)]
+    pairs = [[REPEATED[i], REPEATED[j]] for i, j in gen.integers(len(REPEATED), size=(size, 2))]
+    assert {math.copysign(1.0, v) for v in values if v == 0.0} == {1.0, -1.0}
+    for doc in (values, pairs, {"components": pairs, "eigenvalues": values}, [values, pairs]):
+        assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_saved_curvature_files_are_json_dumps_text(tmp_path):
+    from bochner import curvature as curv
+
+    rng = np.random.default_rng(3)
+    models = [curv.random_quaternion_kahler_curvature(EuclideanSpace.quaternionic_space(2), rng),
+              curv.chsc_model(EuclideanSpace.complex_space(3), 4.0)]
+    for rm in models:
+        obj = curv.curvature_to_json(rm)
+        curv.save_curvature(rm, tmp_path / "rm.json")
+        assert (tmp_path / "rm.json").read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
