@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
@@ -27,8 +26,8 @@ from . import curvature as curv
 from . import forms as fms
 from . import weitzenbock as wb
 from .holonomy import AlgebraKind, cached_algebra
-from .tensors import (ComplexTensor, EuclideanSpace, _dumps, _write_json, load_tensor,
-                      save_tensor, tensor_to_json)
+from .tensors import (ComplexTensor, EuclideanSpace, _dumps, _read_json, _tensor_doc, _write_json,
+                      load_tensor, save_tensor)
 
 DEFAULT_SEED = 20240801
 
@@ -363,7 +362,7 @@ def cmd_model(args):
         raise ValueError(f"model {args.kind} requires --{need}")
     space = EuclideanSpace.complex_space(args.n) if args.kind == "chsc" else _space_for(args)
     rm = curv.model(args.kind, space, c=args.c)
-    obj = curv.curvature_to_json(rm)
+    obj = curv._curvature_doc(rm)
     if args.out:
         _write_json(obj, args.out)
     else:
@@ -409,9 +408,9 @@ def cmd_decompose(args):
         t1, t2 = dec.bochner_traces()
         _emit({
             "scal": dec.scal,
-            "scalar_part": curv.curvature_to_json(dec.scalar_part),
-            "ricci_part": curv.curvature_to_json(dec.ricci_part),
-            "bochner": curv.curvature_to_json(dec.bochner),
+            "scalar_part": curv._curvature_doc(dec.scalar_part),
+            "ricci_part": curv._curvature_doc(dec.ricci_part),
+            "bochner": curv._curvature_doc(dec.bochner),
             "bochner_traces": [t1, t2],
         })
         _note(f"kahler split: scal {dec.scal:.6g}, bochner traces {t1:.2e} / {t2:.2e}")
@@ -422,7 +421,7 @@ def cmd_decompose(args):
             "hp_coefficient": dec.hp_coefficient,
             "leakage": dec.leakage,
             "ricci_residual": residual,
-            "r0": curv.curvature_to_json(dec.r0),
+            "r0": curv._curvature_doc(dec.r0),
         })
         _note(f"quaternion split: coefficient {dec.hp_coefficient:.6g}, "
               f"ricci residual {residual:.2e}")
@@ -457,7 +456,7 @@ def cmd_weitz(args):
             save_tensor(out, args.out)
             _note(f"written to {args.out}")
         else:
-            _emit(tensor_to_json(out))
+            _emit(_tensor_doc(out))
         return 0
     t0 = time.perf_counter()
     algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
@@ -530,8 +529,7 @@ def _finite_number(x):
 
 def _spectrum_from_args(args, algebra_kind):
     if args.spectrum:
-        with open(args.spectrum) as fh:
-            data = json.load(fh)
+        data = _read_json(args.spectrum)
         # a bare list is user-asserted; a `spectrum` object carries its leakage
         leak = 0.0
         if isinstance(data, dict):

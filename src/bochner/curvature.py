@@ -31,7 +31,6 @@ identities below take their cleanest form in that scaling.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,8 +39,8 @@ import numpy as np
 
 from .forms import _coframe
 from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
-from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _int_field, _write_json,
-                      tensor_from_json, tensor_to_json, wedge_pairs)
+from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _int_field, _j_convention,
+                      _read_json, _tensor_doc, _write_json, tensor_from_json, wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -676,8 +675,10 @@ def random_quaternion_kahler_curvature(space, rng):
 # JSON
 
 
-def curvature_to_json(rm_tensor):
-    obj = tensor_to_json(rm_tensor.rm)
+def _curvature_doc(rm_tensor):
+    """The curvature-file dict with "components" as the (N, 2) float64 array
+    that the writer takes (see `tensors._tensor_doc`)."""
+    obj = _tensor_doc(rm_tensor.rm)
     obj["kind"] = "curvature"
     flags = []
     if rm_tensor.kahler:
@@ -686,6 +687,12 @@ def curvature_to_json(rm_tensor):
         flags.append("quaternion")
     if flags:
         obj["flags"] = flags
+    return obj
+
+
+def curvature_to_json(rm_tensor):
+    obj = _curvature_doc(rm_tensor)
+    obj["components"] = obj["components"].tolist()
     return obj
 
 
@@ -700,7 +707,9 @@ def curvature_from_json(obj):
         if d % 4 != 0:
             raise ValueError("quaternion flag needs dim divisible by 4")
         space = EuclideanSpace.quaternionic_space(d // 4)
-    elif obj.get("j_convention", "none") == "block" or "kahler" in flags:
+    elif _j_convention(obj, d) == "block" or "kahler" in flags:
+        if d % 2:
+            raise ValueError(f"kahler flag needs an even dim, got {d}")
         space = EuclideanSpace.complex_space(d // 2)
     else:
         space = EuclideanSpace.euclidean(d)
@@ -710,9 +719,8 @@ def curvature_from_json(obj):
 
 
 def save_curvature(rm_tensor, path):
-    _write_json(curvature_to_json(rm_tensor), path)
+    _write_json(_curvature_doc(rm_tensor), path)
 
 
 def load_curvature(path):
-    with open(path) as fh:
-        return curvature_from_json(json.load(fh))
+    return curvature_from_json(_read_json(path))

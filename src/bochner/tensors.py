@@ -440,6 +440,19 @@ def nullspace(A, expected_dim):
     return null
 
 
+def _tensor_doc(T):
+    """The interchange dict with "components" as the (N, 2) float64 array of
+    [re, im] rows, which the writer takes without a list round trip."""
+    space = T.space
+    flat = T.components.reshape(-1)
+    return {
+        "dim": space.dim,
+        "rank": T.rank,
+        "j_convention": "none" if space.complex_structure is None else "block",
+        "components": np.stack([flat.real, flat.imag], -1),
+    }
+
+
 def tensor_to_json(T):
     """Serialize to the interchange dict.
 
@@ -447,14 +460,9 @@ def tensor_to_json(T):
     entry a [re, im] pair; indices run 1..dim in the documented order
     (the first index varies slowest).
     """
-    space = T.space
-    flat = T.components.reshape(-1)
-    return {
-        "dim": space.dim,
-        "rank": T.rank,
-        "j_convention": "none" if space.complex_structure is None else "block",
-        "components": np.stack([flat.real, flat.imag], -1).tolist(),
-    }
+    obj = _tensor_doc(T)
+    obj["components"] = obj["components"].tolist()
+    return obj
 
 
 def _int_field(obj, key):
@@ -479,6 +487,18 @@ def _component_pairs(comps):
     return flat.astype(float, copy=False).view(complex)
 
 
+def _j_convention(obj, dim):
+    """The "j_convention" field of a tensor file: "none" (the default) or
+    "block", which needs an even dim."""
+    convention = obj.get("j_convention", "none")
+    if convention not in ("none", "block"):
+        raise ValueError('tensor file "j_convention" must be "none" or "block", '
+                         f'got {convention!r}')
+    if convention == "block" and dim % 2:
+        raise ValueError(f'j_convention "block" needs an even dim, got {dim}')
+    return convention
+
+
 def tensor_from_json(obj, space=None):
     """Rebuild a tensor from the interchange dict.
 
@@ -487,8 +507,9 @@ def tensor_from_json(obj, space=None):
     """
     d = _int_field(obj, "dim")
     k = _int_field(obj, "rank")
+    convention = _j_convention(obj, d)
     if space is None:
-        if obj.get("j_convention", "none") == "block":
+        if convention == "block":
             space = EuclideanSpace.complex_space(d // 2)
         else:
             space = EuclideanSpace.euclidean(d)
@@ -525,6 +546,21 @@ def _float_rows(rows, inner):
     return head + "".join(parts.reshape(-1)[:-1].tolist()) + tail
 
 
+def _is_component_array(obj):
+    """Whether obj is an (N, 2) float64 array of [re, im] rows, the one
+    array the writer takes."""
+    return (type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim == 2
+            and obj.shape[1] == 2)
+
+
+def _listed(obj):
+    """The `default` of json.dumps: a component array as its list of
+    [re, im] rows; any other object is refused, as json.dumps refuses it."""
+    if _is_component_array(obj):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _encode(obj, nl):
     """JSON text of obj at the indent level whose newline string is nl."""
     t = type(obj)
@@ -547,16 +583,13 @@ def _encode(obj, nl):
     if t is list:
         if not obj:
             return "[]"
-        flat, width = obj, 1
-        kinds = set(map(type, obj))
-        if kinds == {list} and set(map(len, obj)) == {2}:
-            flat, width = [*itertools.chain.from_iterable(obj)], 2
-            kinds = set(map(type, flat))
-        if kinds == {float}:
-            body = _float_rows(np.fromiter(flat, float, len(flat)).reshape(-1, width), inner)
+        if set(map(type, obj)) == {float}:
+            body = _float_rows(np.fromiter(obj, float, len(obj)).reshape(-1, 1), inner)
         else:
             body = ("," + inner).join([_encode(x, inner) for x in obj])
         return "[" + inner + body + nl + "]"
+    if _is_component_array(obj):
+        return "[" + inner + _float_rows(obj, inner) + nl + "]" if len(obj) else "[]"
     if t is dict:
         if not obj:
             return "{}"
@@ -572,17 +605,19 @@ def _dumps(obj):
     """Exactly json.dumps(obj, indent=2, sort_keys=True).
 
     With an indent the json module gives up its C encoder.  Here lists of
-    floats and lists of [re, im] float pairs take `_float_rows`, which
+    floats and (N, 2) float64 component arrays, written as the lists of
+    [re, im] pairs that `.tolist()` would give, take `_float_rows`, which
     computes one float repr per distinct bit pattern (curvature files
     repeat their entries heavily) and joins the text once; str, int, bool,
     None, dicts and other lists take a short recursive path.  Anything else
-    (NaN and infinities, non-str keys, tuples, numpy scalars, subclasses)
-    hands the whole document to json.dumps.
+    (NaN and infinities, non-str keys, tuples, numpy scalars, subclasses,
+    other arrays) hands the whole document to json.dumps, which lists the
+    component arrays and refuses every other array.
     """
     try:
         return _encode(obj, "\n")
     except _Unusual:
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(obj, indent=2, sort_keys=True, default=_listed)
 
 
 def _write_json(obj, path):
@@ -593,9 +628,24 @@ def _write_json(obj, path):
 
 
 def save_tensor(T, path):
-    _write_json(tensor_to_json(T), path)
+    _write_json(_tensor_doc(T), path)
+
+
+class _FloatMemo(dict):
+    """float(text) of each distinct number text, parsed on first lookup."""
+
+    def __missing__(self, text):
+        value = self[text] = float(text)
+        return value
+
+
+def _read_json(path):
+    """json.load of one file, parsing each distinct float text once.  The
+    memo lives for this one document; curvature files repeat a few hundred
+    number texts tens of thousands of times."""
+    with open(path) as fh:
+        return json.load(fh, parse_float=_FloatMemo().__getitem__)
 
 
 def load_tensor(path, space=None):
-    with open(path) as fh:
-        return tensor_from_json(json.load(fh), space=space)
+    return tensor_from_json(_read_json(path), space=space)

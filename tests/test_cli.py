@@ -485,18 +485,31 @@ def _set_component(index, value):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    _set_component(0, ["a", "b"]),
-    _set_component(0, [None, 1.0]),
-    _set_component(0, 1.0),
-    _set_component(17, [True, 0.0]),  # the entry holds [1.0, 0.0]
-    _set_component(17, [math.nan, 0.0]),
-    _set_component(17, [math.inf, 0.0]),
-    lambda obj: obj.pop("dim"),
-    lambda obj: obj.update(flags=5),
+def _odd_dim(**fields):
+    # the first 81 of the 256 components of the n = 2 file fill a rank-4 tensor at dim 3
+    def edit(obj):
+        obj.update(dim=3, components=obj["components"][:81], **fields)
+    return edit
+
+
+PAIRS = "[re, im] number pairs"
+
+
+@pytest.mark.parametrize("edit,named", [
+    (_set_component(0, ["a", "b"]), PAIRS),
+    (_set_component(0, [None, 1.0]), PAIRS),
+    (_set_component(0, 1.0), PAIRS),
+    (_set_component(17, [True, 0.0]), PAIRS),  # the entry holds [1.0, 0.0]
+    (_set_component(17, [math.nan, 0.0]), "finite"),
+    (_set_component(17, [math.inf, 0.0]), "finite"),
+    (lambda obj: obj.pop("dim"), "integer 'dim'"),
+    (lambda obj: obj.update(flags=5), '"flags" must be a list'),
+    (lambda obj: obj.update(j_convention="weird"), '"j_convention" must be "none" or "block"'),
+    (_odd_dim(flags=[]), 'j_convention "block" needs an even dim'),
+    (_odd_dim(j_convention="none"), "kahler flag needs an even dim"),
 ], ids=["string-pair", "null-entry", "bare-number", "bool-entry", "nan-entry", "infinity-entry",
-        "missing-dim", "scalar-flags"])
-def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit):
+        "missing-dim", "scalar-flags", "unknown-j-convention", "odd-dim-block", "odd-dim-kahler"])
+def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit, named):
     # json.dumps writes NaN and Infinity as the bare tokens json.load reads back
     path = tmp_path / "bad.json"
     _malformed_curvature(path, edit)
@@ -505,7 +518,20 @@ def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit):
         code, out, err = run_cli(capsys, *argv, "-i", str(path))
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and named in err
+
+
+def test_an_overflowing_number_text_is_a_finite_error_line(tmp_path, capsys):
+    # 1e400 parses to inf, which the component reader refuses
+    path = tmp_path / "bad.json"
+    _malformed_curvature(path, _set_component(17, [4321.5, 0.0]))
+    text = path.read_text()
+    assert text.count("4321.5") == 1
+    path.write_text(text.replace("4321.5", "1e400"))
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "spectrum", "--algebra", "u", "-i", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "finite" in err
 
 
 @pytest.mark.parametrize("text", [

@@ -1,4 +1,4 @@
-"""The JSON boundary: the indent-2 encoder and the numpy reader of tensor files."""
+"""The JSON boundary: the indent-2 encoder, the file reader and the numpy reader of tensor files."""
 
 import json
 import math
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bochner import ComplexTensor, EuclideanSpace, tensor_from_json, tensor_to_json
-from bochner.tensors import _component_pairs, _dumps
+from bochner.tensors import _component_pairs, _dumps, _read_json, _write_json, save_tensor
 
 from oracles import component_pairs_naive
 
@@ -51,9 +51,53 @@ def test_dumps_matches_json_dumps_on_unusual_values(doc):
 
 
 def test_dumps_refuses_what_json_refuses():
-    for doc in ([np.int64(3)], {"a": object()}):
+    # the one array the writer takes is an (N, 2) float64 component array
+    arrays = [np.zeros(4), np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=complex),
+              np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros((2, 2), dtype=">f8"),
+              np.zeros((2, 2)).view(np.matrix)]
+    for doc in ([np.int64(3)], {"a": object()}, *({"components": a} for a in arrays),
+                [np.zeros(2), math.nan]):
         with pytest.raises(TypeError):
             _dumps(doc)
+
+
+@st.composite
+def component_arrays(draw):
+    rows = draw(st.lists(st.tuples(floats, floats), max_size=12))
+    arr = np.array(rows, dtype=float).reshape(-1, 2)
+    # a reversed view has negative strides
+    return arr[::-1, ::-1] if draw(st.booleans()) else arr
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_arrays(), st.sampled_from([None, 2, "x", [0.5, math.inf]]))
+def test_dumps_writes_a_component_array_as_its_listed_rows(arr, other):
+    # NaN and infinities fall back to json.dumps, which lists the array
+    doc = {"components": arr, "other": other}
+    assert _dumps(doc) == json.dumps({"components": arr.tolist(), "other": other},
+                                     indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("text", [
+    '[0.5, -1.25, 0.5, [0.5, -1.25, 0.5], {"a": 0.5, "b": [-1.25]}]',
+    "[0.1, 0.10, 1e-1, 1E-1, 0.100, 0.1]",
+    "[-0.0, 0.0, -0.0, 5e-324, 9007199254740993, 9007199254740993.0, 0.0, -0, 5e-324]",
+    "[1e400, -1e400, 1e400, 1e-400, -1e-400]",
+], ids=["repeated", "equal-values", "zeros-and-extremes", "overflow"])
+def test_read_json_is_json_load_bit_for_bit(tmp_path, text):
+    # repr tells int from float, -0.0 from 0.0, and every float bit pattern apart
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert repr(_read_json(path)) == repr(json.loads(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents)
+def test_read_json_reads_what_json_load_reads(tmp_path_factory, doc):
+    text = json.dumps(doc, indent=2)
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(text)
+    assert repr(_read_json(path)) == repr(json.loads(text))
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,6 +130,16 @@ def test_tensor_file_round_trip_is_bit_identical(rng):
 def test_component_reader_rejects_anything_but_number_pairs(comps):
     with pytest.raises(ValueError, match=r"\[re, im\] number pairs"):
         _component_pairs(comps)
+
+
+@pytest.mark.parametrize("convention,dim,match", [
+    ("weird", 4, '"j_convention" must be'), (None, 4, '"j_convention" must be'),
+    ("block", 3, 'j_convention "block" needs an even dim'),
+])
+def test_tensor_reader_rejects_an_unknown_j_convention(convention, dim, match):
+    obj = {"dim": dim, "rank": 1, "j_convention": convention, "components": [[0.0, 0.0]] * dim}
+    with pytest.raises(ValueError, match=match):
+        tensor_from_json(obj)
 
 
 @pytest.mark.parametrize("key,value", [("dim", None), ("dim", "4"), ("rank", 1.5), ("rank", True)])
@@ -124,3 +178,23 @@ def test_saved_curvature_files_are_json_dumps_text(tmp_path):
         obj = curv.curvature_to_json(rm)
         curv.save_curvature(rm, tmp_path / "rm.json")
         assert (tmp_path / "rm.json").read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_public_json_dicts_hold_plain_lists_and_match_the_saved_text(tmp_path):
+    from bochner import curvature as curv
+    from bochner import forms
+
+    rng = np.random.default_rng(5)
+    space = EuclideanSpace.complex_space(2)
+    T = ComplexTensor.random(space, 2, rng)
+    rm = curv.random_kahler_curvature(space, rng)
+    phi = forms.random_pq_form(space, 1, 1, rng)
+    path = tmp_path / "doc.json"
+    for obj, save in [(tensor_to_json(T), lambda: save_tensor(T, path)),
+                      (curv.curvature_to_json(rm), lambda: curv.save_curvature(rm, path)),
+                      (forms.pqform_to_json(phi), lambda: _write_json(forms.pqform_to_json(phi), path))]:
+        comps = obj["components"]
+        assert type(comps) is list and comps
+        assert all(type(row) is list and list(map(type, row)) == [float, float] for row in comps)
+        save()
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
