@@ -19,6 +19,11 @@ splits further into Lefschetz strata Omega^{k+j} ^ (primitive forms);
 the sharp-norm coefficient below is exact on the j = 0 stratum and an
 upper bound on the rest, which is why the coefficient check reports
 deviations instead of asserting.
+
+Each stratum Omega^k ^ primitive(p-k, q-k) is read off a Lefschetz block
+table: on the monomials dz^A ^ dzbar^B with fixed free parts (A - B, B - A),
+Omega ^ is, up to signs, the up map of a Boolean lattice, so no rank is
+decided numerically.  The stratum is empty when k < p + q - n.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .criteria import check_stratum, serre_remap, serre_stratum
 from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
-from .tensors import Bivector, ComplexTensor, nullspace, tensor_from_json, tensor_to_json
+from .tensors import Bivector, ComplexTensor, tensor_from_json, tensor_to_json
 
 __all__ = [
     "Form",
@@ -73,13 +78,17 @@ def _multi_indices(m, k):
 
 
 @lru_cache(maxsize=None)
-def _position(m, k):
-    return {tuple(I): x for x, I in enumerate(_multi_indices(m, k).tolist())}
+def _masks(m, k):
+    """Bitmasks of the increasing k-subsets of range(m), lexicographic."""
+    return (1 << _multi_indices(m, k)).sum(axis=1)
 
 
-def _sort_sign(seq):
-    """Sign of the permutation sorting a sequence of distinct entries."""
-    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
+@lru_cache(maxsize=None)
+def _lex_rank(m, k):
+    """Lexicographic position of each k-subset of range(m), by its bitmask."""
+    rank = np.zeros(2 ** m, dtype=int)
+    rank[_masks(m, k)] = np.arange(math.comb(m, k))
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +113,7 @@ def _scatter(d, k):
     """Flat positions in d^k of every ordering of each increasing real
     multi-index, with the sign of that ordering: (C(d,k), k!) each."""
     perms = np.array(list(itertools.permutations(range(k))), dtype=int).reshape(math.factorial(k), k)
-    signs = np.array([_sort_sign(p) for p in perms.tolist()], dtype=float)
+    signs = (-1.0) ** np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     ordered = _multi_indices(d, k)[:, perms]
     pos = (ordered * d ** np.arange(k - 1, -1, -1)).sum(axis=-1)
     return pos, signs
@@ -120,13 +129,11 @@ def _type_mask(n, p, q):
 def _wedge_table(m, a, b):
     """Disjoint pairs (I, J) of degrees (a, b): their positions, the
     position of the sorted union K and the sign of theta^I ^ theta^J = +-theta^K."""
-    K = _position(m, a + b)
-    rows = [(x, y, K[tuple(sorted(I + J))], _sort_sign(I + J))
-            for x, I in enumerate(map(tuple, _multi_indices(m, a).tolist()))
-            for y, J in enumerate(map(tuple, _multi_indices(m, b).tolist()))
-            if not set(I) & set(J)]
-    iI, iJ, iK, sign = np.array(rows, dtype=int).reshape(-1, 4).T
-    return iI, iJ, iK, sign.astype(float)
+    mI, mJ = _masks(m, a), _masks(m, b)
+    iI, iJ = np.nonzero(mI[:, None] & mJ[None, :] == 0)
+    I, J = _multi_indices(m, a)[iI], _multi_indices(m, b)[iJ]
+    sign = (-1.0) ** (I[:, :, None] > J[:, None, :]).sum(axis=(1, 2))
+    return iI, iJ, _lex_rank(m, a + b)[mI[iI] | mJ[iJ]], sign
 
 
 @lru_cache(maxsize=None)
@@ -137,16 +144,15 @@ def _derivation_table(m, k):
     size = math.comb(m, k)
     source = np.full((m * m, size), size, dtype=int)
     sign = np.zeros((m * m, size))
-    K = _position(m, k)
-    for i, I in enumerate(map(tuple, _multi_indices(m, k).tolist())):
-        for s, x in enumerate(I):
-            for y in range(m):
-                if y != x and y in I:
-                    continue
-                J = I[:s] + (y,) + I[s + 1:]
-                col = K[tuple(sorted(J))]
-                source[x * m + y, col] = i
-                sign[x * m + y, col] = _sort_sign(J)
+    I, masks, y = _multi_indices(m, k), _masks(m, k), np.arange(m)
+    # slot s of row i holds x; y replaces it unless y is another entry of I
+    i, s, y = np.nonzero((I[:, :, None] == y) | (masks[:, None, None] >> y & 1 == 0))
+    x = I[i, s]
+    col = _lex_rank(m, k)[masks[i] ^ (1 << x) | (1 << y)]
+    source[x * m + y, col] = i
+    # the sorting sign counts the entries strictly between x and y
+    between = (I[i] > np.minimum(x, y)[:, None]) & (I[i] < np.maximum(x, y)[:, None])
+    sign[x * m + y, col] = (-1.0) ** between.sum(axis=1)
     return source, sign
 
 
@@ -289,15 +295,8 @@ def omega_power(space, p):
 
 @lru_cache(maxsize=None)
 def _omega_power(space, p):
-    n = space.n
-    if p == 0:
-        return _unit(space, 0, 0, 0, k=0)
-    if p == 1:
-        pos = _position(2 * n, 2)
-        c = np.zeros(len(pos), dtype=complex)
-        c[[pos[(a, n + a)] for a in range(n)]] = 0.5j
-        return _pq(space, 1, 1, c, k=1)
-    return _pq(space, p, p, wedge(omega_power(space, p - 1), omega_power(space, 1)).coeffs, p)
+    # the stratum Omega^p ^ primitive(0, 0)
+    return _pq(space, p, p, _stratum_rows(space, p, p, p)[0], p)
 
 
 def dz_covector(space, a):
@@ -450,44 +449,65 @@ def action_bound_check(phi):
 
 
 @lru_cache(maxsize=None)
-def _omega_contraction_matrix(space, p, q):
-    """The trace sum_ij omega_ij phi(e_i, e_j, ...) of the (p, q) monomials
-    (columns) on the increasing real multi-indices of degree p + q - 2
-    (rows).  On antisymmetric tensors the trace is 1 / C(k, 2) times the
-    adjoint of L = omega ^, which on coefficients is 4 k (k-1) times the
-    conjugate transpose: 8 conj(L)^T in all."""
-    n, k = space.n, p + q
-    iI, iJ, iK, sign = _wedge_table(2 * n, 2, k - 2)
-    L = np.zeros((math.comb(2 * n, k), math.comb(2 * n, k - 2)), dtype=complex)
-    L[iK, iJ] = sign * omega_power(space, 1).coeffs[iI]
-    return _compound(n, k - 2).T @ (8 * L[_type_mask(n, p, q)].conj().T)
+def _inclusion(f, r, s):
+    """The 0/1 matrix of r-subsets of range(f) inside s-subsets, (C(f, r), C(f, s))."""
+    return (_masks(f, r)[:, None] & ~_masks(f, s)[None, :] == 0).astype(float)
 
 
-def primitive_pq_basis(space, p, q):
-    """Orthonormal basis of the primitive (omega-trace-free) (p, q)-forms."""
-    basis = build_pq_basis(space, p, q)
-    if p + q <= 1:
-        # nothing to contract against omega; already primitive
-        return [f * (1.0 / math.sqrt(f.norm2())) for f in basis]
-    n = space.n
-    lowered = math.comb(n, p - 1) * math.comb(n, q - 1) if p and q else 0
-    null = nullspace(_omega_contraction_matrix(space, p, q),
-                     max(0, math.comb(n, p) * math.comb(n, q) - lowered))
-    coeffs = np.zeros((len(null), math.comb(2 * n, p + q)), dtype=complex)
-    coeffs[:, _type_mask(n, p, q)] = null
-    return [f * (1.0 / math.sqrt(f.norm2())) for f in (_pq(space, p, q, c, 0) for c in coeffs)]
+@lru_cache(maxsize=None)
+def _primitive_block(f, r):
+    """Orthonormal rows spanning the kernel of the down map on the r-subsets
+    of range(f), 2r <= f: the first C(f, r) - C(f, r-1) eigenvectors of
+    down^T down, an integer matrix whose other eigenvalues are at least 2."""
+    down = _inclusion(f, r - 1, r) if r else np.zeros((0, 1))
+    return np.linalg.eigh(down.T @ down)[1][:, :down.shape[1] - down.shape[0]].T
+
+
+def _block_rows(n, p, q, k, r):
+    """Stratum rows of the blocks with free parts A', B' of sizes p-k-r, q-k-r.
+    On the forms dz^A' ^ dzbar^B' ^ prod_{c in S} dz^c ^ dzbar^c, S among the
+    f other indices, Omega ^ is i/2 times the up map: the primitive forms are
+    the kernel of the down map and Omega^k ^ is k! (i/2)^k times inclusion.
+    Each such form is its sorted monomial times the sign
+    (-1)^(|S| |A'| + C(|S|, 2)) prod_{c in S} eps_c, where
+    eps_c = (-1)^#{x in A' u B' : x < c} = (-1)^(c - j) for the j-th other c."""
+    a, b = p - k - r, q - k - r
+    f, degree = n - a - b, p + q - 2 * k
+    blocks = [(A, B) for A in itertools.combinations(range(n), a)
+              for B in itertools.combinations(sorted(set(range(n)) - set(A)), b)]
+    free = np.array([sorted(set(range(n)) - set(A) - set(B)) for A, B in blocks], dtype=int)
+    mA, mB = (np.array([sum(1 << x for x in X) for X in side])[:, None] for side in zip(*blocks))
+    S = _multi_indices(f, r + k)
+    chosen = free[:, S]
+    mS = (1 << chosen).sum(axis=-1)
+    sign = (-1.0) ** ((chosen - S).sum(axis=-1) + (r + k) * a + math.comb(r + k, 2))
+    cols = _lex_rank(2 * n, p + q)[mA | mS | (mB | mS) << n]
+    scale = math.factorial(k) * 0.5j ** k / math.sqrt(math.factorial(degree) * 2 ** degree)
+    lifted = scale * (_primitive_block(f, r) @ _inclusion(f, r, r + k))
+    rows = np.zeros((len(blocks), len(lifted), math.comb(2 * n, p + q)), dtype=complex)
+    rows[np.arange(len(blocks))[:, None, None], np.arange(len(lifted))[:, None],
+         cols[:, None, :]] = sign[:, None, :] * lifted
+    return rows.reshape(-1, rows.shape[-1])
 
 
 @lru_cache(maxsize=None)
 def _stratum_rows(space, p, q, k):
-    """Coefficient rows of Omega^k ^ (primitive (p-k, q-k) basis) as one
-    read-only (dim, C(2n, p+q)) array, built once per space."""
+    """Coefficient rows of Omega^k ^ (orthonormal primitive (p-k, q-k) basis)
+    as one read-only (dim, C(2n, p+q)) array, built once per space; empty
+    when k < p + q - n, the rule of `serre_stratum`."""
+    n = space.n
+    _check_type(n, p, q)
     check_stratum(p, q, k)
-    omk = omega_power(space, k)
-    rows = np.array([wedge(omk, f).coeffs for f in primitive_pq_basis(space, p - k, q - k)],
-                    dtype=complex).reshape(-1, math.comb(2 * space.n, p + q))
+    rows = np.zeros((0, math.comb(2 * n, p + q)), dtype=complex)
+    if k >= p + q - n:
+        rows = np.concatenate([_block_rows(n, p, q, k, r) for r in range(min(p, q) - k + 1)])
     rows.setflags(write=False)
     return rows
+
+
+def primitive_pq_basis(space, p, q):
+    """Orthonormal basis of the primitive (omega-trace-free) (p, q)-forms."""
+    return stratum_basis(space, p, q, 0)
 
 
 def stratum_basis(space, p, q, k):

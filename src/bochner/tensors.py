@@ -42,7 +42,6 @@ __all__ = [
     "act_on_tensor",
     "hermitian_inner",
     "wedge_pairs",
-    "nullspace",
     "tensor_to_json",
     "tensor_from_json",
     "save_tensor",
@@ -416,28 +415,6 @@ def hermitian_inner(T, S):
     if T.rank != S.rank:
         raise ValueError(f"rank mismatch: {T.rank} vs {S.rank}")
     return complex(np.sum(T.components * np.conj(S.components)))
-
-
-def nullspace(A, expected_dim):
-    """Orthonormal rows spanning {x : A x = 0}, checked against a known dimension.
-
-    The rank counts the singular values above 1e-9 times the largest.  A
-    nullspace of another dimension than `expected_dim` raises, naming the
-    singular values on either side of the expected rank (the gap).
-    """
-    # a wide A needs the full vh for its null rows; a tall one gets them all
-    # from the thin SVD, whose vh matched the full one bit for bit on every
-    # matrix the tests build
-    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 1.0)))
-    null = vh[rank:].conj()
-    if len(null) != expected_dim:
-        rel = np.concatenate([s, np.zeros(vh.shape[0] - s.size)]) / (s[0] if s.size else 1.0)
-        r = max(vh.shape[0] - expected_dim, 0)
-        around = ", ".join(f"{v:.3e}" for v in rel[max(r - 1, 0):r + 1])
-        raise ValueError(f"nullspace has dimension {len(null)}, expected {expected_dim}; "
-                         f"relative singular values at rank {r}: {around} (cutoff 1e-9)")
-    return null
 
 
 def _tensor_doc(T):

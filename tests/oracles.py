@@ -286,37 +286,62 @@ def pq_project_naive(arr, J, p, q):
     return out / N
 
 
-def dz_dense(d, a):
-    """dz^a = e*_{2a-1} + i e*_{2a} (0-based a) as a dense covector."""
-    v = np.zeros(d, dtype=complex)
-    v[2 * a] = 1.0
-    v[2 * a + 1] = 1j
-    return v
+def nullspace(A, expected_dim):
+    """Orthonormal rows spanning {x : A x = 0}, checked against a known dimension.
+
+    The rank counts the singular values above 1e-9 times the largest.  A
+    nullspace of another dimension than `expected_dim` raises, naming the
+    singular values on either side of the expected rank (the gap).
+    """
+    # a wide A needs the full vh for its null rows; a tall one gets them all
+    # from the thin SVD
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int(np.sum(s > 1e-9 * (s[0] if s.size else 1.0)))
+    null = vh[rank:].conj()
+    if len(null) != expected_dim:
+        rel = np.concatenate([s, np.zeros(vh.shape[0] - s.size)]) / (s[0] if s.size else 1.0)
+        r = max(vh.shape[0] - expected_dim, 0)
+        around = ", ".join(f"{v:.3e}" for v in rel[max(r - 1, 0):r + 1])
+        raise ValueError(f"nullspace has dimension {len(null)}, expected {expected_dim}; "
+                         f"relative singular values at rank {r}: {around} (cutoff 1e-9)")
+    return null
 
 
-def pq_basis_dense(n, p, q):
-    """The products dz^I ^ dzbar^J as dense arrays, I lexicographic outer,
-    J lexicographic inner."""
-    d = 2 * n
-    out = []
-    for I in itertools.combinations(range(n), p):
-        wI = np.array(1.0 + 0j)
-        for a in I:
-            wI = wedge_dense(wI, dz_dense(d, a))
-        for J in itertools.combinations(range(n), q):
-            wJ = np.array(1.0 + 0j)
-            for a in J:
-                wJ = wedge_dense(wJ, dz_dense(d, a).conj())
-            out.append(wedge_dense(wI, wJ))
-    return out
+def omega_wedge_naive(n, degree):
+    """Omega ^ on coframe coefficients, degree -> degree + 2: each increasing
+    multi-index J goes to (i/2) sum_c dz^c ^ dzbar^c ^ theta^J, with
+    theta = (dz^1..dz^n, dzbar^1..dzbar^n), each product sorted by hand."""
+    m = 2 * n
+    target = {K: x for x, K in enumerate(itertools.combinations(range(m), degree + 2))}
+    sources = list(itertools.combinations(range(m), degree))
+    L = np.zeros((len(target), len(sources)), dtype=complex)
+    for y, J in enumerate(sources):
+        for c in range(n):
+            if c not in J and n + c not in J:
+                seq = (c, n + c) + J
+                L[target[tuple(sorted(seq))], y] += 0.5j * perm_sign(np.argsort(seq))
+    return L
 
 
-def omega_contraction_matrix_dense(J, basis):
-    """Trace against omega = J^T of each dense form, flattened over all
-    index orders, one column per form."""
-    om = J.T
-    cols = [np.asarray(np.tensordot(om, f, axes=([0, 1], [0, 1]))).reshape(-1) for f in basis]
-    return np.array(cols).T
+def stratum_rows_svd(n, p, q, k):
+    """Coefficient rows of Omega^k ^ an orthonormal basis of the primitive
+    (p-k, q-k)-forms, the SVD way: the nullspace of the adjoint of Omega ^ on
+    that type, scaled to unit full-tensor norm k! 2^k |c|^2 and lifted by k
+    literal Omega ^ matrices."""
+    a, b = p - k, q - k
+    indices = list(itertools.combinations(range(2 * n), a + b))
+    cols = [x for x, I in enumerate(indices) if sum(i < n for i in I) == a]
+    if a and b:
+        lowered = math.comb(n, a - 1) * math.comb(n, b - 1)
+        null = nullspace(omega_wedge_naive(n, a + b - 2)[cols].conj().T,
+                         max(0, len(cols) - lowered))
+    else:
+        null = np.eye(len(cols))
+    rows = np.zeros((len(null), len(indices)), dtype=complex)
+    rows[:, cols] = null / math.sqrt(math.factorial(a + b) * 2 ** (a + b))
+    for j in range(k):
+        rows = rows @ omega_wedge_naive(n, a + b + 2 * j).T
+    return rows
 
 
 def component_pairs_naive(comps):

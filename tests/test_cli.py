@@ -436,6 +436,8 @@ def test_verify_suites_pass(capsys):
      "n must be an integer of at least 1, got -1"),
     (["check", "quaternion", "--m", "-1", "--spectrum", "four.json"],
      "m must be an integer of at least 1, got -1"),
+    (["forms", "check-prop28", "--n", "4", "--p", "3", "--q", "3", "--k", "1"],
+     "stratum Omega^1 ^ primitive(2, 2) is empty at n = 4"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, non-finite weights, models that leak off the algebra

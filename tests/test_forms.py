@@ -298,11 +298,15 @@ def test_coefficient_fails_on_stratum_mixing_products(c3):
     assert r["relative_deviation"] < 1e-10
 
 
-def test_primitive_basis_is_omega_trace_free(c3):
-    om = c3.j_matrix().T
-    for f in primitive_pq_basis(c3, 1, 1):
-        tr = np.tensordot(om, f.tensor.components, axes=([0, 1], [0, 1]))
-        assert abs(complex(tr)) < 1e-10
+def test_primitive_basis_is_omega_trace_free(c2, c3):
+    # the dense trace against omega of every degree >= 2 type at n = 2, 3
+    for space in (c2, c3):
+        om = space.j_matrix().T
+        for p in range(space.n + 1):
+            for q in range(max(0, 2 - p), space.n + 1):
+                for f in primitive_pq_basis(space, p, q):
+                    tr = np.tensordot(om, f.tensor.components, axes=([0, 1], [0, 1]))
+                    assert np.abs(tr).max() < 1e-10, (space.n, p, q)
     # dimension: primitive (1,1) has n^2 - 1 directions
     assert len(primitive_pq_basis(c3, 1, 1)) == 8
 

@@ -2,6 +2,10 @@
 form suites at n = 4, 5."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,6 @@ import pytest
 from bochner import ComplexTensor, EuclideanSpace, Form, hermitian_inner, sharp
 from bochner.cli import _pq_configurations, _random_prop28_form
 from bochner.forms import (
-    _omega_contraction_matrix,
     _stratum_rows,
     action_bound_check,
     build_pq_basis,
@@ -26,16 +29,15 @@ from bochner.forms import (
     wedge,
 )
 from bochner.holonomy import cached_algebra
-from bochner.tensors import nullspace
 
 from test_forms import random_form
 
 from oracles import (
     act_matrix_naive,
     basis_combination_naive,
-    omega_contraction_matrix_dense,
-    pq_basis_dense,
+    nullspace,
     pq_project_naive,
+    stratum_rows_svd,
     wedge_dense,
     wedge_naive,
 )
@@ -140,26 +142,82 @@ def test_circ_matches_the_dense_projection(n, p, rng):
     assert np.allclose(got.components, expected.components, atol=1e-10 * math.sqrt(T.norm2()))
 
 
-@pytest.mark.parametrize("n,p,q", [(n, p, q) for n in (1, 2, 3, 4) for p in range(n + 1)
-                                   for q in range(n + 1) if 2 <= p + q <= 3])
-def test_primitive_bases_are_bit_identical_to_the_dense_nullspace(n, p, q):
-    # the contraction rows of degree <= 1 are all index orders, so the
-    # matrix, and with it the nullspace and every seeded draw, is the old one
+def _c(n, j):
+    return math.comb(n, j) if 0 <= j <= n else 0
+
+
+def test_nullspace_checks_the_dimension(rng):
+    for A in (rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5)),
+              (rng.standard_normal((4, 2)) + 1j) @ (rng.standard_normal((2, 5)) - 2j)):
+        null = nullspace(A, 3)
+        assert null.shape == (3, 5)
+        assert np.abs(A @ null.T).max() < 1e-12
+        assert np.allclose(null @ null.conj().T, np.eye(3), atol=1e-12)
+        with pytest.raises(ValueError, match="expected 2; relative singular values"):
+            nullspace(A, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_strata_match_the_svd_oracle(n):
+    # each primitive basis is orthonormal with the closed-form dimension, and
+    # each non-empty stratum has the oracle's rows^H rows: the same span and,
+    # for random_stratum_form, the same law
     space = EuclideanSpace.complex_space(n)
-    dense = omega_contraction_matrix_dense(space.j_matrix(), pq_basis_dense(n, p, q))
-    got = _omega_contraction_matrix(space, p, q)
-    assert np.array_equal(got, dense)
-    assert np.array_equal(np.signbit(got.real), np.signbit(dense.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(dense.imag))
-    lowered = math.comb(n, p - 1) * math.comb(n, q - 1) if p and q else 0
-    null = nullspace(dense, max(0, math.comb(n, p) * math.comb(n, q) - lowered))
-    cols = [np.flatnonzero(g.coeffs)[0] for g in build_pq_basis(space, p, q)]
-    basis = primitive_pq_basis(space, p, q)
-    assert len(basis) == len(null)
-    for f, row in zip(basis, null):
-        c = np.zeros(len(f.coeffs), dtype=complex)
-        c[cols] = row
-        assert np.array_equal(f.coeffs, c * (1.0 / math.sqrt(Form(space, p + q, c).norm2())))
+    for p in range(n + 1):
+        for q in range(n + 1):
+            prim = _stratum_rows(space, p, q, 0)
+            assert len(prim) == max(0, _c(n, p) * _c(n, q) - _c(n, p - 1) * _c(n, q - 1))
+            gram = math.factorial(p + q) * 2 ** (p + q) * prim.conj() @ prim.T
+            assert np.abs(gram - np.eye(len(prim))).max(initial=0) < 1e-12
+            for k in range(max(0, p + q - n), min(p, q) + 1):
+                rows, ref = _stratum_rows(space, p, q, k), stratum_rows_svd(n, p, q, k)
+                assert rows.shape == ref.shape, (p, q, k)
+                got, want = rows.conj().T @ rows, ref.conj().T @ ref
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (p, q, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_empty_strata_are_empty_and_the_strata_add_up(n, rng):
+    # Omega^k kills primitive (p-k, q-k)-forms exactly when k < p + q - n,
+    # and the Lefschetz decomposition splits all 4^n monomials
+    space = EuclideanSpace.complex_space(n)
+    total = 0
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for k in range(min(p, q) + 1):
+                basis = stratum_basis(space, p, q, k)
+                total += len(basis)
+                if k < p + q - n:
+                    assert basis == [], (p, q, k)
+                    with pytest.raises(ValueError, match="empty"):
+                        random_stratum_form(space, p, q, k, rng)
+    assert total == 4 ** n
+
+
+_BUILD_N6 = """
+import resource
+from bochner import EuclideanSpace
+from bochner.forms import stratum_basis
+space = EuclideanSpace.complex_space(6)
+print(sum(len(stratum_basis(space, p, q, k))
+          for p in range(7) for q in range(7) for k in range(min(p, q) + 1)))
+try:
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_every_stratum_at_n6_builds_in_bounded_memory():
+    # every (p, q, k) at n = 6, Serre side included, in a fresh interpreter:
+    # the count, and the peak RSS in KiB (see test_curvature for VmHWM)
+    src = str(Path(sys.modules["bochner"].__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _BUILD_N6], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    count, peak = map(int, out.stdout.split())
+    assert count == 4 ** 6
+    assert peak < 200 * 1024
 
 
 def _same_draw(form, expected, rng, rng_expected):
@@ -205,10 +263,6 @@ def test_random_stratum_form_is_the_basis_combination(n, seed):
 
 # ---------------------------------------------------------------------------
 # the prop27 / prop28 grid at n = 4, 5
-
-
-def _c(n, j):
-    return math.comb(n, j) if 0 <= j <= n else 0
 
 
 @pytest.mark.parametrize("n,p,q,k", [c for c in _pq_configurations(max_n=5) if c[0] >= 4])

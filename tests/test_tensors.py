@@ -17,7 +17,6 @@ from bochner import (
     tensor_to_json,
 )
 from bochner.forms import kahler_form
-from bochner.tensors import nullspace
 
 from oracles import act_matrix_naive, bracket_naive
 
@@ -224,14 +223,3 @@ def test_json_errors(c2):
     obj["components"] = obj["components"][:-1]
     with pytest.raises(ValueError):
         tensor_from_json(obj)
-
-
-def test_nullspace_checks_the_dimension(rng):
-    for A in (rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5)),
-              (rng.standard_normal((4, 2)) + 1j) @ (rng.standard_normal((2, 5)) - 2j)):
-        null = nullspace(A, 3)
-        assert null.shape == (3, 5)
-        assert np.abs(A @ null.T).max() < 1e-12
-        assert np.allclose(null @ null.conj().T, np.eye(3), atol=1e-12)
-        with pytest.raises(ValueError, match="expected 2; relative singular values"):
-            nullspace(A, 2)
