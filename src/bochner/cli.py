@@ -141,8 +141,7 @@ def _suite_identities(seed, samples, tol):
         back = curv.from_operator(space, rm.operator)
         rep.add(f"identities/d{d}/round-trip", float(np.abs(back.array - rm.array).max()), 0.0, "norm")
         kn = curv.kulkarni_nomizu(np.eye(d), np.eye(d))
-        rep.add(f"identities/d{d}/kn-bianchi",
-                float(np.abs(kn + np.transpose(kn, (1, 2, 0, 3)) + np.transpose(kn, (2, 0, 1, 3))).max()),
+        rep.add(f"identities/d{d}/kn-bianchi", float(np.abs(curv._bianchi_residual(kn)).max()),
                 0.0, "norm")
         rm_k = curv.random_kahler_curvature(space, rng)
         rho = curv.ricci_form(rm_k)
@@ -379,7 +378,7 @@ def cmd_spectrum(args):
     vals, leak = curv.restricted_spectrum(rm, algebra)
     # the spectrum is printed either way; a leak then exits 1 through main
     _emit({"eigenvalues": [float(v) for v in vals], "leakage": leak, "dim": algebra.dim})
-    curv._refuse_leak("operator", leak, float(np.abs(rm.operator).max()))
+    curv._refuse_leak("operator", leak, rm.operator)
     return 0
 
 
@@ -464,7 +463,7 @@ def cmd_weitz(args):
         # the curvature term and Lemma 2.6 read only the Gram restriction,
         # which stands for the operator only when nothing leaks off the
         # algebra; prop24 refuses a leak inside the library
-        curv._refuse_leak("operator", rm.leakage(algebra), float(np.abs(rm.operator).max()))
+        curv._refuse_leak("operator", rm.leakage(algebra), rm.operator)
     if args.action == "term":
         T = load_tensor(args.tensor, space=rm.space)
         term = wb.curvature_term(rm, algebra, T)
@@ -542,8 +541,7 @@ def _spectrum_from_args(args, algebra_kind):
         if not isinstance(data, list) or not all(map(_finite_number, data)):
             raise ValueError(f"spectrum file {args.spectrum} must hold a list of finite numbers")
         spectrum = [float(x) for x in data]
-        curv._refuse_leak(f"spectrum file {args.spectrum}", float(leak),
-                          max(map(abs, spectrum), default=0.0))
+        curv._refuse_leak(f"spectrum file {args.spectrum}", float(leak), spectrum)
         return spectrum
     if args.model:
         if args.model == "hpm" or algebra_kind == AlgebraKind.SP_SP1:
@@ -553,7 +551,7 @@ def _spectrum_from_args(args, algebra_kind):
             space = EuclideanSpace.complex_space(args.n)
         rm = curv.model(args.model, space, c=args.c)
         vals, leak = curv.restricted_spectrum(rm, cached_algebra(space, algebra_kind))
-        curv._refuse_leak(f"model {args.model}", leak, float(np.abs(rm.operator).max()))
+        curv._refuse_leak(f"model {args.model}", leak, rm.operator)
         return [float(v) for v in vals]
     raise ValueError("provide --spectrum FILE or --model KIND")
 

@@ -1,21 +1,22 @@
 """Closed-form constants and eigenvalue-condition checkers.
 
 Every vanishing-type statement handled here reduces to the same shape:
-an ascending list of curvature-operator eigenvalues restricted to the
-holonomy algebra, a weighted partial sum
+the full ascending list of curvature-operator eigenvalues restricted to
+the holonomy algebra (its length is checked), a weighted partial sum
 
     S(C) = mu_1 + ... + mu_floor(C) + (C - floor(C)) mu_{floor(C)+1},
 
-and a threshold involving a weight value rho at the point under test
-and an admissibility window for the constant kappa (or k).  Constants
-are computed in exact rational arithmetic so that floors never suffer
-from float-boundary errors; spectra are plain floats, summed exactly.
+a threshold -kappa rho at the weight value rho of the point under test,
+and an admissibility window for kappa (or k) that needs Q >= 2.
+Constants are exact rationals, so floors never suffer from
+float-boundary errors; spectra are plain floats, summed exactly.
 
-The checkers return a :class:`VanishingVerdict`.  A verdict never
-claims more than the pointwise arithmetic: the global hypotheses that
-the underlying statements require (completeness, finite L^Q norm,
-weighted Poincare inequality, nonparabolicity) are echoed in the notes
-as user-asserted and are not verified here.
+One rule, `_verdict`, concludes: inconclusive outside the window or
+below the threshold, else the theorem's strict conclusion above it and
+its equality conclusion at it (`CONCLUSIONS`).  A verdict never claims
+more than the pointwise arithmetic: the global hypotheses (completeness,
+finite L^Q norm, weighted Poincare inequality, nonparabolicity) are
+echoed in the notes as user-asserted and are not verified here.
 """
 
 from __future__ import annotations
@@ -78,6 +79,33 @@ def _require_dimension(name, x):
         raise ValueError(f"{name} must be an integer of at least 1, got {x}")
 
 
+def _check_type(n, p, q):
+    """Raise ValueError unless 0 <= p, q <= n."""
+    if not (0 <= p <= n and 0 <= q <= n):
+        raise ValueError(f"(p, q) = ({p}, {q}) out of range for n = {n}")
+
+
+def _require_spectrum(spectrum, name, size):
+    """Raise ValueError unless `size` is a dimension (n or m) and the spectrum
+    holds all dim u(n) = n^2, or dim sp(m)+sp(1) = m(2m+1)+3, eigenvalues:
+    a missing one could be the smallest."""
+    _require_dimension(name, size)
+    rule, expected = {"n": ("n^2", size * size),
+                      "m": ("m(2m+1)+3", size * (2 * size + 1) + 3)}[name]
+    if len(spectrum) != expected:
+        raise ValueError(f"spectrum length {len(spectrum)} differs from {rule} = {expected}")
+
+
+def _weight_window(Q, c=1):
+    """Q and c as Fractions, once Q >= 2 and c > 0: the inputs of every weight bound."""
+    Q, c = Fraction(Q), Fraction(c)
+    if Q < 2:
+        raise ValueError(f"Q must be >= 2, got {Q}")
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c}")
+    return Q, c
+
+
 def check_stratum(p, q, k):
     """Raise ValueError unless 0 <= k <= min(p, q), the stratum indices of type (p, q)."""
     if not 0 <= k <= min(p, q):
@@ -112,8 +140,7 @@ def kato_constant(n, p, q):
     1/2 when p = n or q = n, otherwise the square of
     min over the two slots of max{(2s+1)/(2s+2), (2n-2s+1)/(2n-2s+2)}.
     """
-    if not (0 <= p <= n and 0 <= q <= n):
-        raise ValueError(f"(p, q) = ({p}, {q}) out of range for n = {n}")
+    _check_type(n, p, q)
     if p == n or q == n:
         return Fraction(1, 2)
 
@@ -130,13 +157,8 @@ def kappa_bound(Q, c, a=0):
     (1 + a) |nabla |T||^2; a = 0 is the unrefined bound.
     """
     _require_finite(Q=Q, c=c, a=a)
-    Q = Fraction(Q)
-    c = Fraction(c)
+    Q, c = _weight_window(Q, c)
     a = Fraction(a)
-    if Q < 2:
-        raise ValueError(f"Q must be >= 2, got {Q}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
     return 4 * (Q - 1 + a) / (c * Q * Q)
@@ -150,10 +172,7 @@ def kappa_bound_harmonic_field(n, p, q, Q, c=1):
     """
     _require_finite(Q=Q, c=c)
     D = kato_constant(n, p, q)
-    Q = Fraction(Q)
-    c = Fraction(c)
-    if Q < 2:
-        raise ValueError(f"Q must be >= 2, got {Q}")
+    Q, c = _weight_window(Q, c)
     return 4 * (Q + 1 / D - 3) / (c * Q * Q)
 
 
@@ -180,12 +199,11 @@ def weighted_partial_sum(spectrum, count, weight=Fraction(0)):
         raise ValueError("spectrum must be ascending")
     # the check leaves 1e-12 of slack: the sum takes the smallest values
     spectrum.sort()
-    if count > len(spectrum):
-        raise ValueError(f"spectrum too short: need {count} eigenvalues, got {len(spectrum)}")
+    need = count + (weight != 0)
+    if need > len(spectrum):
+        raise ValueError(f"spectrum too short: need {need} eigenvalues, got {len(spectrum)}")
     total = sum(map(Fraction, spectrum[:count]), Fraction(0))
     if weight != 0:
-        if count + 1 > len(spectrum):
-            raise ValueError(f"spectrum too short: need {count + 1} eigenvalues, got {len(spectrum)}")
         total += Fraction(weight) * Fraction(spectrum[count])
     return float(total)
 
@@ -212,7 +230,18 @@ def serre_stratum(n, p, q, k):
     return k - (p + q - n)
 
 
-CONCLUSIONS = ("parallel", "vanishing", "flat", "bochner_flat", "inconclusive")
+# The (strict, equality) conclusions of each theorem: a condition above its
+# threshold concludes the first, one at its threshold the second.
+CONCLUSIONS = {
+    "T3_2": ("vanishing", "parallel"),
+    "T3_4": ("vanishing", "parallel"),
+    "C3_3": ("vanishing", "parallel"),
+    "T3_6": ("vanishing", "vanishing"),
+    "C3_8": ("vanishing", "vanishing"),
+    "T1_5": ("bochner_flat", "bochner_flat"),
+    "T4_1": ("flat", "flat"),
+    "T4_4": ("flat", "flat"),
+}
 
 
 @dataclass
@@ -242,13 +271,25 @@ class VanishingVerdict:
         }
 
 
+def _verdict(theorem_id, value, threshold, admissible, notes, arithmetic):
+    """The one verdict rule: inconclusive outside the weight window or below the
+    threshold, else the strict or the equality conclusion of `theorem_id`."""
+    strict, equality = CONCLUSIONS[theorem_id]
+    if admissible and value >= threshold:
+        conclusion = strict if value > threshold else equality
+    else:
+        conclusion = "inconclusive"
+    return VanishingVerdict(theorem_id, value, threshold, bool(admissible), conclusion,
+                            "; ".join(notes), arithmetic)
+
+
 _GLOBAL_HYPOTHESES = ("completeness, finite L^Q norm and, for weighted bounds, the weighted "
                       "Poincare inequality with a positive-at-infinity weight on a nonparabolic "
                       "space are user-asserted and not verified here")
 
 
 def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
-    """Eigenvalue condition for harmonic (p, q)-forms.
+    """Eigenvalue condition for harmonic (p, q)-forms on the n^2 eigenvalues of u(n).
 
     With kappa = 0: weighted sum S >= 0 concludes parallel, S > 0
     concludes vanishing given the finite-L^Q assertion.  With kappa > 0:
@@ -259,7 +300,7 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
     notes record.  A type outside 0 <= p, q <= n, p + q >= 1 raises
     ValueError.
     """
-    _require_dimension("n", n)
+    _require_spectrum(spectrum, "n", n)
     if not (0 <= p <= n and 0 <= q <= n) or p + q < 1:
         raise ValueError(f"form type ({p}, {q}) out of range for n = {n}")
     _require_finite(kappa=kappa, rho=rho, Q=Q)
@@ -275,8 +316,6 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
         C = stratum_constant(n, p, q, k)
         notes.append(f"stratum constant at k = {k}")
     S = weighted_partial_sum(spectrum, C.floor, C.fractional)
-    if len(spectrum) != n * n:
-        notes.append(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
     if p == q:
         theorem_id = "T3_4" if kappa == 0 else "C3_8"
         notes.append("applies to forms orthogonal to the Kahler form power only")
@@ -286,55 +325,40 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
                   "S": S, "kappa": kappa, "rho": rho, "Q": Q}
     notes.append(_GLOBAL_HYPOTHESES)
     notes.append("threshold constant follows the grouped reading (n + 2 - |p - q|) (p + q)")
-    if kappa == 0.0:
-        if S > 0:
-            concl = "vanishing"
-        elif S >= 0:
-            concl = "parallel"
-        else:
-            concl = "inconclusive"
-        return VanishingVerdict(theorem_id, S, 0.0, True, concl, "; ".join(notes), arithmetic)
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    bound = kappa_bound_harmonic_field(n, p, q, Q)
-    admissible = Fraction(kappa) < bound
-    arithmetic["kappa_bound"] = bound
-    threshold = -(kappa * rho) or 0.0
-    cond = S / (float(C.value) + 1.0)
-    arithmetic["S_normalized"] = cond
-    ok = cond >= threshold and admissible
-    concl = "vanishing" if ok else "inconclusive"
-    return VanishingVerdict(theorem_id, cond, threshold, bool(admissible), concl,
-                            "; ".join(notes), arithmetic)
+    cond, admissible = S, True
+    if kappa != 0:
+        bound = kappa_bound_harmonic_field(n, p, q, Q)
+        arithmetic["kappa_bound"] = bound
+        cond = S / (float(C.value) + 1.0)
+        arithmetic["S_normalized"] = cond
+        admissible = Fraction(kappa) < bound
+    return _verdict(theorem_id, cond, -(kappa * rho) or 0.0, admissible, notes, arithmetic)
 
 
-def _parity_sum_check(spectrum, n_or_m, parity_coeff, k, rho, Q, kappa_bound_value,
-                      theorem_id, conclusion, notes):
+def _parity_sum_check(spectrum, name, size, k, rho, Q, theorem_id, notes):
+    """S = mu_1 + ... + mu_floor((size+1)/2) + parity * mu_{floor+1} against -k rho.
+
+    `name` "n" reads the spectrum of u(n), with the Kahler parity coefficient
+    and admissibility k < (Q - 1) / Q^2; "m" reads sp(m)+sp(1), with the
+    quaternionic one and k < (Q - 1) / Q.
+    """
+    _require_spectrum(spectrum, name, size)
+    _require_finite(k=k, rho=rho, Q=Q)
+    Qf, _ = _weight_window(Q)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    count = (n_or_m + 1) // 2
+    if name == "n":
+        parity_coeff, bound = bochner_parity_coefficient(size), (Qf - 1) / (Qf * Qf)
+    else:
+        parity_coeff, bound = quaternion_parity_coefficient(size), (Qf - 1) / Qf
+    count = (size + 1) // 2
     S = weighted_partial_sum(spectrum, count, parity_coeff)
-    threshold = -(float(k) * float(rho)) or 0.0
-    admissible = Fraction(k) < kappa_bound_value
     arithmetic = {"count": count, "parity_coefficient": parity_coeff, "S": S,
-                  "k": k, "rho": rho, "Q": Q, "k_bound": kappa_bound_value}
-    ok = S >= threshold and admissible
-    concl = conclusion if ok else "inconclusive"
-    return VanishingVerdict(theorem_id, S, threshold, bool(admissible), concl,
-                            "; ".join(notes), arithmetic)
-
-
-def _kahler_parity_sum_check(spectrum, n, k, rho, Q, theorem_id, conclusion, notes):
-    """The parity sum on n^2 eigenvalues with admissibility k < (Q - 1) / Q^2."""
-    _require_dimension("n", n)
-    if len(spectrum) != n * n:
-        raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
-    _require_finite(k=k, rho=rho, Q=Q)
-    Qf = Fraction(Q)
-    if Qf < 2:
-        raise ValueError("Q must be >= 2")
-    return _parity_sum_check(spectrum, n, bochner_parity_coefficient(n), k, rho, Q,
-                             (Qf - 1) / (Qf * Qf), theorem_id, conclusion, notes)
+                  "k": k, "rho": rho, "Q": Q, "k_bound": bound}
+    return _verdict(theorem_id, S, -(float(k) * float(rho)) or 0.0, Fraction(k) < bound, notes,
+                    arithmetic)
 
 
 def check_bochner(spectrum, n, k=0.0, rho=0.0, Q=2):
@@ -344,7 +368,7 @@ def check_bochner(spectrum, n, k=0.0, rho=0.0, Q=2):
     against -k rho, with admissibility k < (Q - 1) / Q^2.
     """
     notes = [_GLOBAL_HYPOTHESES, "requires a divergence-free totally trace-free part"]
-    return _kahler_parity_sum_check(spectrum, n, k, rho, Q, "T1_5", "bochner_flat", notes)
+    return _parity_sum_check(spectrum, "n", n, k, rho, Q, "T1_5", notes)
 
 
 def check_einstein_flat(spectrum, n, k=0.0, rho=0.0, Q=2):
@@ -353,7 +377,7 @@ def check_einstein_flat(spectrum, n, k=0.0, rho=0.0, Q=2):
     notes = [_GLOBAL_HYPOTHESES, "input asserted Kahler-Einstein"]
     if n < 4:
         notes.append(f"complex dimension {n} is below the stated range n >= 4")
-    return _kahler_parity_sum_check(spectrum, n, k, rho, Q, "T4_1", "flat", notes)
+    return _parity_sum_check(spectrum, "n", n, k, rho, Q, "T4_1", notes)
 
 
 def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
@@ -363,15 +387,6 @@ def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
     against -k rho, with admissibility k < (Q - 1) / Q.  For k = 0 the
     scalar-flatness assertion is not needed and the notes say so.
     """
-    _require_dimension("m", m)
-    expected = m * (2 * m + 1) + 3
-    if len(spectrum) != expected:
-        raise ValueError(f"spectrum length {len(spectrum)} differs from m(2m+1)+3 = {expected}")
-    _require_finite(k=k, rho=rho, Q=Q)
-    Qf = Fraction(Q)
-    if Qf < 2:
-        raise ValueError("Q must be >= 2")
-    bound = (Qf - 1) / Qf
     notes = [_GLOBAL_HYPOTHESES]
     if k == 0:
         notes.append("k = 0: the scalar-flatness hypothesis is not needed")
@@ -379,8 +394,7 @@ def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
         notes.append("scalar curvature asserted zero by the caller")
     else:
         notes.append("warning: k > 0 requires the scalar-flatness assertion")
-    return _parity_sum_check(spectrum, m, quaternion_parity_coefficient(m), k, rho, Q,
-                             bound, "T4_4", "flat", notes)
+    return _parity_sum_check(spectrum, "m", m, k, rho, Q, "T4_4", notes)
 
 
 def check_lq_nonneg(spectrum, n):
@@ -390,13 +404,9 @@ def check_lq_nonneg(spectrum, n):
     L^Q assertion); the reduced-cohomology consequence is trivial in odd
     degrees, which the notes record.
     """
-    _require_dimension("n", n)
-    if len(spectrum) != n * n:
-        raise ValueError(f"spectrum length {len(spectrum)} differs from n^2 = {n * n}")
+    _require_spectrum(spectrum, "n", n)
     count = math.ceil(n / 2)
     S = weighted_partial_sum(spectrum, count)
     notes = [_GLOBAL_HYPOTHESES,
              "odd-degree reduced L^2 cohomology vanishes when the check passes"]
-    concl = "vanishing" if S > 0 else ("parallel" if S >= 0 else "inconclusive")
-    return VanishingVerdict("C3_3", S, 0.0, True, concl, "; ".join(notes),
-                            {"count": count, "S": S})
+    return _verdict("C3_3", S, 0.0, True, notes, {"count": count, "S": S})

@@ -37,10 +37,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import _coframe
 from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
-from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _int_field, _j_convention,
-                      _read_json, _tensor_doc, _write_json, tensor_from_json, wedge_pairs)
+from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _coframe, _int_field,
+                      _j_convention, _read_json, _tensor_doc, _write_json, tensor_from_json,
+                      wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -76,13 +76,14 @@ __all__ = [
 
 
 # An operator leaks off an algebra when its residual on the complement (the
-# spectral norm of R Q) exceeds SUPPORT_TOL * max(1, scale), scale = |R|_max.
+# spectral norm of R Q) exceeds SUPPORT_TOL * max(1, |R|_max).
 SUPPORT_TOL = 1e-8
 
 
-def _refuse_leak(source, leak, scale):
-    """Raise ValueError when `leak` exceeds SUPPORT_TOL * max(1, scale)."""
-    if leak > SUPPORT_TOL * max(1.0, scale):
+def _refuse_leak(source, leak, values):
+    """Raise ValueError when `leak` exceeds SUPPORT_TOL * max(1, max |values|),
+    `values` being the operator, or the eigenvalues, that the leak belongs to."""
+    if leak > SUPPORT_TOL * np.abs(values).max(initial=1.0):
         raise ValueError(f"{source} leaks off the algebra: residual {leak:.3e}")
 
 
@@ -368,11 +369,8 @@ class KahlerDecomposition:
 
     def bochner_traces(self):
         """Max absolute value of the two trace sums of the Bochner part."""
-        B = self.bochner.array
-        J = self.bochner.space.j_matrix()
-        tr1 = np.einsum("iyiw->yw", B)
-        tr2 = np.einsum("bi,ibzw->zw", J.T, B)
-        return float(np.abs(tr1).max()), float(np.abs(tr2).max())
+        tr2 = np.einsum("bi,ibzw->zw", self.bochner.space.j_matrix().T, self.bochner.array)
+        return float(np.abs(ricci(self.bochner)).max()), float(np.abs(tr2).max())
 
 
 def kahler_decompose(rm_tensor):
@@ -429,7 +427,7 @@ def quaternion_decompose(rm_tensor):
         raise ValueError("quaternionic decomposition needs m >= 2")
     algebra = cached_algebra(space, AlgebraKind.SP_SP1)
     leak = rm_tensor.leakage(algebra)
-    _refuse_leak("operator", leak, float(np.abs(rm_tensor.operator).max()))
+    _refuse_leak("operator", leak, rm_tensor.operator)
     scal = scalar_curvature(rm_tensor)
     coeff = scal / (16.0 * m * (m + 2))
     r0 = AlgebraicCurvatureTensor(
@@ -572,8 +570,7 @@ def random_curvature(space, rng):
     M = rng.standard_normal((P, P))
     M = 0.5 * (M + M.T)
     arr = from_operator(space, M, validate=False).array
-    alt = (arr + np.transpose(arr, (1, 2, 0, 3)) + np.transpose(arr, (2, 0, 1, 3))) / 3.0
-    return AlgebraicCurvatureTensor(space, arr - alt, validate=False)
+    return AlgebraicCurvatureTensor(space, arr - _bianchi_residual(arr) / 3.0, validate=False)
 
 
 def _unitary_frame(k):

@@ -35,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .criteria import check_stratum, serre_remap, serre_stratum
+from .criteria import _check_type, check_stratum, serre_remap, serre_stratum
 from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
-from .tensors import Bivector, ComplexTensor, tensor_from_json, tensor_to_json
+from .tensors import Bivector, ComplexTensor, _coframe, tensor_from_json, tensor_to_json
 
 __all__ = [
     "Form",
@@ -89,13 +89,6 @@ def _lex_rank(m, k):
     rank = np.zeros(2 ** m, dtype=int)
     rank[_masks(m, k)] = np.arange(math.comb(m, k))
     return rank
-
-
-@lru_cache(maxsize=None)
-def _coframe(n):
-    """B with row a = theta^a on the real basis; B B^* = 2."""
-    dz = np.kron(np.eye(n), [1.0, 1.0j])
-    return np.vstack([dz, dz.conj()])
 
 
 @lru_cache(maxsize=None)
@@ -329,11 +322,6 @@ def pq_project(T, p, q):
     if T.degree != p + q:
         raise ValueError(f"form degree {T.degree} does not match p + q = {p + q}")
     return _pq(T.space, p, q, np.where(_type_mask(T.space.n, p, q), T.coeffs, 0))
-
-
-def _check_type(n, p, q):
-    if p < 0 or q < 0 or p > n or q > n:
-        raise ValueError(f"(p, q) = ({p}, {q}) out of range for n = {n}")
 
 
 def build_pq_basis(space, p, q):

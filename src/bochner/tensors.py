@@ -105,6 +105,14 @@ def _block_quaternionic_structure(m):
     return tuple(mats)
 
 
+@lru_cache(maxsize=None)
+def _coframe(n):
+    """B with row a = theta^a on the real basis: theta = (dz^1..dz^n,
+    dzbar^1..dzbar^n), dz^a = e*_{2a-1} + i e*_{2a}; B B^* = 2."""
+    dz = np.kron(np.eye(n), [1.0, 1.0j])
+    return np.vstack([dz, dz.conj()])
+
+
 class EuclideanSpace:
     """Euclidean R^d with optional complex / quaternionic structure.
 
@@ -213,12 +221,9 @@ class ComplexTensor:
         return cls(space, v)
 
     @classmethod
-    def random(cls, space, rank, rng, real=False):
+    def random(cls, space, rank, rng):
         shape = (space.dim,) * rank
-        arr = rng.standard_normal(shape)
-        if not real:
-            arr = arr + 1j * rng.standard_normal(shape)
-        return cls(space, arr)
+        return cls(space, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
     def norm2(self):
         """Squared full-tensor norm, sum over every index order."""

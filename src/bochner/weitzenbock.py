@@ -136,7 +136,7 @@ def verify_weitzenbock_restriction(rm_tensor, algebra, tensors):
     deviation.
     """
     leak = rm_tensor.leakage(algebra)
-    _refuse_leak("operator", leak, float(np.abs(rm_tensor.operator).max()))
+    _refuse_leak("operator", leak, rm_tensor.operator)
     gram = rm_tensor.restricted_gram(algebra)
     eigh = np.linalg.eigh(gram)
     reports = []

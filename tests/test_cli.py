@@ -190,13 +190,14 @@ def test_check_pq_sums_the_spectrum_exactly(tmp_path, capsys):
     assert v["condition_value"] == -1.0
 
 
-@pytest.mark.parametrize("values", [[1e-13, 0.0], [0.0, 1e-13]], ids=["descending", "ascending"])
+@pytest.mark.parametrize("values", [[1e-13, 0.0, 1.0, 1.0], [0.0, 1e-13, 1.0, 1.0]],
+                         ids=["descending", "ascending"])
 def test_check_pq_sums_the_smallest_values(values, tmp_path, capsys):
-    # C(1, 1, 0) = 1; a step down below the 1e-12 ordering slack must not
+    # C(2, 2, 0) = 1; a step down below the 1e-12 ordering slack must not
     # let the sum take the larger value first (that read "vanishing")
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(values))
-    code, out, _ = run_cli(capsys, "check", "pq", "--n", "1", "--p", "1", "--q", "0",
+    code, out, _ = run_cli(capsys, "check", "pq", "--n", "2", "--p", "2", "--q", "0",
                            "--spectrum", str(spec))
     assert code == 0
     v = json.loads(out)
@@ -438,6 +439,8 @@ def test_verify_suites_pass(capsys):
      "m must be an integer of at least 1, got -1"),
     (["forms", "check-prop28", "--n", "4", "--p", "3", "--q", "3", "--k", "1"],
      "stratum Omega^1 ^ primitive(2, 2) is empty at n = 4"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--spectrum", "three.json"],
+     "spectrum length 3 differs from n^2 = 4"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, non-finite weights, models that leak off the algebra

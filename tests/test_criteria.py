@@ -130,6 +130,27 @@ def test_kappa_bound_harmonic_field_composed():
         assert kappa_bound_harmonic_field(n, p, q, 2, 1) == 1 / D - 1
 
 
+@pytest.mark.parametrize("c", [0, -1])
+def test_kappa_bounds_reject_a_nonpositive_c(c):
+    # kappa_bound_harmonic_field once divided by c = 0 and returned -7/9 at c = -1
+    for bound in (lambda: kappa_bound(2, c), lambda: kappa_bound_harmonic_field(2, 1, 0, 2, c)):
+        with pytest.raises(ValueError, match=f"^c must be positive, got {c}$"):
+            bound()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kappa_bound(1, 1),
+    lambda: kappa_bound_harmonic_field(2, 1, 0, 1),
+    lambda: check_pq([0.0] * 4, 2, 1, 0, kappa=0.1, Q=1),
+    lambda: check_bochner([0.0] * 4, 2, Q=1),
+    lambda: check_einstein_flat([0.0] * 4, 2, Q=1),
+    lambda: check_quaternion([0.0] * 13, 2, Q=1),
+], ids=["kappa_bound", "harmonic_field", "pq", "bochner", "einstein", "quaternion"])
+def test_every_weight_window_needs_q_at_least_two(call):
+    with pytest.raises(ValueError, match="^Q must be >= 2, got 1$"):
+        call()
+
+
 def test_parity_coefficients():
     assert bochner_parity_coefficient(3) == 0
     assert bochner_parity_coefficient(4) == Fraction(1, 2)
@@ -389,12 +410,62 @@ def test_serre_stratum_shifts_k_with_the_type():
     (lambda: criteria.check_bochner([5.0], -1), "n must be an integer"),
     (lambda: criteria.check_einstein_flat([0.0] * 4, 2.0), "n must be an integer"),
     (lambda: criteria.check_pq([0.0], True, 1, 0), "n must be an integer"),
+    (lambda: criteria.check_pq([1.0, 1.0, 1.0], 2, 1, 0), "spectrum length 3 differs from n^2 = 4"),
     (lambda: criteria.weighted_partial_sum([1.0, 2.0], -1), "count must be nonnegative"),
 ], ids=["lq-negative-n", "lq-short", "lq-n3-four-values", "quaternion-m0",
         "quaternion-negative-m", "bochner-negative-n", "einstein-float-n", "pq-bool-n",
-        "negative-count"])
+        "pq-short", "negative-count"])
 def test_checkers_reject_bad_dimensions(call, message):
     # each of these printed a verdict from too few values, or a TypeError
     # traceback from (-1) ** -1 inside Fraction
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule, theorem by theorem
+
+
+# theorem id: (check on the constant spectrum [x, ..., x] at weight w, the x
+# whose condition equals the threshold at the weight inside the window, that
+# weight, and the window's exact bound, None for the unweighted theorems)
+_VERDICT_CASES = {
+    "T3_2": (lambda x, w: check_pq([x] * 4, 2, 1, 0), 0.0, None, None),
+    "T3_4": (lambda x, w: check_pq([x] * 4, 2, 1, 1), 0.0, None, None),
+    "C3_3": (lambda x, w: check_lq_nonneg([x] * 4, 2), 0.0, None, None),
+    # C = 2: S / (C + 1) = -1 = -kappa rho at x = -3/2
+    "T3_6": (lambda x, w: check_pq([x] * 4, 2, 1, 0, kappa=w, rho=2.0), -1.5, 0.5, Fraction(7, 9)),
+    "C3_8": (lambda x, w: check_pq([x] * 4, 2, 1, 1, kappa=w, rho=2.0), -1.5, 0.5, Fraction(7, 9)),
+    # S = x + x / 2 = -3/2 = -k rho at x = -1
+    "T1_5": (lambda x, w: check_bochner([x] * 4, 2, k=w, rho=12.0), -1.0, 0.125, Fraction(1, 4)),
+    "T4_1": (lambda x, w: check_einstein_flat([x] * 4, 2, k=w, rho=12.0), -1.0, 0.125,
+             Fraction(1, 4)),
+    # S = x + 2 x / 3 = -5 = -k rho at x = -3
+    "T4_4": (lambda x, w: check_quaternion([x] * 13, 2, k=w, rho=20.0), -3.0, 0.25, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("theorem_id,strict,equality", [
+    ("T3_2", "vanishing", "parallel"),
+    ("T3_4", "vanishing", "parallel"),
+    ("C3_3", "vanishing", "parallel"),
+    ("T3_6", "vanishing", "vanishing"),
+    ("C3_8", "vanishing", "vanishing"),
+    ("T1_5", "bochner_flat", "bochner_flat"),
+    ("T4_1", "flat", "flat"),
+    ("T4_4", "flat", "flat"),
+])
+def test_each_theorem_follows_the_one_verdict_rule(theorem_id, strict, equality):
+    check, at, weight, bound = _VERDICT_CASES[theorem_id]
+    for x, expected in ((at - 1.0, "inconclusive"), (at, equality), (at + 1.0, strict)):
+        v = check(x, weight)
+        assert (v.theorem_id, v.conclusion, v.kappa_admissible) == (theorem_id, expected, True)
+        assert (v.condition_value == v.threshold) == (x == at)
+    if bound is not None:
+        # just past the window's edge the threshold is lower still, so only
+        # the window makes the verdict inconclusive
+        outside = math.nextafter(float(bound), math.inf)
+        assert Fraction(outside) > bound
+        v = check(at, outside)
+        assert (v.theorem_id, v.conclusion, v.kappa_admissible) == (theorem_id, "inconclusive", False)
+        assert v.condition_value > v.threshold
