@@ -64,9 +64,7 @@ from .forms import (
     circ,
     construct_Vpqk,
     kahler_form,
-    kahler_form_bivector,
     omega_power,
-    pq_project,
     pqform_from_json,
     pqform_to_json,
     sharp_coefficient,
@@ -78,17 +76,12 @@ from .holonomy import (
     HolonomySubalgebra,
     SharpDecomposition,
     build_algebra,
-    project_bivector,
     sharp,
 )
 from .tensors import (
-    Bivector,
     ComplexTensor,
     EuclideanSpace,
-    act_on_tensor,
-    bivector_action,
     hermitian_inner,
-    lie_bracket,
     load_tensor,
     save_tensor,
     tensor_from_json,

@@ -41,6 +41,10 @@ def _note(msg):
 
 
 def _space_for(args):
+    """The space of the one size flag given: --m, --n or an even --d."""
+    given = [f"--{name}" for name in ("n", "m", "d") if getattr(args, name) is not None]
+    if len(given) > 1:
+        raise ValueError(f"conflicting size flags {' and '.join(given)}: give one of --n, --m, --d")
     if args.m is not None:
         return EuclideanSpace.quaternionic_space(args.m)
     if args.n is not None:
@@ -265,8 +269,7 @@ def _suite_lemma26(seed, samples, tol):
         G = 0.5 * (G + G.T)
         spec = np.linalg.eigvalsh(G)
         for ell in (1, 2):
-            premise = crit.weighted_partial_sum(spec, ell, C - ell)
-            if premise < kappa * (ell + 1):
+            if not wb._lemma26_premise(spec, C, ell, kappa)[1]:
                 continue
             tensors = [fms.random_pq_form(space, 1, 0, rng).tensor for _ in range(samples)]
             _lemma26_cases(rep, f"lemma26/op{operators}/ell{ell}/", G, algebra, C, ell, kappa,
@@ -359,8 +362,7 @@ def cmd_model(args):
     need = {"hpm": "m", "chsc": "n"}.get(args.kind)
     if need and getattr(args, need) is None:
         raise ValueError(f"model {args.kind} requires --{need}")
-    space = EuclideanSpace.complex_space(args.n) if args.kind == "chsc" else _space_for(args)
-    rm = curv.model(args.kind, space, c=args.c)
+    rm = curv.model(args.kind, _space_for(args), c=args.c)
     obj = curv._curvature_doc(rm)
     if args.out:
         _write_json(obj, args.out)
@@ -390,7 +392,7 @@ def cmd_algebra(args):
         "ambient_dim": space.dim,
         "dim": algebra.dim,
         "wedge_basis_order": "lexicographic pairs (i, j), i < j, 1-based",
-        "basis": [[float(c) for c in b.coeffs] for b in algebra.basis],
+        "basis": algebra.coeff_matrix.tolist(),
     }
     if args.out:
         _write_json(obj, args.out)

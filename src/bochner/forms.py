@@ -37,18 +37,15 @@ import numpy as np
 
 from .criteria import _check_type, check_stratum, serre_remap, serre_stratum
 from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
-from .tensors import Bivector, ComplexTensor, _coframe, tensor_from_json, tensor_to_json
+from .tensors import (ComplexTensor, _coframe, _complex_gaussian, tensor_from_json,
+                      tensor_to_json)
 
 __all__ = [
     "Form",
     "PQForm",
     "kahler_form",
-    "kahler_form_bivector",
     "omega_power",
-    "dz_covector",
-    "dzbar_covector",
     "wedge",
-    "pq_project",
     "build_pq_basis",
     "construct_Vpqk",
     "circ",
@@ -263,20 +260,15 @@ def _pq(space, p, q, coeffs, k=None):
     return PQForm(space, p, q, Form(space, p + q, coeffs), k=k, validate=False)
 
 
-def _unit(space, p, q, position, k=None):
+def _unit(space, p, q, position):
     c = np.zeros(math.comb(2 * space.n, p + q), dtype=complex)
     c[position] = 1.0
-    return _pq(space, p, q, c, k)
+    return _pq(space, p, q, c, 0)
 
 
 def kahler_form(space):
     """The Kahler 2-form omega(X, Y) = g(J X, Y) as a rank-2 tensor."""
     return ComplexTensor(space, space.j_matrix().T.astype(complex))
-
-
-def kahler_form_bivector(space):
-    """omega as an element of Lambda^2 V; |omega|^2 = n."""
-    return Bivector.from_two_form(space, space.j_matrix().T)
 
 
 def omega_power(space, p):
@@ -290,15 +282,6 @@ def omega_power(space, p):
 def _omega_power(space, p):
     # the stratum Omega^p ^ primitive(0, 0)
     return _pq(space, p, p, _stratum_rows(space, p, p, p)[0], p)
-
-
-def dz_covector(space, a):
-    """dz^a = e*_{2a-1} + i e*_{2a} (0-based a)."""
-    return _unit(space, 1, 0, a)
-
-
-def dzbar_covector(space, a):
-    return _unit(space, 0, 1, space.n + a)
 
 
 def wedge(A, B):
@@ -316,21 +299,13 @@ def wedge(A, B):
     return out
 
 
-def pq_project(T, p, q):
-    """Type (p, q) part of a form: its coefficients on the multi-indices
-    with p unbarred entries."""
-    if T.degree != p + q:
-        raise ValueError(f"form degree {T.degree} does not match p + q = {p + q}")
-    return _pq(T.space, p, q, np.where(_type_mask(T.space.n, p, q), T.coeffs, 0))
-
-
 def build_pq_basis(space, p, q):
     """The C(n,p) C(n,q) products dz^I ^ dzbar^J, I and J increasing.
 
     Iteration order: I lexicographic outer, J lexicographic inner.
     """
     _check_type(space.n, p, q)
-    return [_unit(space, p, q, x, k=0) for x in np.flatnonzero(_type_mask(space.n, p, q))]
+    return [_unit(space, p, q, x) for x in np.flatnonzero(_type_mask(space.n, p, q))]
 
 
 def construct_Vpqk(psi1, psi2, k):
@@ -504,16 +479,12 @@ def stratum_basis(space, p, q, k):
     return [_pq(space, p, q, c, k) for c in _stratum_rows(space, p, q, k)]
 
 
-def _gaussian(rng, size):
-    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
-
-
 def random_pq_form(space, p, q, rng, k=0):
     """Random complex combination of the (p, q) wedge basis."""
     _check_type(space.n, p, q)
     mask = _type_mask(space.n, p, q)
     coeffs = np.zeros(len(mask), dtype=complex)
-    coeffs[mask] = _gaussian(rng, np.count_nonzero(mask))
+    coeffs[mask] = _complex_gaussian(rng, np.count_nonzero(mask))
     return _pq(space, p, q, coeffs, k)
 
 
@@ -523,7 +494,7 @@ def random_stratum_form(space, p, q, k, rng):
     if not len(rows):
         raise ValueError(f"stratum Omega^{k} ^ primitive({p - k}, {q - k}) is empty "
                          f"at n = {space.n}")
-    return _pq(space, p, q, _gaussian(rng, len(rows)) @ rows, k)
+    return _pq(space, p, q, _complex_gaussian(rng, len(rows)) @ rows, k)
 
 
 def pqform_to_json(phi):

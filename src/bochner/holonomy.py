@@ -2,7 +2,10 @@
 
 Builds orthonormal bases of so(d), u(n) and sp(m)+sp(1) inside
 Lambda^2 V in closed form and computes, for a tensor T, the stack of
-slices {Xi_alpha T} whose squared norms sum to |T^g|^2.
+slices {Xi_alpha T} whose squared norms sum to |T^g|^2.  An algebra is
+held once, as its (N, P) array of wedge-coefficient rows and the
+read-only (N, d, d) stack of their matrix avatars; an element of it is
+a coefficient vector c, the bivector c @ coeff_matrix.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tensors import (
-    Bivector,
-    _act_matrix,
-    _avatars,
-    _wedge_coefficients,
-    wedge_pairs,
-)
+from .tensors import _act_matrix, _avatars, _check_same_space, _wedge_coefficients, wedge_pairs
 
 __all__ = [
     "AlgebraKind",
@@ -29,7 +26,6 @@ __all__ = [
     "build_algebra",
     "cached_algebra",
     "sharp",
-    "project_bivector",
 ]
 
 class AlgebraKind(str, Enum):
@@ -41,23 +37,28 @@ class AlgebraKind(str, Enum):
 class HolonomySubalgebra:
     """Ordered orthonormal basis {Xi_alpha} of a Lie subalgebra of Lambda^2 V.
 
-    `coeff_matrix` holds the basis as rows of wedge coefficients and
-    `matrices` as the read-only (N, d, d) stack of their matrix avatars.
+    `coeff_matrix` holds the basis as the read-only (N, P) array of rows
+    of wedge coefficients and `matrices` as the read-only (N, d, d) stack
+    of their matrix avatars.  `rows` must be such an (N, P) array.
     """
 
-    def __init__(self, space, kind, basis):
+    def __init__(self, space, kind, rows):
         self.space = space
         self.kind = AlgebraKind(kind)
-        self.basis = list(basis)
-        # rows = coefficient vectors on the wedge basis
-        self.coeff_matrix = np.array([b.coeffs for b in self.basis])
+        # a C-order copy: the BLAS products downstream, and so the printed
+        # digits, depend on the layout
+        self.coeff_matrix = np.array(rows, dtype=float, order="C")
+        P = len(wedge_pairs(space.dim))
+        if self.coeff_matrix.ndim != 2 or self.coeff_matrix.shape[1] != P:
+            raise ValueError(f"algebra rows have shape {self.coeff_matrix.shape}, expected (N, {P})")
+        self.coeff_matrix.setflags(write=False)
         self.matrices = _avatars(space.dim, self.coeff_matrix)
         self.matrices.setflags(write=False)
         self._validate()
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.coeff_matrix)
 
     def projector(self):
         """Orthogonal projector onto span{Xi_alpha} in wedge coordinates."""
@@ -66,20 +67,6 @@ class HolonomySubalgebra:
     def complement_projector(self):
         P = self.projector()
         return np.eye(P.shape[0]) - P
-
-    def random_element(self, rng, unit=False):
-        c = rng.standard_normal(self.dim)
-        if unit:
-            c /= np.linalg.norm(c)
-        return self.element(c)
-
-    def element(self, coefficients):
-        coefficients = np.asarray(coefficients, dtype=float)
-        return Bivector(self.space, self.coeff_matrix.T @ coefficients)
-
-    def coordinates(self, L):
-        """Coefficients of the projection of L onto the algebra."""
-        return self.coeff_matrix @ L.coeffs
 
     def _validate(self):
         gram = self.coeff_matrix @ self.coeff_matrix.T
@@ -150,7 +137,7 @@ def _sp_m_commutant(space):
 
 
 def _u_spanning_set(space):
-    """Canonical u(n) spanning set in the block convention.
+    """Canonical u(n) spanning set in the block convention, as wedge rows.
 
     Families, in order: {eps_i ^ eps_j + J eps_i ^ J eps_j : i < j},
     {eps_i ^ J eps_i}, {eps_i ^ J eps_j + eps_j ^ J eps_i : i < j},
@@ -158,14 +145,16 @@ def _u_spanning_set(space):
     disjoint wedge supports, so they are pairwise orthogonal.
     """
     n = space.dim // 2
-    out = []
-    for i, j in itertools.combinations(range(n), 2):
-        out.append(Bivector.wedge(space, 2 * i, 2 * j) + Bivector.wedge(space, 2 * i + 1, 2 * j + 1))
-    for i in range(n):
-        out.append(Bivector.wedge(space, 2 * i, 2 * i + 1))
-    for i, j in itertools.combinations(range(n), 2):
-        out.append(Bivector.wedge(space, 2 * i, 2 * j + 1) + Bivector.wedge(space, 2 * j, 2 * i + 1))
-    return out
+    pairs = list(itertools.combinations(range(n), 2))
+    # the avatar of e_x ^ e_y sends e_x to e_y
+    terms = ([[(2 * i, 2 * j), (2 * i + 1, 2 * j + 1)] for i, j in pairs]
+             + [[(2 * i, 2 * i + 1)] for i in range(n)]
+             + [[(2 * i, 2 * j + 1), (2 * j, 2 * i + 1)] for i, j in pairs])
+    M = np.zeros((len(terms), space.dim, space.dim))
+    for r, wedges in enumerate(terms):
+        for x, y in wedges:
+            M[r, y, x], M[r, x, y] = 1.0, -1.0
+    return _wedge_coefficients(M)
 
 
 def build_algebra(space, kind):
@@ -184,7 +173,7 @@ def build_algebra(space, kind):
     elif kind == AlgebraKind.U:
         if space.complex_structure is None:
             raise ValueError("u(n) needs a complex structure")
-        rows = _unit_rows([b.coeffs for b in _u_spanning_set(space)])
+        rows = _unit_rows(_u_spanning_set(space))
     else:
         if space.quaternionic_structure is None:
             raise ValueError("sp(m)+sp(1) needs a quaternionic structure")
@@ -193,7 +182,7 @@ def build_algebra(space, kind):
             raise ValueError("sp(m)+sp(1) needs m >= 2")
         sp1 = _wedge_coefficients(np.array(space.quaternionic_structure)) / np.sqrt(2 * m)
         rows = np.concatenate([sp1, _sp_m_commutant(space)])
-    return HolonomySubalgebra(space, kind, [Bivector(space, r) for r in rows])
+    return HolonomySubalgebra(space, kind, rows)
 
 
 def cached_algebra(space, kind):
@@ -216,9 +205,8 @@ class SharpDecomposition:
     coefficients scaled by sqrt(k! 2^k) for `forms.sharp_form`.  Either
     way the Hermitian inner products of the rows are the full-tensor
     ones.  T^g itself is sum_alpha stack[alpha] (x) Xi_alpha; its squared
-    norm is the sum of the squared slice norms.  The indices taken by
-    `evaluate`, and the leading axes of `reconstruct`, address the
-    stack's trailing axes.
+    norm is the sum of the squared slice norms.  The leading axes of
+    `reconstruct` address the stack's trailing axes.
     """
 
     algebra: HolonomySubalgebra
@@ -242,11 +230,6 @@ class SharpDecomposition:
         |L T|^2 = c^T (Re P) c, so it is the top eigenvalue of Re P."""
         return float(np.linalg.eigvalsh(self.pairings().real)[-1])
 
-    def evaluate(self, L, multi_index):
-        """g(L, T^g(multi_index)) for a bivector L, by expanding over the basis."""
-        entries = self.stack[(slice(None),) + tuple(multi_index)]
-        return complex(self.algebra.coordinates(L) @ entries)
-
     def reconstruct(self):
         """Components of T^g as an array with a trailing wedge-coefficient axis."""
         return np.tensordot(self.stack, self.algebra.coeff_matrix, axes=([0], [0]))
@@ -254,13 +237,5 @@ class SharpDecomposition:
 
 def sharp(T, algebra):
     """Decompose a dense tensor over the algebra: stack[alpha] = Xi_alpha T."""
-    if not T.space.compatible(algebra.space):
-        raise ValueError(f"dimension mismatch: {T.space.dim} vs {algebra.space.dim}")
+    _check_same_space(T, algebra)
     return SharpDecomposition(algebra, T, _act_matrix(algebra.matrices, T.components))
-
-
-def project_bivector(L, algebra):
-    """Orthogonal projection of a bivector onto the algebra span."""
-    if not L.space.compatible(algebra.space):
-        raise ValueError(f"dimension mismatch: {L.space.dim} vs {algebra.space.dim}")
-    return Bivector(L.space, algebra.projector() @ L.coeffs)

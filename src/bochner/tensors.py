@@ -1,15 +1,18 @@
 """Dense complex tensors over an orthonormal Euclidean vector space.
 
 Everything downstream (holonomy algebras, curvature operators, form
-spaces) is built on three small carriers:
+spaces) is built on two small carriers and one array format:
 
 * :class:`EuclideanSpace` fixes the dimension and, optionally, the block
   complex or quaternionic structure, which it builds itself.  The metric
   is the identity in the stored basis, so raising and lowering indices
   is free.
 * :class:`ComplexTensor` is a dense complex (0, k)-tensor.
-* :class:`Bivector` is an element of so(V) = Lambda^2 V stored as real
-  coefficients on the orthonormal wedge basis {e_i ^ e_j : i < j}.
+* An element of so(V) = Lambda^2 V is a row of real coefficients on the
+  orthonormal wedge basis {e_i ^ e_j : i < j} (`wedge_pairs`), or its
+  skew matrix avatar; `_avatars` and `_wedge_coefficients` convert
+  stacks of either, and `_act_matrix` applies a stack of avatars to a
+  tensor as derivations.
 
 Conventions
 -----------
@@ -36,10 +39,6 @@ import numpy as np
 __all__ = [
     "EuclideanSpace",
     "ComplexTensor",
-    "Bivector",
-    "bivector_action",
-    "lie_bracket",
-    "act_on_tensor",
     "hermitian_inner",
     "wedge_pairs",
     "tensor_to_json",
@@ -53,11 +52,6 @@ __all__ = [
 def wedge_pairs(dim):
     """Ordered basis (i, j), i < j, of Lambda^2 for a given dimension."""
     return tuple(itertools.combinations(range(dim), 2))
-
-
-@lru_cache(maxsize=None)
-def _pair_index(dim):
-    return {p: a for a, p in enumerate(wedge_pairs(dim))}
 
 
 def _avatars(dim, coeffs):
@@ -189,6 +183,11 @@ class EuclideanSpace:
         return f"EuclideanSpace(dim={self.dim}{extra})"
 
 
+def _complex_gaussian(rng, shape):
+    """Standard complex normal draws: every real part, then every imaginary part."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _check_same_space(a, b):
     if not a.space.compatible(b.space):
         raise ValueError(f"dimension mismatch: {a.space.dim} vs {b.space.dim}")
@@ -222,8 +221,7 @@ class ComplexTensor:
 
     @classmethod
     def random(cls, space, rank, rng):
-        shape = (space.dim,) * rank
-        return cls(space, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return cls(space, _complex_gaussian(rng, (space.dim,) * rank))
 
     def norm2(self):
         """Squared full-tensor norm, sum over every index order."""
@@ -259,122 +257,6 @@ class ComplexTensor:
         return f"ComplexTensor(dim={self.space.dim}, rank={self.rank})"
 
 
-class Bivector:
-    """Element of Lambda^2 V on the orthonormal basis {e_i ^ e_j : i < j}.
-
-    The matrix avatar M sends e_i to e_j and e_j to -e_i for the wedge
-    monomial e_i ^ e_j, so M[j, i] = +1 and M[i, j] = -1.
-    """
-
-    def __init__(self, space, coeffs):
-        self.space = space
-        c = np.array(coeffs, dtype=float)
-        expected = space.dim * (space.dim - 1) // 2
-        if c.shape != (expected,):
-            raise ValueError(f"coefficient vector has length {c.shape}, expected ({expected},)")
-        c.setflags(write=False)
-        self.coeffs = c
-
-    @classmethod
-    def zero(cls, space):
-        return cls(space, np.zeros(space.dim * (space.dim - 1) // 2))
-
-    @classmethod
-    def wedge(cls, space, i, j):
-        """The wedge monomial e_i ^ e_j (0-based, any order of i, j)."""
-        if i == j:
-            raise ValueError("wedge of a vector with itself is zero")
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        c = np.zeros(space.dim * (space.dim - 1) // 2)
-        c[_pair_index(space.dim)[(i, j)]] = sign
-        return cls(space, c)
-
-    @classmethod
-    def from_matrix(cls, space, M):
-        M = np.asarray(M, dtype=float)
-        if not np.allclose(M, -M.T, atol=1e-9 * max(1.0, np.abs(M).max())):
-            raise ValueError("matrix avatar must be skew-symmetric")
-        return cls(space, _wedge_coefficients(M))
-
-    @classmethod
-    def from_two_form(cls, space, lam):
-        """Build from the antisymmetric rank-2 component array lam_{ij}."""
-        return cls(space, _wedge_coefficients(np.asarray(lam, dtype=float).T))
-
-    @classmethod
-    def random(cls, space, rng, unit=False):
-        c = rng.standard_normal(space.dim * (space.dim - 1) // 2)
-        if unit:
-            c = c / np.linalg.norm(c)
-        return cls(space, c)
-
-    def matrix(self):
-        # coefficients are frozen, so the avatar is computed once
-        cached = getattr(self, "_matrix", None)
-        if cached is None:
-            M = _avatars(self.space.dim, self.coeffs)
-            M.setflags(write=False)
-            self._matrix = cached = M
-        return cached
-
-    def two_form(self):
-        """The rank-2 antisymmetric component array; equals matrix().T."""
-        return self.matrix().T
-
-    def as_tensor(self):
-        return ComplexTensor(self.space, self.two_form().astype(complex))
-
-    def norm2(self):
-        return float(self.coeffs @ self.coeffs)
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def inner(self, other):
-        _check_same_space(self, other)
-        return float(self.coeffs @ other.coeffs)
-
-    def __add__(self, other):
-        _check_same_space(self, other)
-        return Bivector(self.space, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_same_space(self, other)
-        return Bivector(self.space, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return Bivector(self.space, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Bivector(self.space, -self.coeffs)
-
-    def __repr__(self):
-        return f"Bivector(dim={self.space.dim}, |L|={self.norm():.4g})"
-
-
-def bivector_action(L, v):
-    """Apply the infinitesimal rotation of L to a vector.
-
-    (X ^ Y) Z = g(X, Z) Y - g(Y, Z) X extended linearly; in matrix terms
-    this is M(L) @ v.
-    """
-    v = np.asarray(v)
-    if v.shape != (L.space.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({L.space.dim},)")
-    return L.matrix() @ v
-
-
-def lie_bracket(L1, L2):
-    """Commutator [L1, L2] of the matrix avatars, returned as a bivector."""
-    _check_same_space(L1, L2)
-    M1, M2 = L1.matrix(), L2.matrix()
-    return Bivector.from_matrix(L1.space, M1 @ M2 - M2 @ M1)
-
-
 _ACT_BLOCK_BYTES = 1 << 20
 
 
@@ -406,12 +288,6 @@ def _act_matrix(Ms, arr):
             view = rows.reshape(shape)
             view -= tmp
     return out
-
-
-def act_on_tensor(L, T):
-    """Derivation action L T(X_1, ..., X_r) = -sum_i T(X_1, ..., L X_i, ..., X_r)."""
-    _check_same_space(L, T)
-    return ComplexTensor(T.space, _act_matrix(L.matrix()[None], T.components)[0])
 
 
 def hermitian_inner(T, S):

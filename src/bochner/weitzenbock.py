@@ -26,7 +26,7 @@ import numpy as np
 from .criteria import _require_finite, weighted_partial_sum
 from .curvature import _refuse_leak, ricci
 from .holonomy import sharp
-from .tensors import ComplexTensor, hermitian_inner
+from .tensors import ComplexTensor, _check_same_space, hermitian_inner
 
 __all__ = [
     "weitzenbock_ric",
@@ -47,8 +47,7 @@ def weitzenbock_ric(rm_tensor, T):
     pair); linear in T, rank preserving and self-adjoint for the
     hermitian pairing.
     """
-    if not rm_tensor.space.compatible(T.space):
-        raise ValueError(f"dimension mismatch: {rm_tensor.space.dim} vs {T.space.dim}")
+    _check_same_space(rm_tensor, T)
     arr = T.components
     k = arr.ndim
     Rm = rm_tensor.array
@@ -157,6 +156,14 @@ def verify_weitzenbock_restriction(rm_tensor, algebra, tensors):
     return reports
 
 
+def _lemma26_premise(spectrum, C, ell, kappa):
+    """The Lemma 2.6 premise on an ascending spectrum: the value
+    mu_1 + ... + mu_ell + (C - ell) mu_{ell+1} and whether it is at least
+    kappa (ell + 1)."""
+    value = weighted_partial_sum(spectrum, ell, C - ell if ell < len(spectrum) else 0)
+    return value, value >= kappa * (ell + 1)
+
+
 def verify_eigenvalue_sum_bound(gram, algebra, C, ell, kappa, tensors, slack=1e-10):
     """Check the eigenvalue partial-sum lower bound on admitted tensors.
 
@@ -184,9 +191,7 @@ def verify_eigenvalue_sum_bound(gram, algebra, C, ell, kappa, tensors, slack=1e-
         raise ValueError(f"ell = {ell} outside [1, floor(C)] = [1, {int(np.floor(C))}]")
     if kappa > 0:
         raise ValueError("kappa must be nonpositive")
-    spectrum = np.linalg.eigvalsh(gram)
-    premise_value = weighted_partial_sum(spectrum, ell, C - ell if ell < len(spectrum) else 0)
-    premise = premise_value >= kappa * (ell + 1)
+    premise_value, premise = _lemma26_premise(np.linalg.eigvalsh(gram), C, ell, kappa)
     strict_premise = premise_value > 0
     cases = []
     admitted = rejected = 0

@@ -145,8 +145,7 @@ def quaternion_sharp_constant_naive(algebra):
     space = algebra.space
     d = space.dim
     m = d // 4
-    mats = [b.matrix() for b in algebra.basis]
-    spm = [M for M in mats
+    spm = [M for M in algebra.matrices
            if all(np.allclose(M @ A, A @ M, atol=1e-12) for A in space.quaternionic_structure)]
     assert len(spm) == m * (2 * m + 1), len(spm)
     cas = np.zeros((d, d))
@@ -173,7 +172,7 @@ def action_supremum_naive(algebra, arr):
     matrix M_a, fills Re <M_a T, M_b T> entry by entry and takes its top
     eigenvalue: for L = sum_a c_a M_a with |c| = 1, |L T|^2 = c^T Re(P) c.
     """
-    slices = [act_matrix_naive(b.matrix(), arr) for b in algebra.basis]
+    slices = [act_matrix_naive(M, arr) for M in algebra.matrices]
     N = len(slices)
     P = np.zeros((N, N))
     for a in range(N):

@@ -441,6 +441,10 @@ def test_verify_suites_pass(capsys):
      "stratum Omega^1 ^ primitive(2, 2) is empty at n = 4"),
     (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--spectrum", "three.json"],
      "spectrum length 3 differs from n^2 = 4"),
+    (["model", "cs", "--n", "2", "--m", "3"], "conflicting size flags --n and --m"),
+    (["algebra", "--algebra", "u", "--n", "2", "--m", "3"], "conflicting size flags --n and --m"),
+    (["algebra", "--algebra", "u", "--n", "2", "--d", "8"], "conflicting size flags --n and --d"),
+    (["model", "chsc", "--n", "2", "--d", "8"], "conflicting size flags --n and --d"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, non-finite weights, models that leak off the algebra

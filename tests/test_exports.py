@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -13,9 +14,14 @@ def test_every_reexport_is_in_its_modules_all_and_every_all_entry_exists():
     reexports = [(node.module, alias.name) for node in tree.body
                  if isinstance(node, ast.ImportFrom) and node.level == 1
                  for alias in node.names]
-    assert len(reexports) > 80
+    # the parsed imports are exactly the public names the package binds
+    bound = {name for name, value in vars(bochner).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert {name for _, name in reexports} == bound
     for module, name in reexports:
-        assert name in importlib.import_module(f"bochner.{module}").__all__, (module, name)
+        mod = importlib.import_module(f"bochner.{module}")
+        assert name in mod.__all__, (module, name)
+        assert getattr(bochner, name) is getattr(mod, name), (module, name)
     for info in pkgutil.iter_modules(bochner.__path__):
         mod = importlib.import_module(f"bochner.{info.name}")
         for name in getattr(mod, "__all__", ()):

@@ -16,26 +16,18 @@ from bochner import (
     construct_Vpqk,
     hermitian_inner,
     kahler_form,
-    kahler_form_bivector,
     omega_power,
-    pq_project,
     sharp,
     sharp_coefficient,
     sharp_norm_coefficient_check,
     wedge,
 )
 from bochner.criteria import serre_remap
-from bochner.forms import (
-    dz_covector,
-    dzbar_covector,
-    primitive_pq_basis,
-    random_pq_form,
-    random_stratum_form,
-    stratum_basis,
-)
+from bochner.forms import primitive_pq_basis, random_pq_form, random_stratum_form, stratum_basis
 from bochner.holonomy import cached_algebra
+from bochner.tensors import _act_matrix, _avatars, _wedge_coefficients
 
-from oracles import wedge_naive
+from oracles import pq_project_naive, wedge_naive
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +71,7 @@ def test_wedge_graded_commutativity(c3, rng):
 
 def test_dz_pairing(c3):
     # dz^a evaluates to delta_ab on the holomorphic frame vectors
-    for a in range(3):
-        dz = dz_covector(c3, a)
+    for a, dz in enumerate(build_pq_basis(c3, 1, 0)):
         for b in range(3):
             frame = np.zeros(6, dtype=complex)
             frame[2 * b] = 0.5
@@ -92,8 +83,8 @@ def test_kahler_form_via_dz(c2):
     # omega = (i/2) sum_a dz^a ^ dzbar^a
     om = kahler_form(c2)
     acc = np.zeros_like(om.components)
-    for a in range(2):
-        acc += 0.5j * wedge(dz_covector(c2, a), dzbar_covector(c2, a)).tensor.components
+    for dz, dzbar in zip(build_pq_basis(c2, 1, 0), build_pq_basis(c2, 0, 1)):
+        acc += 0.5j * wedge(dz, dzbar).tensor.components
     assert np.allclose(acc, om.components, atol=1e-12)
 
 
@@ -102,7 +93,10 @@ def test_omega_bivector_invariance(c2):
     u = cached_algebra(c2, "u")
     dec = sharp(kahler_form(c2), u)
     assert dec.norm2() < 1e-20
-    assert kahler_form_bivector(c2).norm2() == pytest.approx(c2.n)
+    # omega as a bivector: |omega|^2 = n, and it lies in u(n)
+    omega = _wedge_coefficients(c2.j_matrix())
+    assert omega @ omega == pytest.approx(c2.n)
+    assert np.allclose(u.projector() @ omega, omega, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +104,17 @@ def test_omega_bivector_invariance(c2):
 
 
 def test_pq_projector_fixes_pure_forms(c3):
-    f = wedge(wedge(dz_covector(c3, 0), dz_covector(c3, 1)), dzbar_covector(c3, 2))
-    proj = pq_project(f, 2, 1)
-    assert np.allclose(proj.tensor.components, f.tensor.components, atol=1e-10)
+    dz, dzbar = build_pq_basis(c3, 1, 0), build_pq_basis(c3, 0, 1)
+    f = wedge(wedge(dz[0], dz[1]), dzbar[2])
+    proj = pq_project_naive(f.tensor.components, c3.j_matrix(), 2, 1)
+    assert np.allclose(proj, f.tensor.components, atol=1e-10)
     # and kills the wrong type
-    proj03 = pq_project(f, 1, 2)
-    assert np.abs(proj03.tensor.components).max() < 1e-10
+    proj03 = pq_project_naive(f.tensor.components, c3.j_matrix(), 1, 2)
+    assert np.abs(proj03).max() < 1e-10
 
 
 def test_pq_form_validation(c2):
-    f = wedge(dz_covector(c2, 0), dzbar_covector(c2, 1))
+    f = wedge(build_pq_basis(c2, 1, 0)[0], build_pq_basis(c2, 0, 1)[1])
     PQForm(c2, 1, 1, f)  # validates
     with pytest.raises(ValueError):
         PQForm(c2, 2, 0, f)
@@ -129,11 +124,12 @@ def test_pq_form_validation(c2):
 
 def test_stratum_index_rule(c2, rng):
     # 0 <= k <= min(p, q) for a declared k, a product and a stratum; no negative power
-    f = wedge(dz_covector(c2, 0), dzbar_covector(c2, 1))
+    dz, dzbar = build_pq_basis(c2, 1, 0)[0], build_pq_basis(c2, 0, 1)[1]
+    f = wedge(dz, dzbar)
     with pytest.raises(ValueError, match="stratum k = -1 out of range"):
         PQForm(c2, 1, 1, f, k=-1)
     with pytest.raises(ValueError, match="stratum k = -1 out of range"):
-        construct_Vpqk(dz_covector(c2, 0), dzbar_covector(c2, 1), -1)
+        construct_Vpqk(dz, dzbar, -1)
     with pytest.raises(ValueError, match="stratum k = -1 out of range"):
         random_stratum_form(c2, 1, 1, -1, rng)
     with pytest.raises(ValueError, match="stratum k = 2 out of range"):
@@ -153,15 +149,15 @@ def test_build_pq_basis_counts(c2, c3):
 def test_build_pq_basis_purity(c3):
     for (p, q) in ((1, 0), (1, 1), (2, 1)):
         for f in build_pq_basis(c3, p, q):
-            proj = pq_project(f, p, q)
-            assert np.allclose(proj.tensor.components, f.tensor.components, atol=1e-9)
+            proj = pq_project_naive(f.tensor.components, c3.j_matrix(), p, q)
+            assert np.allclose(proj, f.tensor.components, atol=1e-9)
 
 
 def test_wedge_with_omega_preserves_purity(c3, rng):
     f = random_pq_form(c3, 1, 0, rng)
     w = wedge(Form.from_tensor(kahler_form(c3)), f)
-    proj = pq_project(w, 2, 1)
-    assert np.allclose(proj.tensor.components, w.tensor.components,
+    proj = pq_project_naive(w.tensor.components, c3.j_matrix(), 2, 1)
+    assert np.allclose(proj, w.tensor.components,
                        atol=1e-9 * math.sqrt(w.norm2()))
 
 
@@ -191,8 +187,8 @@ def test_construct_Vpqk_nonzero_pure(c3, rng):
     f = construct_Vpqk(psi1, psi2, 1)
     assert (f.p, f.q, f.k) == (2, 2, 1)
     assert f.norm2() > 1e-6
-    proj = pq_project(f, 2, 2)
-    assert np.allclose(proj.tensor.components, f.tensor.components,
+    proj = pq_project_naive(f.tensor.components, c3.j_matrix(), 2, 2)
+    assert np.allclose(proj, f.tensor.components,
                        atol=1e-9 * math.sqrt(f.norm2()))
 
 
@@ -287,13 +283,12 @@ def test_coefficient_fails_on_stratum_mixing_products(c3):
     """dz^{12} ^ dzbar^1 mixes the strata with constants 7 and 3 in equal
     parts, so its measured ratio is 5; the disjoint-index product is
     primitive and exact.  This pins the domain of validity."""
-    mixed = PQForm(c3, 2, 1, wedge(wedge(dz_covector(c3, 0), dz_covector(c3, 1)),
-                                   dzbar_covector(c3, 0)), k=0, validate=False)
+    dz, dzbar = build_pq_basis(c3, 1, 0), build_pq_basis(c3, 0, 1)
+    mixed = PQForm(c3, 2, 1, wedge(wedge(dz[0], dz[1]), dzbar[0]), k=0, validate=False)
     r = sharp_norm_coefficient_check(mixed)
     assert r["coefficient"] == 7.0
     assert r["sharp_norm2"] / r["circ_norm2"] == pytest.approx(5.0, rel=1e-10)
-    disjoint = PQForm(c3, 2, 1, wedge(wedge(dz_covector(c3, 0), dz_covector(c3, 1)),
-                                      dzbar_covector(c3, 2)), k=0, validate=False)
+    disjoint = PQForm(c3, 2, 1, wedge(wedge(dz[0], dz[1]), dzbar[2]), k=0, validate=False)
     r = sharp_norm_coefficient_check(disjoint)
     assert r["relative_deviation"] < 1e-10
 
@@ -357,11 +352,10 @@ def test_action_bound_vacuous_cases(c2):
 
 def test_action_bound_tight_for_one_zero_forms(c2):
     # L = eps ^ J eps acting on dz^1 achieves the bound exactly
-    f = PQForm(c2, 1, 0, dz_covector(c2, 0), k=0)
-    from bochner import Bivector, act_on_tensor
-
-    L = Bivector.wedge(c2, 0, 1)
-    ratio = act_on_tensor(L, f.tensor).norm2() / (1 * circ(f).norm2())
+    f = PQForm(c2, 1, 0, build_pq_basis(c2, 1, 0)[0], k=0)
+    M = _avatars(4, np.eye(6)[0])  # e_1 ^ e_2
+    LT = _act_matrix(M[None], f.tensor.components)[0]
+    ratio = np.vdot(LT, LT).real / (1 * circ(f).norm2())
     assert ratio == pytest.approx(1.0, rel=1e-12)
     # the exact supremum over unit L reaches it
     assert action_bound_check(f)["max_ratio"] == pytest.approx(1.0, rel=1e-12)

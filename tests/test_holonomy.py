@@ -3,23 +3,15 @@
 import numpy as np
 import pytest
 
-from bochner import (
-    Bivector,
-    ComplexTensor,
-    EuclideanSpace,
-    act_on_tensor,
-    build_algebra,
-    lie_bracket,
-    project_bivector,
-    sharp,
-)
-from bochner.forms import dz_covector, kahler_form
+from bochner import ComplexTensor, EuclideanSpace, build_algebra, sharp
+from bochner.forms import build_pq_basis, kahler_form
 from bochner.holonomy import AlgebraKind, HolonomySubalgebra, _sp_m_commutant, cached_algebra
-from bochner.tensors import _act_matrix
+from bochner.tensors import _act_matrix, _avatars, _wedge_coefficients
 
 from oracles import (
     act_matrix_naive,
     action_supremum_naive,
+    bracket_naive,
     gram_projection_naive,
     skew_commutant_naive,
 )
@@ -59,18 +51,18 @@ def test_basis_orthonormal_and_closed(c2, h2):
         G = alg.coeff_matrix @ alg.coeff_matrix.T
         assert np.abs(G - np.eye(alg.dim)).max() < 1e-10
         Q = alg.complement_projector()
+        Ms = alg.matrices
         worst = 0.0
         for a in range(alg.dim):
             for b in range(a + 1, alg.dim):
-                br = lie_bracket(alg.basis[a], alg.basis[b])
-                worst = max(worst, np.linalg.norm(Q @ br.coeffs))
+                br = _wedge_coefficients(bracket_naive(Ms[a], Ms[b]))
+                worst = max(worst, np.linalg.norm(Q @ br))
         assert worst < 1e-9
 
 
 def test_u_basis_commutes_with_j(c3):
     J = c3.j_matrix()
-    for b in build_algebra(c3, "u").basis:
-        M = b.matrix()
+    for M in build_algebra(c3, "u").matrices:
         assert np.abs(M @ J - J @ M).max() < 1e-12
 
 
@@ -78,15 +70,13 @@ def test_sp_basis_structure(h2):
     """sp(m) block commutes with I, J, K; sp(1) block spans the structure forms."""
     I, J, K = h2.quaternionic_structure
     alg = build_algebra(h2, "sp")
-    sp1, spm = alg.basis[:3], alg.basis[3:]
-    for b in spm:
-        M = b.matrix()
+    sp1, spm = alg.matrices[:3], alg.matrices[3:]
+    for M in spm:
         for X in (I, J, K):
             assert np.abs(M @ X - X @ M).max() < 1e-9
     # the first three elements are the normalized structure 2-forms
-    for b, X in zip(sp1, (I, J, K)):
-        M = b.matrix() * np.sqrt(2 * h2.m)
-        assert np.abs(M - X).max() < 1e-9
+    for M, X in zip(sp1, (I, J, K)):
+        assert np.abs(M * np.sqrt(2 * h2.m) - X).max() < 1e-9
 
 
 def _closed_form_case(kind, size):
@@ -108,8 +98,7 @@ def test_closed_form_rows_are_orthonormal_members_of_the_known_dimension(kind, s
     rows, structures, dim = _closed_form_case(kind, size)
     assert rows.shape == (dim, len(rows[0]))
     assert np.abs(rows @ rows.T - np.eye(dim)).max() <= 1e-12
-    space = EuclideanSpace.euclidean(structures[0].shape[0])
-    Ms = np.array([Bivector(space, r).matrix() for r in rows])
+    Ms = _avatars(structures[0].shape[0], rows)
     for X in structures:
         assert np.abs(Ms @ X - X @ Ms).max() <= 1e-14
 
@@ -133,22 +122,33 @@ def test_sp_algebra_is_sp1_then_the_sp_m_rows(m):
         assert np.abs(M * np.sqrt(2 * m) - X).max() <= 1e-14
 
 
+def test_constructor_takes_only_wedge_rows_of_the_ambient_length(c2):
+    with pytest.raises(ValueError, match=r"^algebra rows have shape \(4, 4\), expected \(N, 6\)$"):
+        HolonomySubalgebra(c2, "u", np.eye(4))
+    # the rows are copied and frozen
+    rows = build_algebra(c2, "u").coeff_matrix.copy()
+    algebra = HolonomySubalgebra(c2, "u", rows)
+    rows[0] = 0.0
+    assert not algebra.coeff_matrix.flags.writeable
+    assert np.array_equal(algebra.coeff_matrix, build_algebra(c2, "u").coeff_matrix)
+
+
 def test_validate_rejects_a_basis_not_closed_under_brackets(c2):
     # u(2) with its first element replaced by e_1 ^ e_3, which is a unit
     # vector orthogonal to the other three
-    basis = build_algebra(c2, "u").basis
-    basis[0] = Bivector.wedge(c2, 0, 2)
+    rows = build_algebra(c2, "u").coeff_matrix.copy()
+    rows[0] = np.eye(6)[1]
     with pytest.raises(ValueError, match=r"^basis not closed under brackets, leak 7\.07e-01$"):
-        HolonomySubalgebra(c2, "u", basis)
+        HolonomySubalgebra(c2, "u", rows)
 
 
 def test_validate_rejects_a_u_basis_not_commuting_with_j(c2):
     # u(2) conjugated by the swap of e_3 and e_4: a closed orthonormal set
     # commuting with the conjugated J, not with J
     P = np.eye(4)[[0, 1, 3, 2]]
-    basis = [Bivector.from_matrix(c2, P @ b.matrix() @ P.T) for b in build_algebra(c2, "u").basis]
+    rows = _wedge_coefficients(P @ build_algebra(c2, "u").matrices @ P.T)
     with pytest.raises(ValueError, match=r"^u\(n\) element does not commute with J$"):
-        HolonomySubalgebra(c2, "u", basis)
+        HolonomySubalgebra(c2, "u", rows)
 
 
 _STACK_CASES = ([(rank, kind, 2, "complex") for kind in ("so", "u", "sp") for rank in (1, 2, 3, 4)]
@@ -187,7 +187,7 @@ def test_sharp_stack_rows_are_the_loop_action(rank, kind, size, layout, rng):
         for M, row in zip(algebra.matrices, stack):
             assert np.array_equal(row, _act_matrix(M[None], arr)[0])
     for a in rows:
-        expected = act_matrix_naive(algebra.basis[a].matrix(), arr.astype(complex))
+        expected = act_matrix_naive(algebra.matrices[a], arr.astype(complex))
         assert np.abs(stack[a] - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
@@ -210,23 +210,24 @@ def test_sharp_one_zero_form_norm(c2, c3):
     # |phi^u|^2 = n |phi|^2 for (1, 0)-forms
     for space in (c2, c3):
         u = build_algebra(space, "u")
-        phi = dz_covector(space, 0).tensor
+        phi = build_pq_basis(space, 1, 0)[0].tensor
         dec = sharp(phi, u)
         assert dec.norm2() == pytest.approx(space.n * phi.norm2(), rel=1e-12)
 
 
 def test_sharp_equivariance(c2, rng):
-    # g(L, T^g(indices)) = (L T)(indices) for L in the algebra
+    # g(L, T^g(indices)) = (L T)(indices) for L in the algebra, with T^g
+    # reconstructed on the wedge basis and L T from L's avatar
     u = build_algebra(c2, "u")
     worst = 0.0
     for _ in range(100):
         rank = int(rng.integers(1, 4))
         T = ComplexTensor.random(c2, rank, rng)
-        L = u.random_element(rng)
+        L = rng.standard_normal(u.dim) @ u.coeff_matrix
         dec = sharp(T, u)
         idx = tuple(rng.integers(0, 4, size=rank))
-        lhs = dec.evaluate(L, idx)
-        rhs = act_on_tensor(L, T).components[idx]
+        lhs = dec.reconstruct()[idx] @ L
+        rhs = _act_matrix(_avatars(4, L)[None], T.components)[0][idx]
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-9
 
@@ -248,8 +249,7 @@ def test_basis_independence_of_sharp_norm(c2, h2, rng):
         base = sharp(T, algebra).norm2()
         for _ in range(draws):
             Q = np.linalg.qr(rng.standard_normal((algebra.dim, algebra.dim)))[0]
-            rotated = HolonomySubalgebra(space, kind,
-                                         [Bivector(space, r) for r in Q @ algebra.coeff_matrix])
+            rotated = HolonomySubalgebra(space, kind, Q @ algebra.coeff_matrix)
             assert abs(sharp(T, rotated).norm2() - base) < 1e-9 * max(base, 1.0)
 
 
@@ -263,27 +263,28 @@ def test_projector_splits_identity(c2):
 
 def test_project_bivector(c2, rng):
     u = build_algebra(c2, "u")
+    P = u.projector()
     # elements of the span project to themselves
-    L = u.random_element(rng)
-    assert np.allclose(project_bivector(L, u).coeffs, L.coeffs, atol=1e-12)
+    L = rng.standard_normal(u.dim) @ u.coeff_matrix
+    assert np.allclose(P @ L, L, atol=1e-12)
     # orthogonal complement projects to zero
     Q = u.complement_projector()
-    Lp = Bivector(c2, Q @ rng.standard_normal(6))
-    assert project_bivector(Lp, u).norm() < 1e-12
+    Lp = Q @ rng.standard_normal(6)
+    assert np.linalg.norm(P @ Lp) < 1e-12
     # generic: agrees with the normal-equation oracle, norm non-increasing
     for _ in range(10):
-        L = Bivector.random(c2, rng)
-        proj = project_bivector(L, u)
-        expected = gram_projection_naive(list(u.coeff_matrix), L.coeffs)
-        assert np.allclose(proj.coeffs, expected, atol=1e-10)
-        assert proj.norm() <= L.norm() + 1e-12
+        L = rng.standard_normal(6)
+        proj = P @ L
+        expected = gram_projection_naive(list(u.coeff_matrix), L)
+        assert np.allclose(proj, expected, atol=1e-10)
+        assert np.linalg.norm(proj) <= np.linalg.norm(L) + 1e-12
 
 
 def test_wedge_projects_into_u2_with_norm_at_most_one(c2):
     u = build_algebra(c2, "u")
-    L = Bivector.wedge(c2, 0, 1)
-    proj = project_bivector(L, u)
-    assert 0.0 < proj.norm() <= 1.0 + 1e-12
+    L = np.eye(6)[0]  # e_1 ^ e_2
+    proj = u.projector() @ L
+    assert 0.0 < np.linalg.norm(proj) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +305,13 @@ def test_max_action_norm2_is_the_supremum(kind, size, rank):
     assert sup == pytest.approx(action_supremum_naive(algebra, T.components), rel=1e-10)
     # attained by the L of the top eigenvector
     vals, vecs = np.linalg.eigh(dec.pairings().real)
-    L = algebra.element(vecs[:, -1])
-    assert L.norm() == pytest.approx(1.0, rel=1e-12)
-    assert act_on_tensor(L, T).norm2() == pytest.approx(sup, rel=1e-10)
+    L = vecs[:, -1] @ algebra.coeff_matrix
+    assert np.linalg.norm(L) == pytest.approx(1.0, rel=1e-12)
+    LT = _act_matrix(_avatars(space.dim, L)[None], T.components)[0]
+    assert np.vdot(LT, LT).real == pytest.approx(sup, rel=1e-10)
     # no random unit direction exceeds it
-    sampled = max(act_on_tensor(algebra.random_element(rng, unit=True), T).norm2()
-                  for _ in range(200))
+    C = rng.standard_normal((200, algebra.dim))
+    C /= np.linalg.norm(C, axis=1)[:, None]
+    LTs = _act_matrix(_avatars(space.dim, C @ algebra.coeff_matrix), T.components)
+    sampled = max(np.vdot(x, x).real for x in LTs)
     assert sampled <= sup * (1 + 1e-12)

@@ -249,8 +249,8 @@ def test_eigenvalue_sum_bound_admits_exactly_the_hypothesis(c2):
     tensors = [ComplexTensor.random(c2, 2, rng) for _ in range(100)]
     expected = set()
     for idx, T in enumerate(tensors):
-        tg2 = sum(np.sum(np.abs(act_matrix_naive(b.matrix(), T.components)) ** 2)
-                  for b in u.basis)
+        tg2 = sum(np.sum(np.abs(act_matrix_naive(M, T.components)) ** 2)
+                  for M in u.matrices)
         ratio = action_supremum_naive(u, T.components) / tg2
         assert abs(ratio - 1.0 / 3.0) > 1e-6  # no tensor sits on the boundary
         if ratio <= 1.0 / 3.0:
