@@ -167,8 +167,9 @@ def kappa_bound(Q, c, a=0):
 def kappa_bound_harmonic_field(n, p, q, Q, c=1):
     """Type-specific bound 4 (Q + 1/D - 3) / (c Q^2) built from the Kato constant.
 
-    This is the printed harmonic-field form; it equals kappa_bound with
-    a = 1/D - 2.  At Q = 2, c = 1 it reduces to 1/D - 1.
+    This is the printed harmonic-field form 4 (Q - 1 + a) / (c Q^2) with a = 1/D - 2 <= 0
+    (D >= 1/2); a < 0 lies outside kappa_bound's domain, and the bound is never wider
+    than the unrefined kappa_bound(Q, c) (ROADMAP item 11).  At Q = 2, c = 1 it is 1/D - 1.
     """
     _require_finite(Q=Q, c=c)
     D = kato_constant(n, p, q)
@@ -205,7 +206,10 @@ def weighted_partial_sum(spectrum, count, weight=Fraction(0)):
     total = sum(map(Fraction, spectrum[:count]), Fraction(0))
     if weight != 0:
         total += Fraction(weight) * Fraction(spectrum[count])
-    return float(total)
+    try:
+        return float(total)
+    except OverflowError:
+        raise ValueError("the weighted partial sum of the spectrum overflows a float") from None
 
 
 def serre_remap(n, p, q):

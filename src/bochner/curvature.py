@@ -2,8 +2,10 @@
 
 A curvature tensor here is a purely pointwise object: a real rank-4
 tensor with the pair symmetries and the first Bianchi identity, no
-manifold attached.  Its curvature operator R on Lambda^2 V is a view of
-the same object: `AlgebraicCurvatureTensor.operator` is the symmetric
+manifold attached.  It is one real (d, d, d, d) array from file to sharp:
+files keep [re, 0.0] pairs, and the reader refuses imaginary parts above
+1e-8 max(1, |Re|_max).  Its curvature operator R on Lambda^2 V is a view
+of the same object: `AlgebraicCurvatureTensor.operator` is the symmetric
 matrix in the wedge-orthonormal basis, computed once per tensor, and
 the restricted Gram matrix and the leakage off a holonomy algebra are
 read from the tensor.  The module provides
@@ -33,14 +35,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 
 import numpy as np
 
 from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
-from .tensors import (ComplexTensor, EuclideanSpace, _avatars, _coframe, _int_field,
-                      _j_convention, _read_json, _tensor_doc, _write_json, tensor_from_json,
-                      wedge_pairs)
+from .tensors import (EuclideanSpace, _avatars, _coframe, _component_array, _int_field,
+                      _j_convention, _read_json, _tensor_doc, _write_json, wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -115,17 +116,13 @@ def _pair_symmetry_residual(arr):
 class AlgebraicCurvatureTensor:
     """Real rank-4 tensor with curvature symmetries and first Bianchi identity."""
 
+    components = property(lambda self: self.array)  # as `sharp` and `_tensor_doc` read it
+
     def __init__(self, space, rm, kahler=False, quaternion=False, validate=True):
         self.space = space
-        if isinstance(rm, ComplexTensor):
-            arr = rm.components
-        else:
-            arr = np.asarray(rm)
-        if np.iscomplexobj(arr):
-            if np.abs(arr.imag).max() > 1e-8 * max(1.0, np.abs(arr.real).max()):
-                raise ValueError("curvature components must be real")
-            arr = arr.real
-        arr = np.array(arr, dtype=float)
+        if np.iscomplexobj(rm):
+            raise TypeError("curvature components must be a real array")
+        arr = np.array(rm, dtype=float)
         if arr.shape != (space.dim,) * 4:
             raise ValueError(f"components shape {arr.shape} incompatible with dim {space.dim}")
         arr.setflags(write=False)
@@ -183,29 +180,17 @@ class AlgebraicCurvatureTensor:
         Q = algebra.complement_projector()
         return float(np.linalg.norm(self.operator @ Q, 2))
 
-    @property
-    def rm(self):
-        """The components as a ComplexTensor (real entries)."""
-        return ComplexTensor(self.space, self.array.astype(complex))
-
     def norm2(self):
         return float(np.sum(self.array * self.array))
 
-    def __add__(self, other):
-        return AlgebraicCurvatureTensor(
-            self.space, self.array + other.array,
-            kahler=self.kahler and other.kahler,
-            quaternion=self.quaternion and other.quaternion,
-            validate=False,
-        )
+    def _combine(self, other, op):
+        return AlgebraicCurvatureTensor(self.space, op(self.array, other.array),
+                                        kahler=self.kahler and other.kahler,
+                                        quaternion=self.quaternion and other.quaternion,
+                                        validate=False)
 
-    def __sub__(self, other):
-        return AlgebraicCurvatureTensor(
-            self.space, self.array - other.array,
-            kahler=self.kahler and other.kahler,
-            quaternion=self.quaternion and other.quaternion,
-            validate=False,
-        )
+    __add__ = partialmethod(_combine, op=np.add)
+    __sub__ = partialmethod(_combine, op=np.subtract)
 
     def __mul__(self, scalar):
         return AlgebraicCurvatureTensor(self.space, self.array * scalar,
@@ -215,7 +200,7 @@ class AlgebraicCurvatureTensor:
     __rmul__ = __mul__
 
     def __repr__(self):
-        flags = [f for f, on in (("kahler", self.kahler), ("quaternion", self.quaternion)) if on]
+        flags = [f for f in ("kahler", "quaternion") if getattr(self, f)]
         extra = f", flags={flags}" if flags else ""
         return f"AlgebraicCurvatureTensor(dim={self.space.dim}{extra})"
 
@@ -265,8 +250,6 @@ def ricci_form(rm_tensor):
 
 def primitive_ricci_form(rm_tensor):
     """rho - (scal / d) omega, orthogonal to the Kahler form."""
-    if rm_tensor.space.complex_structure is None:
-        raise ValueError("Ricci form needs a complex structure")
     d = rm_tensor.space.dim
     scal = scalar_curvature(rm_tensor)
     return ricci_form(rm_tensor) - (scal / d) * _kahler_form_array(rm_tensor.space)
@@ -290,6 +273,15 @@ def _outer22(a, b):
     return np.einsum("xy,zw->xyzw", a, b)
 
 
+def _structure_model(forms):
+    """1/2 g ow g + the sum of 1/2 om ow om + 2 om (x) om over the 2-forms om."""
+    g = np.eye(len(forms[0]))
+    arr = 0.5 * kulkarni_nomizu(g, g)
+    for om in forms:
+        arr = arr + 0.5 * kulkarni_nomizu(om, om) + 2.0 * _outer22(om, om)
+    return arr
+
+
 def flat_model(space):
     # the zero tensor satisfies every symmetry, so it carries whatever
     # flags the space supports
@@ -311,10 +303,7 @@ def chsc_model(space, c=1.0):
     (c/4) (1/2 g ow g + 1/2 omega ow omega + 2 omega (x) omega); Einstein
     with Ric = c (n+1)/2 g and scal = c n (n+1).
     """
-    g = np.eye(space.dim)
-    om = _kahler_form_array(space)
-    arr = (c / 4.0) * (0.5 * kulkarni_nomizu(g, g) + 0.5 * kulkarni_nomizu(om, om)
-                       + 2.0 * _outer22(om, om))
+    arr = (c / 4.0) * _structure_model([_kahler_form_array(space)])
     return AlgebraicCurvatureTensor(space, arr, kahler=True, validate=False)
 
 
@@ -328,11 +317,7 @@ def quaternionic_projective_model(space):
     """
     if space.quaternionic_structure is None:
         raise ValueError("quaternionic projective model needs a quaternionic structure")
-    g = np.eye(space.dim)
-    arr = 0.5 * kulkarni_nomizu(g, g)
-    for A in space.quaternionic_structure:
-        om = np.asarray(A).T
-        arr = arr + 0.5 * kulkarni_nomizu(om, om) + 2.0 * _outer22(om, om)
+    arr = _structure_model([A.T for A in space.quaternionic_structure])
     return AlgebraicCurvatureTensor(space, arr, quaternion=True, validate=False)
 
 
@@ -376,7 +361,7 @@ class KahlerDecomposition:
 def kahler_decompose(rm_tensor):
     """Split a Kahler curvature tensor into scalar, Ricci and Bochner parts.
 
-    scalar_part = scal/(4n(n+1)) (1/2 g ow g + 1/2 omega ow omega + 2 omega (x) omega)
+    scalar_part = the chsc model with c = scal / (n (n+1))
     ricci_part  = 1/(2(n+2)) (tfRic ow g + rho0 ow omega + 2 (rho0 (x) omega + omega (x) rho0))
     bochner     = remainder, totally trace-free.
     """
@@ -389,14 +374,11 @@ def kahler_decompose(rm_tensor):
     scal = scalar_curvature(rm_tensor)
     tfric = tf_ricci(rm_tensor)
     rho0 = primitive_ricci_form(rm_tensor)
-    scalar_arr = (scal / (4.0 * n * (n + 1))) * (
-        0.5 * kulkarni_nomizu(g, g) + 0.5 * kulkarni_nomizu(om, om) + 2.0 * _outer22(om, om))
-    ricci_arr = (1.0 / (2.0 * (n + 2))) * (
+    scalar_part = chsc_model(space, scal / (n * (n + 1)))
+    ricci_part = AlgebraicCurvatureTensor(space, (1.0 / (2.0 * (n + 2))) * (
         kulkarni_nomizu(tfric, g) + kulkarni_nomizu(rho0, om)
-        + 2.0 * (_outer22(rho0, om) + _outer22(om, rho0)))
-    bochner_arr = rm_tensor.array - scalar_arr - ricci_arr
-    mk = lambda a: AlgebraicCurvatureTensor(space, a, kahler=True, validate=False)
-    return KahlerDecomposition(mk(scalar_arr), mk(ricci_arr), mk(bochner_arr),
+        + 2.0 * (_outer22(rho0, om) + _outer22(om, rho0))), kahler=True, validate=False)
+    return KahlerDecomposition(scalar_part, ricci_part, rm_tensor - scalar_part - ricci_part,
                                scal, tfric, ricci_form(rm_tensor), rho0)
 
 
@@ -470,10 +452,8 @@ def kahler_sharp_identity(rm_tensor):
     n = space.n
     algebra = cached_algebra(space, AlgebraKind.U)
     dec = kahler_decompose(rm_tensor)
-    sh = sharp(rm_tensor.rm, algebra)
-    lhs = sh.norm2()
-    ringed = rm_tensor.array - dec.scalar_part.array
-    ringed_norm2 = float(np.sum(ringed * ringed))
+    lhs = sharp(rm_tensor, algebra).norm2()
+    ringed_norm2 = (rm_tensor - dec.scalar_part).norm2()
     tfric_norm2 = float(np.sum(dec.tf_ricci * dec.tf_ricci))
     # the trace-free Gram restriction does not vanish on the chsc model,
     # so it cannot play the role of the ringed norm; exposed for comparison
@@ -524,10 +504,9 @@ def quaternion_sharp_identity(rm_tensor):
     m = space.m
     algebra = cached_algebra(space, AlgebraKind.SP_SP1)
     dec = quaternion_decompose(rm_tensor)
-    sh = sharp(rm_tensor.rm, algebra)
+    sh = sharp(rm_tensor, algebra)
     lhs = sh.norm2()
     r0_norm2 = dec.r0.norm2()
-    slice_norms = sh.slice_norms2()
     report = {
         "m": m,
         "lhs_tensor": lhs,
@@ -536,7 +515,7 @@ def quaternion_sharp_identity(rm_tensor):
         "rhs_measured": 4.0 * (m + 2) * r0_norm2,
         "nominal_coefficient": (4.0 / 3.0) * (3 * m + 4),
         "rhs_nominal": (4.0 / 3.0) * (3 * m + 4) * r0_norm2,
-        "sp1_slice_norm2": float(np.sum(slice_norms[:3])),
+        "sp1_slice_norm2": float(np.sum(sh.slice_norms2()[:3])),
         "hp_coefficient": dec.hp_coefficient,
     }
     denom = max(abs(lhs), abs(report["rhs_measured"]), 1e-300)
@@ -673,15 +652,11 @@ def random_quaternion_kahler_curvature(space, rng):
 
 
 def _curvature_doc(rm_tensor):
-    """The curvature-file dict with "components" as the (N, 2) float64 array
-    that the writer takes (see `tensors._tensor_doc`)."""
-    obj = _tensor_doc(rm_tensor.rm)
+    """The curvature-file dict with "components" as the (N, 2) float64 array that
+    the writer takes (see `tensors._tensor_doc`), every imaginary part +0.0."""
+    obj = _tensor_doc(rm_tensor)
     obj["kind"] = "curvature"
-    flags = []
-    if rm_tensor.kahler:
-        flags.append("kahler")
-    if rm_tensor.quaternion:
-        flags.append("quaternion")
+    flags = [f for f in ("kahler", "quaternion") if getattr(rm_tensor, f)]
     if flags:
         obj["flags"] = flags
     return obj
@@ -700,18 +675,21 @@ def curvature_from_json(obj):
     if not isinstance(flags, list):
         raise ValueError(f"curvature file \"flags\" must be a list, got {flags!r}")
     d = _int_field(obj, "dim")
+    convention = _j_convention(obj, d)
     if "quaternion" in flags:
         if d % 4 != 0:
             raise ValueError("quaternion flag needs dim divisible by 4")
         space = EuclideanSpace.quaternionic_space(d // 4)
-    elif _j_convention(obj, d) == "block" or "kahler" in flags:
+    elif convention == "block" or "kahler" in flags:
         if d % 2:
             raise ValueError(f"kahler flag needs an even dim, got {d}")
         space = EuclideanSpace.complex_space(d // 2)
     else:
         space = EuclideanSpace.euclidean(d)
-    T = tensor_from_json(obj, space=space)
-    return AlgebraicCurvatureTensor(space, T, kahler="kahler" in flags,
+    comps = _component_array(obj, d)
+    if np.abs(comps.imag).max() > 1e-8 * max(1.0, np.abs(comps.real).max()):
+        raise ValueError("curvature components must be real")
+    return AlgebraicCurvatureTensor(space, comps.real, kahler="kahler" in flags,
                                     quaternion="quaternion" in flags)
 
 

@@ -236,6 +236,6 @@ class SharpDecomposition:
 
 
 def sharp(T, algebra):
-    """Decompose a dense tensor over the algebra: stack[alpha] = Xi_alpha T."""
+    """stack[alpha] = Xi_alpha T for a ComplexTensor or a (real) curvature tensor T."""
     _check_same_space(T, algebra)
     return SharpDecomposition(algebra, T, _act_matrix(algebra.matrices, T.components))

@@ -305,7 +305,7 @@ def _tensor_doc(T):
     flat = T.components.reshape(-1)
     return {
         "dim": space.dim,
-        "rank": T.rank,
+        "rank": T.components.ndim,
         "j_convention": "none" if space.complex_structure is None else "block",
         "components": np.stack([flat.real, flat.imag], -1),
     }
@@ -345,6 +345,15 @@ def _component_pairs(comps):
     return flat.astype(float, copy=False).view(complex)
 
 
+def _component_array(obj, d):
+    """The "components" of a tensor file over R^d: its pairs viewed complex, as (d,) * rank."""
+    k = _int_field(obj, "rank")
+    comps = _component_pairs(obj.get("components"))
+    if comps.size != d**k:
+        raise ValueError(f"expected {d**k} components, got {comps.size}")
+    return comps.reshape((d,) * k)
+
+
 def _j_convention(obj, dim):
     """The "j_convention" field of a tensor file: "none" (the default) or
     "block", which needs an even dim."""
@@ -364,7 +373,6 @@ def tensor_from_json(obj, space=None):
     "j_convention" ("block" yields the standard block complex structure).
     """
     d = _int_field(obj, "dim")
-    k = _int_field(obj, "rank")
     convention = _j_convention(obj, d)
     if space is None:
         if convention == "block":
@@ -373,10 +381,7 @@ def tensor_from_json(obj, space=None):
             space = EuclideanSpace.euclidean(d)
     elif space.dim != d:
         raise ValueError(f"file dimension {d} does not match target space {space.dim}")
-    comps = _component_pairs(obj.get("components"))
-    if comps.size != d**k:
-        raise ValueError(f"expected {d**k} components, got {comps.size}")
-    return ComplexTensor(space, comps.reshape((d,) * k))
+    return ComplexTensor(space, _component_array(obj, d))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

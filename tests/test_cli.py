@@ -445,6 +445,16 @@ def test_verify_suites_pass(capsys):
     (["algebra", "--algebra", "u", "--n", "2", "--m", "3"], "conflicting size flags --n and --m"),
     (["algebra", "--algebra", "u", "--n", "2", "--d", "8"], "conflicting size flags --n and --d"),
     (["model", "chsc", "--n", "2", "--d", "8"], "conflicting size flags --n and --d"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--spectrum", "huge4.json"],
+     "partial sum of the spectrum overflows"),
+    (["check", "bochner", "--n", "3", "--spectrum", "huge9.json"],
+     "partial sum of the spectrum overflows"),
+    (["check", "einstein", "--n", "3", "--spectrum", "huge9.json"],
+     "partial sum of the spectrum overflows"),
+    (["check", "lq", "--n", "3", "--spectrum", "huge9.json"],
+     "partial sum of the spectrum overflows"),
+    (["check", "pq", "--n", "3", "--p", "1", "--q", "0", "--spectrum", "huge9.json"],
+     "partial sum of the spectrum overflows"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, non-finite weights, models that leak off the algebra
@@ -454,7 +464,9 @@ def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, m
     run_cli(capsys, "model", "chsc", "--n", "2", "-o", "chsc.json")
     (tmp_path / "t.json").write_text(json.dumps(
         {"dim": 4, "rank": 1, "j_convention": "block", "components": [[1.0, 0.0]] * 4}))
-    for name, values in (("one", [5]), ("three", [1, 2, 3]), ("four", [-1, 2, 3, 4])):
+    # every huge value is finite; only their sum overflows a float
+    for name, values in (("one", [5]), ("three", [1, 2, 3]), ("four", [-1, 2, 3, 4]),
+                         ("huge4", [1e308] * 4), ("huge9", [1e308] * 9)):
         (tmp_path / f"{name}.json").write_text(json.dumps(values))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -516,8 +528,10 @@ PAIRS = "[re, im] number pairs"
     (lambda obj: obj.update(j_convention="weird"), '"j_convention" must be "none" or "block"'),
     (_odd_dim(flags=[]), 'j_convention "block" needs an even dim'),
     (_odd_dim(j_convention="none"), "kahler flag needs an even dim"),
+    (_set_component(17, [0.0, 0.5]), "curvature components must be real"),
 ], ids=["string-pair", "null-entry", "bare-number", "bool-entry", "nan-entry", "infinity-entry",
-        "missing-dim", "scalar-flags", "unknown-j-convention", "odd-dim-block", "odd-dim-kahler"])
+        "missing-dim", "scalar-flags", "unknown-j-convention", "odd-dim-block", "odd-dim-kahler",
+        "imaginary-entry"])
 def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit, named):
     # json.dumps writes NaN and Infinity as the bare tokens json.load reads back
     path = tmp_path / "bad.json"

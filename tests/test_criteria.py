@@ -177,6 +177,11 @@ def test_weighted_partial_sum():
     # a step down within the 1e-12 ordering slack still sums the smallest values
     assert weighted_partial_sum([1e-13, 0.0], 1) == 0.0
     assert weighted_partial_sum([2e-13, 1e-13, 0.0], 1, Fraction(1, 2)) == 5e-14
+    # finite values whose exact sum is beyond the largest float
+    with pytest.raises(ValueError, match="overflows"):
+        weighted_partial_sum([1e308] * 4, 2)
+    with pytest.raises(ValueError, match="overflows"):
+        weighted_partial_sum([-1e308] * 4, 3, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

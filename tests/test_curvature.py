@@ -88,6 +88,13 @@ def test_validation_rejects_non_finite_components(c2, value):
         AlgebraicCurvatureTensor(c2, arr, kahler=True)
 
 
+def test_constructor_refuses_complex_components(c2):
+    # a complex copy is not a curvature tensor; files are read by curvature_from_json
+    arr = chsc_model(c2).array.astype(complex)
+    with pytest.raises(TypeError, match="real array"):
+        AlgebraicCurvatureTensor(c2, arr, kahler=True)
+
+
 def test_kahler_flag_validation(c2, rng):
     rm = random_kahler_curvature(c2, rng)
     AlgebraicCurvatureTensor(c2, rm.array, kahler=True)  # passes
@@ -469,6 +476,24 @@ def test_kahler_sharp_identity_tensor_reading_coefficient(c2, rng):
     assert abs(lhs - wrong_rhs) > 1e-3 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("kind,size", [("u", 2), ("u", 3), ("u", 4), ("sp", 2), ("sp", 3)])
+def test_sharp_of_the_real_tensor_matches_its_complex_copy(kind, size, rng):
+    # sharp takes the real array as it is; a complex copy only reorders the sums
+    if kind == "u":
+        space = EuclideanSpace.complex_space(size)
+        rm = random_kahler_curvature(space, rng)
+    else:
+        space = EuclideanSpace.quaternionic_space(size)
+        rm = random_quaternion_kahler_curvature(space, rng)
+    alg = cached_algebra(space, kind)
+    real, copy = sharp(rm, alg), sharp(ComplexTensor(rm.space, rm.array), alg)
+    assert real.stack.dtype == float
+    assert real.norm2() == pytest.approx(copy.norm2(), rel=1e-14)
+    # the sp(1) slices vanish up to rounding, so slices are measured against the largest
+    assert np.allclose(real.slice_norms2(), copy.slice_norms2(), rtol=1e-14,
+                       atol=1e-14 * real.slice_norms2().max())
+
+
 def test_kahler_sharp_component_constants(c2, c3, rng):
     # Bochner part scales by 4(n+1), Ricci part by 2n, both Schur-exact
     for space in (c2, c3):
@@ -476,8 +501,8 @@ def test_kahler_sharp_component_constants(c2, c3, rng):
         alg = cached_algebra(space, "u")
         rm = random_kahler_curvature(space, rng)
         dec = kahler_decompose(rm)
-        cB = sharp(dec.bochner.rm, alg).norm2() / dec.bochner.norm2()
-        cR = sharp(dec.ricci_part.rm, alg).norm2() / dec.ricci_part.norm2()
+        cB = sharp(dec.bochner, alg).norm2() / dec.bochner.norm2()
+        cR = sharp(dec.ricci_part, alg).norm2() / dec.ricci_part.norm2()
         assert cB == pytest.approx(4 * (n + 1), rel=1e-10)
         assert cR == pytest.approx(2 * n, rel=1e-10)
 
@@ -535,8 +560,8 @@ def test_einstein_kahler_action_bound(c2, c3, rng):
             rm = random_kahler_curvature(space, rng)
             dec = kahler_decompose(rm)
             rm_e = rm - dec.ricci_part
-            sharp2 = sharp(rm_e.rm, alg).norm2()
-            for lhs in unit_action_norms2(alg, rm_e.rm, 20, rng):
+            sharp2 = sharp(rm_e, alg).norm2()
+            for lhs in unit_action_norms2(alg, rm_e, 20, rng):
                 assert lhs <= (2.0 / (n + 1)) * sharp2 + 1e-9 * max(1.0, sharp2)
 
 
@@ -546,8 +571,8 @@ def test_scalar_flat_quaternion_action_bound(h2, rng):
     alg = cached_algebra(h2, "sp")
     for _ in range(5):
         r0 = random_hyperkahler_curvature(h2, rng)
-        sharp2 = sharp(r0.rm, alg).norm2()
-        for lhs in unit_action_norms2(alg, r0.rm, 20, rng):
+        sharp2 = sharp(r0, alg).norm2()
+        for lhs in unit_action_norms2(alg, r0, 20, rng):
             assert lhs <= (6.0 / (3 * m + 4)) * sharp2 + 1e-9 * max(1.0, sharp2)
 
 
