@@ -63,7 +63,6 @@ from .forms import (
     build_pq_basis,
     circ,
     construct_Vpqk,
-    kahler_form,
     omega_power,
     pqform_from_json,
     pqform_to_json,

@@ -27,7 +27,7 @@ from . import forms as fms
 from . import weitzenbock as wb
 from .holonomy import AlgebraKind, cached_algebra
 from .tensors import (ComplexTensor, EuclideanSpace, _dumps, _read_json, _tensor_doc, _write_json,
-                      load_tensor, save_tensor)
+                      load_tensor)
 
 DEFAULT_SEED = 20240801
 
@@ -64,8 +64,9 @@ def _space_for(args):
 class VerificationReport:
     """Outcome of one named check: per-case lhs/rhs/deviation and a pass bit.
 
-    The only record of every check command, printed by `_finish`.  It omits
-    the wall time so that reports are byte-stable for a fixed seed.
+    The only record of every check command, made by `_report` and printed
+    by `_finish`.  It omits the wall time so that reports are byte-stable
+    for a fixed seed.
     """
 
     suite: str
@@ -129,12 +130,10 @@ def _finish(rep, t0):
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each adds its cases to the report it is given
 
 
-def _suite_identities(seed, samples, tol):
-    rep = VerificationReport("identities", seed, {"norm": 1e-10 if tol is None else tol})
-    rng = np.random.default_rng(seed)
+def _suite_identities(rep, rng, samples):
     for d in (4, 6, 8):
         space = EuclideanSpace.complex_space(d // 2)
         for s in range(samples):
@@ -153,47 +152,29 @@ def _suite_identities(seed, samples, tol):
         rep.add(f"identities/d{d}/omega-trace-vs-ricci-form",
                 float(np.abs(omega_trace - 2.0 * rho).max() / max(1.0, np.abs(rho).max())),
                 0.0, "norm")
-    return rep
 
 
-def _prop24_targets():
-    targets = []
-    for n in (2, 3):
-        space = EuclideanSpace.complex_space(n)
-        targets.append((f"chsc-n{n}", curv.chsc_model(space, 4.0), cached_algebra(space, AlgebraKind.U)))
-    qspace = EuclideanSpace.quaternionic_space(2)
-    targets.append(("hpm-m2", curv.quaternionic_projective_model(qspace),
-                    cached_algebra(qspace, AlgebraKind.SP_SP1)))
-    return targets
-
-
-def _prop24_cases(rm, algebra, samples, rng):
+def _prop24_cases(rep, prefix, rm, algebra, samples, rng):
     """`samples` random tensors of each rank 1, 2, 3, drawn in that order, each
-    checked against the restriction identity: (case id, report) pairs."""
-    ids = [(rank, f"rank{rank}/sample{s:03d}") for rank in (1, 2, 3) for s in range(samples)]
+    checked against the restriction identity."""
+    ids = [(rank, f"{prefix}rank{rank}/sample{s:03d}") for rank in (1, 2, 3) for s in range(samples)]
     tensors = [ComplexTensor.random(rm.space, rank, rng) for rank, _ in ids]
-    reports = wb.verify_weitzenbock_restriction(rm, algebra, tensors)
-    return [(case_id, r) for (_, case_id), r in zip(ids, reports)]
+    for (_, case_id), r in zip(ids, wb.verify_weitzenbock_restriction(rm, algebra, tensors)):
+        rep.add(case_id, r["lhs"], r["rhs"], "identity")
 
 
-def _suite_prop24(seed, samples, tol):
-    rep = VerificationReport("prop24", seed, {"identity": 1e-8 if tol is None else tol})
-    rng = np.random.default_rng(seed)
-    for name, rm, algebra in _prop24_targets():
-        for case_id, r in _prop24_cases(rm, algebra, samples, rng):
-            rep.add(f"prop24/{name}/{case_id}", r["lhs"], r["rhs"], "identity")
-    return rep
+def _suite_prop24(rep, rng, samples):
+    qspace = EuclideanSpace.quaternionic_space(2)
+    targets = [(f"chsc-n{n}", curv.chsc_model(EuclideanSpace.complex_space(n), 4.0), AlgebraKind.U)
+               for n in (2, 3)]
+    targets.append(("hpm-m2", curv.quaternionic_projective_model(qspace), AlgebraKind.SP_SP1))
+    for name, rm, kind in targets:
+        _prop24_cases(rep, f"prop24/{name}/", rm, cached_algebra(rm.space, kind), samples, rng)
 
 
-def _pq_configurations(max_n=3):
-    out = []
-    for n in range(1, max_n + 1):
-        for p in range(0, n + 1):
-            for q in range(0, n + 1 - p):
-                for k in range(0, min(p, q) + 1):
-                    if p + q - 2 * k > 0:
-                        out.append((n, p, q, k))
-    return out
+def _pq_configurations():
+    return [(n, p, q, k) for n in (1, 2, 3) for p in range(n + 1) for q in range(n + 1 - p)
+            for k in range(min(p, q) + 1) if p + q - 2 * k > 0]
 
 
 def _prop27_cases(rep, prefix, forms):
@@ -206,11 +187,9 @@ def _prop27_cases(rep, prefix, forms):
             add(f"{prefix}{name}", r["sharp_norm2"], r["coefficient_times_circ"], "identity")
 
 
-def _suite_prop27(seed, samples, tol):
+def _suite_prop27(rep, rng, samples):
     """Sharp-norm coefficient identity on its exact domain: forms of the
     stratum Omega^k ^ primitive (p-k, q-k)."""
-    rep = VerificationReport("prop27", seed, {"identity": 1e-8 if tol is None else tol})
-    rng = np.random.default_rng(seed)
     for (n, p, q, k) in _pq_configurations():
         space = EuclideanSpace.complex_space(n)
         basis = fms.stratum_basis(space, p, q, k)
@@ -218,29 +197,22 @@ def _suite_prop27(seed, samples, tol):
         forms += [(f"random{s:02d}", fms.random_stratum_form(space, p, q, k, rng), True)
                   for s in range(samples)]
         _prop27_cases(rep, f"prop27/n{n}p{p}q{q}k{k}/", forms)
-    return rep
-
-
-def _random_prop28_form(space, p, q, k, rng):
-    """A random (p, q)-form for k = 0, a random stratum form otherwise."""
-    return fms.random_stratum_form(space, p, q, k, rng) if k else fms.random_pq_form(space, p, q, rng)
 
 
 def _prop28_cases(rep, prefix, space, p, q, k, samples, rng):
-    """Action-bound cases max_ratio <= 1 on random forms; vacuous ones are skipped."""
+    """Action-bound cases max_ratio <= 1 on random (p, q)-forms, stratum forms
+    when k > 0; vacuous ones are skipped."""
     for s in range(samples):
-        r = fms.action_bound_check(_random_prop28_form(space, p, q, k, rng))
+        phi = fms.random_stratum_form(space, p, q, k, rng) if k else fms.random_pq_form(space, p, q, rng)
+        r = fms.action_bound_check(phi)
         if not r["vacuous"]:
             rep.add_bound(f"{prefix}sample{s:03d}", r["max_ratio"], 1.0, "bound")
 
 
-def _suite_prop28(seed, samples, tol):
-    rep = VerificationReport("prop28", seed, {"bound": 1e-9 if tol is None else tol})
-    rng = np.random.default_rng(seed)
+def _suite_prop28(rep, rng, samples):
     for (n, p, q, k) in _pq_configurations():
         _prop28_cases(rep, f"prop28/n{n}p{p}q{q}k{k}/", EuclideanSpace.complex_space(n),
                       p, q, k, samples, rng)
-    return rep
 
 
 def _lemma26_cases(rep, prefix, gram, algebra, C, ell, kappa, tensors):
@@ -253,16 +225,13 @@ def _lemma26_cases(rep, prefix, gram, algebra, C, ell, kappa, tensors):
     return r
 
 
-def _suite_lemma26(seed, samples, tol):
-    rep = VerificationReport("lemma26", seed, {"bound": 1e-10 if tol is None else tol})
-    rng = np.random.default_rng(seed)
+def _suite_lemma26(rep, rng, samples):
     n = 2
     space = EuclideanSpace.complex_space(n)
     algebra = cached_algebra(space, AlgebraKind.U)
     C = float(n)
     kappa = -1.0
-    operators = 0
-    draws = 0
+    operators = draws = 0
     while operators < 4 and draws < 200:
         draws += 1
         G = rng.standard_normal((n * n, n * n))
@@ -276,12 +245,9 @@ def _suite_lemma26(seed, samples, tol):
                            tensors)
             operators += 1
             break
-    return rep
 
 
-def _suite_lemma212(seed, samples, tol):
-    rep = VerificationReport("lemma212", seed, {"identity": 1e-8 if tol is None else tol})
-    rng = np.random.default_rng(seed)
+def _suite_lemma212(rep, rng, samples):
     for n in (2, 3):
         space = EuclideanSpace.complex_space(n)
         for s in range(samples):
@@ -291,27 +257,20 @@ def _suite_lemma212(seed, samples, tol):
         r = curv.kahler_sharp_identity(curv.chsc_model(space, 2.0))
         rep.add_bound(f"lemma212/n{n}/chsc-lhs", abs(r["lhs_operator"]), 0.0, "identity")
         rep.add_bound(f"lemma212/n{n}/chsc-rhs", abs(r["rhs_operator"]), 0.0, "identity")
-    return rep
 
 
-def _suite_lemma213(seed, samples, tol):
+def _suite_lemma213(rep, rng, samples):
     """Quaternionic sharp-norm identity with the measured invariant
     coefficient 4 (m + 2); the nominal (4/3)(3m+4) variant is exposed by
     the library report but fails by the fixed ratio 3(m+2)/(3m+4)."""
-    rep = VerificationReport("lemma213", seed, {"identity": 1e-8 if tol is None else tol})
-    rng = np.random.default_rng(seed)
     space = EuclideanSpace.quaternionic_space(2)
     for s in range(samples):
         rm = curv.random_quaternion_kahler_curvature(space, rng)
         r = curv.quaternion_sharp_identity(rm)
         rep.add(f"lemma213/m2/sample{s:03d}", r["lhs_tensor"], r["rhs_measured"], "identity")
-    return rep
 
 
-def _suite_bochner_tracefree(seed, samples, tol):
-    rep = VerificationReport("bochner-tracefree", seed,
-                             {"trace": 1e-8 if tol is None else tol, "reassembly": 1e-9})
-    rng = np.random.default_rng(seed)
+def _suite_bochner_tracefree(rep, rng, samples):
     for n in (2, 3):
         space = EuclideanSpace.complex_space(n)
         for s in range(samples):
@@ -324,19 +283,32 @@ def _suite_bochner_tracefree(seed, samples, tol):
             err = float(np.abs(dec.reassembled().array - rm.array).max())
             rep.add_bound(f"bochner-tracefree/n{n}/sample{s:03d}/reassembly", err / scale, 0.0,
                           "reassembly")
-    return rep
 
 
+# The one registry of checks, name -> (suite, default --samples, default tolerances);
+# the per-input check commands share its tolerances, and --tol replaces the first.
 _SUITES = {
-    "identities": (_suite_identities, 100),
-    "prop24": (_suite_prop24, 10),
-    "prop27": (_suite_prop27, 10),
-    "prop28": (_suite_prop28, 5),
-    "lemma26": (_suite_lemma26, 50),
-    "lemma212": (_suite_lemma212, 25),
-    "lemma213": (_suite_lemma213, 10),
-    "bochner-tracefree": (_suite_bochner_tracefree, 25),
+    "identities": (_suite_identities, 100, {"norm": 1e-10}),
+    "prop24": (_suite_prop24, 10, {"identity": 1e-8}),
+    "prop27": (_suite_prop27, 10, {"identity": 1e-8}),
+    "prop28": (_suite_prop28, 5, {"bound": 1e-9}),
+    "lemma26": (_suite_lemma26, 50, {"bound": 1e-10}),
+    "lemma212": (_suite_lemma212, 25, {"identity": 1e-8}),
+    "lemma213": (_suite_lemma213, 10, {"identity": 1e-8}),
+    "bochner-tracefree": (_suite_bochner_tracefree, 25, {"trace": 1e-8, "reassembly": 1e-9}),
 }
+
+# the default slack of `weitz verify lemma26`, looser than the suite's
+_WEITZ_LEMMA26_TOL = 1e-8
+
+
+def _report(name, seed, tol=None):
+    """An empty report of the check `name` with its registry tolerances, the
+    first replaced by tol when one is given."""
+    tolerances = dict(_SUITES[name][2])
+    if tol is not None:
+        tolerances[next(iter(tolerances))] = tol
+    return VerificationReport(name, seed, tolerances)
 
 
 def cmd_verify(args):
@@ -347,15 +319,30 @@ def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     exit_code = 0
     for name in names:
-        fn, default_samples = _SUITES[name]
-        samples = args.samples if args.samples is not None else default_samples
+        fn, default_samples, _ = _SUITES[name]
         t0 = time.perf_counter()
-        exit_code |= _finish(fn(args.seed, samples, args.tol), t0)
+        rep = _report(name, args.seed, args.tol)
+        fn(rep, np.random.default_rng(args.seed), args.samples or default_samples)
+        exit_code |= _finish(rep, t0)
     return exit_code
 
 
 # ---------------------------------------------------------------------------
 # commands
+
+
+def _output(obj, path):
+    """Write obj to the file at path, or print it when no path is given."""
+    if path:
+        _write_json(obj, path)
+    else:
+        _emit(obj)
+
+
+def _spectrum_doc(rm, algebra):
+    """The restricted spectrum of rm on algebra: eigenvalues, leakage, dim."""
+    vals, leak = curv.restricted_spectrum(rm, algebra)
+    return {"eigenvalues": [float(v) for v in vals], "leakage": leak, "dim": algebra.dim}
 
 
 def cmd_model(args):
@@ -364,10 +351,7 @@ def cmd_model(args):
         raise ValueError(f"model {args.kind} requires --{need}")
     rm = curv.model(args.kind, _space_for(args), c=args.c)
     obj = curv._curvature_doc(rm)
-    if args.out:
-        _write_json(obj, args.out)
-    else:
-        _emit(obj)
+    _output(obj, args.out)
     flags = obj.get("flags", [])
     _note(f"model {args.kind}: dim {rm.space.dim}, flags {flags or 'none'}"
           + (f", written to {args.out}" if args.out else ""))
@@ -376,11 +360,10 @@ def cmd_model(args):
 
 def cmd_spectrum(args):
     rm = curv.load_curvature(args.input)
-    algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
-    vals, leak = curv.restricted_spectrum(rm, algebra)
+    doc = _spectrum_doc(rm, cached_algebra(rm.space, AlgebraKind(args.algebra)))
     # the spectrum is printed either way; a leak then exits 1 through main
-    _emit({"eigenvalues": [float(v) for v in vals], "leakage": leak, "dim": algebra.dim})
-    curv._refuse_leak("operator", leak, rm.operator)
+    _emit(doc)
+    curv._refuse_leak("operator", doc["leakage"], rm.operator)
     return 0
 
 
@@ -394,11 +377,9 @@ def cmd_algebra(args):
         "wedge_basis_order": "lexicographic pairs (i, j), i < j, 1-based",
         "basis": algebra.coeff_matrix.tolist(),
     }
+    _output(obj, args.out)
     if args.out:
-        _write_json(obj, args.out)
         _note(f"{algebra.dim} basis elements written to {args.out}")
-    else:
-        _emit(obj)
     return 0
 
 
@@ -453,11 +434,9 @@ def cmd_weitz(args):
             out = wb.lichnerowicz_zero_order(rm, T, args.c)
         else:
             out = wb.weitzenbock_ric(rm, T)
+        _output(_tensor_doc(out), args.out)
         if args.out:
-            save_tensor(out, args.out)
             _note(f"written to {args.out}")
-        else:
-            _emit(_tensor_doc(out))
         return 0
     t0 = time.perf_counter()
     algebra = cached_algebra(rm.space, AlgebraKind(args.algebra))
@@ -479,14 +458,12 @@ def cmd_weitz(args):
         return 0
     # action == "verify"
     rng = np.random.default_rng(args.seed)
-    tol = args.tol if args.tol is not None else 1e-8
     if args.target == "prop24":
-        rep = VerificationReport("prop24", args.seed, {"identity": tol})
-        for case_id, r in _prop24_cases(rm, algebra, args.samples, rng):
-            rep.add(case_id, r["lhs"], r["rhs"], "identity")
+        rep = _report("prop24", args.seed, args.tol)
+        _prop24_cases(rep, "", rm, algebra, args.samples, rng)
         return _finish(rep, t0)
     # target == "lemma26"
-    rep = VerificationReport("lemma26", args.seed, {"bound": tol})
+    rep = _report("lemma26", args.seed, _WEITZ_LEMMA26_TOL if args.tol is None else args.tol)
     tensors = [ComplexTensor.random(rm.space, args.rank, rng) for _ in range(args.samples)]
     r = _lemma26_cases(rep, "", rm.restricted_gram(algebra), algebra, args.C, args.ell,
                        args.kappa, tensors)
@@ -505,12 +482,11 @@ def cmd_forms(args):
     space = EuclideanSpace.complex_space(args.n)
     rng = np.random.default_rng(args.seed)
     p, q, k = args.p, args.q, args.k
+    rep = _report(args.what.removeprefix("check-"), args.seed)
     if args.what == "check-prop28":
-        rep = VerificationReport("prop28", args.seed, {"bound": 1e-9})
         _prop28_cases(rep, "", space, p, q, k, args.samples, rng)
         return _finish(rep, t0)
     # what == "check-prop27": products mix wedge strata, so they are upper-bound cases
-    rep = VerificationReport("prop27", args.seed, {"identity": 1e-8})
     forms = [(f"product{i1:02d}x{i2:02d}", fms.construct_Vpqk(psi1, psi2, k), False)
              for i1, psi1 in enumerate(fms.build_pq_basis(space, p - k, 0))
              for i2, psi2 in enumerate(fms.build_pq_basis(space, 0, q - k))]
@@ -552,9 +528,9 @@ def _spectrum_from_args(args, algebra_kind):
         else:
             space = EuclideanSpace.complex_space(args.n)
         rm = curv.model(args.model, space, c=args.c)
-        vals, leak = curv.restricted_spectrum(rm, cached_algebra(space, algebra_kind))
-        curv._refuse_leak(f"model {args.model}", leak, rm.operator)
-        return [float(v) for v in vals]
+        doc = _spectrum_doc(rm, cached_algebra(space, algebra_kind))
+        curv._refuse_leak(f"model {args.model}", doc["leakage"], rm.operator)
+        return doc["eigenvalues"]
     raise ValueError("provide --spectrum FILE or --model KIND")
 
 
@@ -684,7 +660,8 @@ def build_parser():
     p.add_argument("suite", choices=list(_SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float,
+                   help="replaces each suite's first tolerance (see the README's suite table)")
     p.set_defaults(fn=cmd_verify)
 
     return ap

@@ -40,8 +40,8 @@ from functools import lru_cache, partialmethod
 import numpy as np
 
 from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
-from .tensors import (EuclideanSpace, _avatars, _coframe, _component_array, _int_field,
-                      _j_convention, _read_json, _tensor_doc, _write_json, wedge_pairs)
+from .tensors import (_avatars, _coframe, _component_array, _file_space, _read_json, _tensor_doc,
+                      _write_json, wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -136,6 +136,7 @@ class AlgebraicCurvatureTensor:
     def _validate(self):
         if not np.isfinite(self.array).all():
             raise ValueError("curvature components must be finite")
+        self._require_finite_norm()
         tol = 1e-8 * max(1.0, np.abs(self.array).max())
         dev = _pair_symmetry_residual(self.array)
         if dev > tol:
@@ -151,6 +152,13 @@ class AlgebraicCurvatureTensor:
                 raise ValueError(f"Kahler pair invariance violated, deviation {dev:.2e}")
         if self.quaternion and self.space.quaternionic_structure is None:
             raise ValueError("quaternion flag requires a quaternionic structure")
+
+    def _require_finite_norm(self):
+        """Refuse a tensor whose |Rm|^2 overflows, as its contractions would."""
+        with np.errstate(over="ignore"):
+            rm2 = self.norm2()
+        if not math.isfinite(rm2):
+            raise ValueError("curvature norm |Rm|^2 overflows a float; rescale the tensor")
 
     @property
     def operator(self):
@@ -322,19 +330,23 @@ def quaternionic_projective_model(space):
 
 
 def model(kind, space, c=1.0):
-    """Dispatch on the model name: flat | cs | chsc | hpm.  The scale c must be finite."""
+    """Dispatch on the model name: flat | cs | chsc | hpm.  The scale c must be
+    finite, and so must |Rm|^2 of the model."""
     if not math.isfinite(c):
         raise ValueError(f"model scale c must be finite, got {c}")
     kind = str(kind)
     if kind == "flat":
-        return flat_model(space)
-    if kind == "cs":
-        return constant_sectional_model(space, c)
-    if kind == "chsc":
-        return chsc_model(space, c)
-    if kind == "hpm":
-        return quaternionic_projective_model(space)
-    raise ValueError(f"unknown model {kind!r}")
+        rm = flat_model(space)
+    elif kind == "cs":
+        rm = constant_sectional_model(space, c)
+    elif kind == "chsc":
+        rm = chsc_model(space, c)
+    elif kind == "hpm":
+        rm = quaternionic_projective_model(space)
+    else:
+        raise ValueError(f"unknown model {kind!r}")
+    rm._require_finite_norm()
+    return rm
 
 
 @dataclass
@@ -674,19 +686,8 @@ def curvature_from_json(obj):
     flags = obj.get("flags", [])
     if not isinstance(flags, list):
         raise ValueError(f"curvature file \"flags\" must be a list, got {flags!r}")
-    d = _int_field(obj, "dim")
-    convention = _j_convention(obj, d)
-    if "quaternion" in flags:
-        if d % 4 != 0:
-            raise ValueError("quaternion flag needs dim divisible by 4")
-        space = EuclideanSpace.quaternionic_space(d // 4)
-    elif convention == "block" or "kahler" in flags:
-        if d % 2:
-            raise ValueError(f"kahler flag needs an even dim, got {d}")
-        space = EuclideanSpace.complex_space(d // 2)
-    else:
-        space = EuclideanSpace.euclidean(d)
-    comps = _component_array(obj, d)
+    space = _file_space(obj, flags)
+    comps = _component_array(obj, space.dim)
     if np.abs(comps.imag).max() > 1e-8 * max(1.0, np.abs(comps.real).max()):
         raise ValueError("curvature components must be real")
     return AlgebraicCurvatureTensor(space, comps.real, kahler="kahler" in flags,

@@ -29,7 +29,6 @@ decided numerically.  The stratum is empty when k < p + q - n.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from functools import lru_cache
 
@@ -37,13 +36,12 @@ import numpy as np
 
 from .criteria import _check_type, check_stratum, serre_remap, serre_stratum
 from .holonomy import AlgebraKind, SharpDecomposition, cached_algebra
-from .tensors import (ComplexTensor, _coframe, _complex_gaussian, tensor_from_json,
+from .tensors import (ComplexTensor, _coframe, _complex_gaussian, _int_field, tensor_from_json,
                       tensor_to_json)
 
 __all__ = [
     "Form",
     "PQForm",
-    "kahler_form",
     "omega_power",
     "wedge",
     "build_pq_basis",
@@ -60,9 +58,6 @@ __all__ = [
     "pqform_to_json",
     "pqform_from_json",
 ]
-
-log = logging.getLogger(__name__)
-
 
 # ---------------------------------------------------------------------------
 # index tables, cached per size
@@ -266,11 +261,6 @@ def _unit(space, p, q, position):
     return _pq(space, p, q, c, 0)
 
 
-def kahler_form(space):
-    """The Kahler 2-form omega(X, Y) = g(J X, Y) as a rank-2 tensor."""
-    return ComplexTensor(space, space.j_matrix().T.astype(complex))
-
-
 def omega_power(space, p):
     """Omega^p, with omega = (i/2) sum_a dz^a ^ dzbar^a (cached per space)."""
     if p < 0:
@@ -371,10 +361,7 @@ def sharp_norm_coefficient_check(phi):
     n = space.n
     p, q, k = phi.p, phi.q, phi.k
     kr = serre_stratum(n, p, q, k)
-    pr, qr, remapped = serre_remap(n, p, q)
-    if remapped:
-        log.info("remapping (p, q, k) = (%d, %d, %d) to the complementary (%d, %d, %d)",
-                 p, q, k, pr, qr, kr)
+    pr, qr, _ = serre_remap(n, p, q)
     coeff = float(sharp_coefficient(n, pr, qr, kr))
     lhs = sharp_form(phi, cached_algebra(space, AlgebraKind.U)).norm2()
     ringed = circ(phi)
@@ -508,5 +495,8 @@ def pqform_to_json(phi):
 
 
 def pqform_from_json(obj):
+    """Inverse of `pqform_to_json`: "p", "q" and an optional "k" are integers."""
     T = tensor_from_json(obj)
-    return PQForm(T.space, int(obj["p"]), int(obj["q"]), T, k=obj.get("k"))
+    p, q = _int_field(obj, "p"), _int_field(obj, "q")
+    k = None if obj.get("k") is None else _int_field(obj, "k")
+    return PQForm(T.space, p, q, T, k=k)

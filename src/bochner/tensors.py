@@ -354,34 +354,37 @@ def _component_array(obj, d):
     return comps.reshape((d,) * k)
 
 
-def _j_convention(obj, dim):
-    """The "j_convention" field of a tensor file: "none" (the default) or
-    "block", which needs an even dim."""
+def _file_space(obj, flags=(), space=None):
+    """The space of a tensor or curvature file: the given one, which must have
+    its integer "dim", or H^(dim/4) under a quaternion flag, C^(dim/2) under
+    j_convention "block" or a kahler flag, R^dim otherwise."""
+    d = _int_field(obj, "dim")
     convention = obj.get("j_convention", "none")
     if convention not in ("none", "block"):
         raise ValueError('tensor file "j_convention" must be "none" or "block", '
                          f'got {convention!r}')
-    if convention == "block" and dim % 2:
-        raise ValueError(f'j_convention "block" needs an even dim, got {dim}')
-    return convention
+    if convention == "block" and d % 2:
+        raise ValueError(f'j_convention "block" needs an even dim, got {d}')
+    if space is not None:
+        if space.dim != d:
+            raise ValueError(f"file dimension {d} does not match target space {space.dim}")
+        return space
+    if "quaternion" in flags:
+        if d % 4 != 0:
+            raise ValueError("quaternion flag needs dim divisible by 4")
+        return EuclideanSpace.quaternionic_space(d // 4)
+    if convention == "block" or "kahler" in flags:
+        if d % 2:
+            raise ValueError(f"kahler flag needs an even dim, got {d}")
+        return EuclideanSpace.complex_space(d // 2)
+    return EuclideanSpace.euclidean(d)
 
 
 def tensor_from_json(obj, space=None):
-    """Rebuild a tensor from the interchange dict.
-
-    When no space is supplied one is created from "dim" and
-    "j_convention" ("block" yields the standard block complex structure).
-    """
-    d = _int_field(obj, "dim")
-    convention = _j_convention(obj, d)
-    if space is None:
-        if convention == "block":
-            space = EuclideanSpace.complex_space(d // 2)
-        else:
-            space = EuclideanSpace.euclidean(d)
-    elif space.dim != d:
-        raise ValueError(f"file dimension {d} does not match target space {space.dim}")
-    return ComplexTensor(space, _component_array(obj, d))
+    """Rebuild a tensor from the interchange dict, on the given space or on
+    the one its "dim" and "j_convention" name."""
+    space = _file_space(obj, space=space)
+    return ComplexTensor(space, _component_array(obj, space.dim))
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from bochner import EuclideanSpace, chsc_model, save_curvature
 from bochner.cli import main
 
 
@@ -455,6 +456,14 @@ def test_verify_suites_pass(capsys):
      "partial sum of the spectrum overflows"),
     (["check", "pq", "--n", "3", "--p", "1", "--q", "0", "--spectrum", "huge9.json"],
      "partial sum of the spectrum overflows"),
+    (["model", "chsc", "--n", "2", "--c", "1e200"], "|Rm|^2 overflows"),
+    (["model", "chsc", "--n", "2", "--c", "1e308"], "|Rm|^2 overflows"),
+    (["sharp-norm", "-i", "chsc1e200.json"], "|Rm|^2 overflows"),
+    (["sharp-norm", "-i", "chsc1e308.json"], "|Rm|^2 overflows"),
+    (["decompose", "kahler", "-i", "chsc1e308.json"], "|Rm|^2 overflows"),
+    (["spectrum", "--algebra", "u", "-i", "chsc1e308.json"], "|Rm|^2 overflows"),
+    (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--c", "1e200"],
+     "|Rm|^2 overflows"),
 ])
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, non-finite weights, models that leak off the algebra
@@ -468,10 +477,23 @@ def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, m
     for name, values in (("one", [5]), ("three", [1, 2, 3]), ("four", [-1, 2, 3, 4]),
                          ("huge4", [1e308] * 4), ("huge9", [1e308] * 9)):
         (tmp_path / f"{name}.json").write_text(json.dumps(values))
+    # finite entries whose |Rm|^2 overflows, as `model` wrote them before it refused them
+    for c in ("1e200", "1e308"):
+        save_curvature(chsc_model(EuclideanSpace.complex_space(2), float(c)), f"chsc{c}.json")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_a_curvature_file_just_below_the_overflow_prints_finite_numbers(tmp_path, capsys):
+    # at c = 2e153 the chsc model at n = 2 has |Rm|^2 = 4.8e307, below the float maximum
+    path = str(tmp_path / "big.json")
+    assert run_cli(capsys, "model", "chsc", "--n", "2", "--c", "2e153", "-o", path)[0] == 0
+    for argv in (["sharp-norm"], ["decompose", "kahler"], ["spectrum", "--algebra", "u"]):
+        code, out, err = run_cli(capsys, *argv, "-i", path)
+        assert code == 0, (argv, err)
+        assert "NaN" not in out and "Infinity" not in out, argv
 
 
 def test_verify_prop28_samples_forms(capsys):
@@ -817,3 +839,34 @@ def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     assert json.loads(seen[1][1])["arithmetic"]["kappa"] == "0.5"
     assert json.loads(seen[2][1])["arithmetic"]["kappa"] == "0.0"
     assert seen[2] == seen[4]
+
+
+def test_verify_tol_replaces_only_the_first_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "verify", "bochner-tracefree", "--samples", "1", "--tol", "1e-6")
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"reassembly": 1e-9, "trace": 1e-6}
+
+
+def test_weitz_verify_lemma26_keeps_its_own_default_slack(tmp_path, capsys):
+    m = str(tmp_path / "m.json")
+    run_cli(capsys, "model", "chsc", "--n", "2", "--c", "4", "-o", m)
+    _, out, _ = run_cli(capsys, "weitz", "verify", "lemma26", "-i", m, "--kappa", "-1",
+                        "--samples", "1")
+    assert json.loads(out)["tolerances"] == {"bound": 1e-8}
+    _, out, _ = run_cli(capsys, "verify", "lemma26", "--samples", "1")
+    assert json.loads(out)["tolerances"] == {"bound": 1e-10}
+
+
+def test_readme_suite_table_is_the_registry():
+    from pathlib import Path
+
+    from bochner.cli import _SUITES
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` \| (\d+) \| (.+?) \| `(\w+)` \|$", text, re.M)
+    table = {}
+    for name, samples, tolerances, replaced in rows:
+        tols = {key: float(value) for key, value in re.findall(r"`(\w+)` ([\d.e+-]+)", tolerances)}
+        table[name] = (int(samples), tols, replaced)
+    assert table == {name: (samples, tols, next(iter(tols)))
+                     for name, (_, samples, tols) in _SUITES.items()}

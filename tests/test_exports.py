@@ -26,3 +26,16 @@ def test_every_reexport_is_in_its_modules_all_and_every_all_entry_exists():
         mod = importlib.import_module(f"bochner.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), (info.name, name)
+
+
+def test_importing_the_cli_loads_no_logging():
+    # no module logs, so none pays for the logging import
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(bochner.__file__).parents[1])
+    code = "import sys, bochner.cli; print(sorted({'logging'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"

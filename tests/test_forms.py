@@ -15,7 +15,6 @@ from bochner import (
     circ,
     construct_Vpqk,
     hermitian_inner,
-    kahler_form,
     omega_power,
     sharp,
     sharp_coefficient,
@@ -23,6 +22,7 @@ from bochner import (
     wedge,
 )
 from bochner.criteria import serre_remap
+from bochner.curvature import _kahler_form_array
 from bochner.forms import primitive_pq_basis, random_pq_form, random_stratum_form, stratum_basis
 from bochner.holonomy import cached_algebra
 from bochner.tensors import _act_matrix, _avatars, _wedge_coefficients
@@ -81,17 +81,19 @@ def test_dz_pairing(c3):
 
 def test_kahler_form_via_dz(c2):
     # omega = (i/2) sum_a dz^a ^ dzbar^a
-    om = kahler_form(c2)
+    om = omega_power(c2, 1).tensor
     acc = np.zeros_like(om.components)
     for dz, dzbar in zip(build_pq_basis(c2, 1, 0), build_pq_basis(c2, 0, 1)):
         acc += 0.5j * wedge(dz, dzbar).tensor.components
     assert np.allclose(acc, om.components, atol=1e-12)
+    # the one Kahler form: omega(X, Y) = g(J X, Y), the curvature module's real array
+    assert np.array_equal(om.components, _kahler_form_array(c2))
 
 
 def test_omega_bivector_invariance(c2):
     # every sharp slice of the Kahler form vanishes
     u = cached_algebra(c2, "u")
-    dec = sharp(kahler_form(c2), u)
+    dec = sharp(omega_power(c2, 1).tensor, u)
     assert dec.norm2() < 1e-20
     # omega as a bivector: |omega|^2 = n, and it lies in u(n)
     omega = _wedge_coefficients(c2.j_matrix())
@@ -155,7 +157,7 @@ def test_build_pq_basis_purity(c3):
 
 def test_wedge_with_omega_preserves_purity(c3, rng):
     f = random_pq_form(c3, 1, 0, rng)
-    w = wedge(Form.from_tensor(kahler_form(c3)), f)
+    w = wedge(Form.from_tensor(omega_power(c3, 1).tensor), f)
     proj = pq_project_naive(w.tensor.components, c3.j_matrix(), 2, 1)
     assert np.allclose(proj, w.tensor.components,
                        atol=1e-9 * math.sqrt(w.norm2()))
@@ -398,3 +400,20 @@ def test_pqform_json_round_trip(c3, rng):
     # the k key is omitted when the stratum is undeclared
     g = PQForm(c3, 1, 1, circ(random_pq_form(c3, 1, 1, rng)).tensor)
     assert "k" not in pqform_to_json(g)
+    assert pqform_from_json(pqform_to_json(g)).k is None
+
+
+@pytest.mark.parametrize("key,value", [("p", None), ("p", 1.7), ("p", "1"), ("k", True), ("k", 1.0)],
+                         ids=["missing-p", "float-p", "string-p", "bool-k", "float-k"])
+def test_pqform_reader_needs_integer_p_q_and_k(c2, key, value):
+    # p, q and a present k are integers, as the tensor header's dim and rank are
+    from bochner.forms import pqform_from_json, pqform_to_json
+
+    obj = pqform_to_json(omega_power(c2, 1))
+    assert (obj["p"], obj["q"], obj["k"]) == (1, 1, 1)
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(ValueError, match=f"integer '{key}'"):
+        pqform_from_json(obj)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from bochner import ComplexTensor, EuclideanSpace, Form, hermitian_inner, sharp
-from bochner.cli import _pq_configurations, _random_prop28_form
 from bochner.forms import (
     _stratum_rows,
     _type_mask,
@@ -265,7 +264,12 @@ def test_random_stratum_form_is_the_basis_combination(n, seed):
 # the prop27 / prop28 grid at n = 4, 5
 
 
-@pytest.mark.parametrize("n,p,q,k", [c for c in _pq_configurations(max_n=5) if c[0] >= 4])
+# the suites' (n, p, q, k) grid continued to n = 4, 5
+_N4_N5 = [(n, p, q, k) for n in (4, 5) for p in range(n + 1) for q in range(n + 1 - p)
+          for k in range(min(p, q) + 1) if p + q - 2 * k > 0]
+
+
+@pytest.mark.parametrize("n,p,q,k", _N4_N5)
 def test_form_suites_at_n4_n5(n, p, q, k):
     space = EuclideanSpace.complex_space(n)
     rng = np.random.default_rng(1000 * n + 100 * p + 10 * q + k)
@@ -276,7 +280,8 @@ def test_form_suites_at_n4_n5(n, p, q, k):
     product = construct_Vpqk(random_pq_form(space, a, 0, rng), random_pq_form(space, 0, b, rng), k)
     r = sharp_norm_coefficient_check(product)
     assert r["sharp_norm2"] <= r["coefficient_times_circ"] * (1 + 1e-10)
-    r = action_bound_check(_random_prop28_form(space, p, q, k, rng))
+    phi = random_stratum_form(space, p, q, k, rng) if k else random_pq_form(space, p, q, rng)
+    r = action_bound_check(phi)
     assert r["vacuous"] or r["max_ratio"] <= 1 + 1e-9
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bochner import ComplexTensor, EuclideanSpace, build_algebra, sharp
-from bochner.forms import build_pq_basis, kahler_form
+from bochner.forms import build_pq_basis, omega_power
 from bochner.holonomy import AlgebraKind, HolonomySubalgebra, _sp_m_commutant, cached_algebra
 from bochner.tensors import _act_matrix, _avatars, _wedge_coefficients
 
@@ -192,7 +192,7 @@ def test_sharp_stack_rows_are_the_loop_action(rank, kind, size, layout, rng):
 
 
 def test_sharp_invariant_tensor_has_zero_slices(c2):
-    om = kahler_form(c2)
+    om = omega_power(c2, 1).tensor
     dec = sharp(om, build_algebra(c2, "u"))
     assert dec.norm2() < 1e-20
 

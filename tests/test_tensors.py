@@ -15,7 +15,7 @@ from bochner import (
     tensor_from_json,
     tensor_to_json,
 )
-from bochner.forms import kahler_form
+from bochner.forms import omega_power
 from bochner.tensors import _act_matrix, _avatars, _wedge_coefficients, wedge_pairs
 
 from oracles import act_matrix_naive, bracket_naive
@@ -206,7 +206,7 @@ def test_hermitian_inner_basics(c2, rng):
 
 def test_kahler_form_norm_c2(c2):
     # the standard 2-form on C^2 has four nonzero components, all +-1
-    om = kahler_form(c2)
+    om = omega_power(c2, 1).tensor
     nz = np.abs(om.components) > 0
     assert nz.sum() == 4
     assert hermitian_inner(om, om) == pytest.approx(4.0)

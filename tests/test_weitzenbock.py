@@ -17,7 +17,7 @@ from bochner import (
     weitzenbock_ric,
 )
 from bochner import circ
-from bochner.forms import kahler_form, random_pq_form, random_stratum_form
+from bochner.forms import omega_power, random_pq_form, random_stratum_form
 from bochner.holonomy import cached_algebra
 from bochner.criteria import stratum_constant, form_constant
 
@@ -91,7 +91,7 @@ def test_lichnerowicz_scaling(c2, rng):
 def test_curvature_term_invariant_tensor(c2):
     u = cached_algebra(c2, "u")
     rm = chsc_model(c2, 2.0)
-    term = curvature_term(rm, u, kahler_form(c2))
+    term = curvature_term(rm, u, omega_power(c2, 1).tensor)
     assert abs(term.value) < 1e-18
     assert abs(term.gram_value) < 1e-18
 
