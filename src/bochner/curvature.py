@@ -2,8 +2,9 @@
 
 A curvature tensor here is a purely pointwise object: a real rank-4
 tensor with the pair symmetries and the first Bianchi identity, no
-manifold attached.  It is one real (d, d, d, d) array from file to sharp:
-files keep [re, 0.0] pairs, and the reader refuses imaginary parts above
+manifold attached.  It is one real (d, d, d, d) array from file to sharp.
+Files hold the upper triangle of its operator; the reader also takes the
+[re, im] pairs that stdout prints, refusing imaginary parts above
 1e-8 max(1, |Re|_max).  Its curvature operator R on Lambda^2 V is a view
 of the same object: `AlgebraicCurvatureTensor.operator` is the symmetric
 matrix in the wedge-orthonormal basis, computed once per tensor, and
@@ -40,8 +41,8 @@ from functools import lru_cache, partialmethod
 import numpy as np
 
 from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
-from .tensors import (_avatars, _coframe, _component_array, _file_space, _read_json, _tensor_doc,
-                      _write_json, wedge_pairs)
+from .tensors import (_avatars, _coframe, _component_array, _file_space, _finite_floats,
+                      _read_json, _space_header, _tensor_doc, _write_json, wedge_pairs)
 
 __all__ = [
     "AlgebraicCurvatureTensor",
@@ -98,10 +99,12 @@ def _bianchi_residual(arr):
 
 
 def _symmetric_operator(M):
-    """0.5 (M + M^T), read-only, of a matrix symmetric to 1e-9 |M|_max."""
-    if np.abs(M - M.T).max() > 1e-9 * max(1.0, np.abs(M).max()):
+    """0.5 (M + M^T), read-only, of a matrix symmetric to 1e-9 |M|_max; a copy
+    of an exactly symmetric M, whose entries cannot overflow in the sum."""
+    dev = np.abs(M - M.T).max()
+    if dev > 1e-9 * max(1.0, np.abs(M).max()):
         raise ValueError("curvature operator must be symmetric")
-    M = 0.5 * (M + M.T)
+    M = 0.5 * (M + M.T) if dev else M.copy()
     M.setflags(write=False)
     return M
 
@@ -213,7 +216,7 @@ class AlgebraicCurvatureTensor:
         return f"AlgebraicCurvatureTensor(dim={self.space.dim}{extra})"
 
 
-def from_operator(space, matrix, validate=True):
+def from_operator(space, matrix, validate=True, kahler=False, quaternion=False):
     """Rank-4 tensor of a symmetric operator on Lambda^2 V, a (P, P) matrix with
     P = d (d - 1) / 2; inverse of `AlgebraicCurvatureTensor.operator`."""
     d = space.dim
@@ -225,11 +228,10 @@ def from_operator(space, matrix, validate=True):
     k, l = np.array(wedge_pairs(d)).T
     i, j = k[:, None], l[:, None]
     arr = np.zeros((d, d, d, d))
-    arr[i, j, k, l] = M
-    arr[j, i, k, l] = -M
-    arr[i, j, l, k] = -M
-    arr[j, i, l, k] = M
-    return AlgebraicCurvatureTensor(space, arr, validate=validate)
+    arr[i, j, k, l] = arr[j, i, l, k] = M
+    arr[j, i, k, l] = arr[i, j, l, k] = 0.0 - M  # a zero entry is +0.0 in all four slots
+    return AlgebraicCurvatureTensor(space, arr, kahler=kahler, quaternion=quaternion,
+                                    validate=validate)
 
 
 def ricci(rm_tensor):
@@ -445,6 +447,13 @@ def restricted_spectrum(rm_tensor, algebra):
 # sharp-norm identities
 
 
+def _relative_deviation(lhs, rhs, coefficient, rm_tensor):
+    """|lhs - rhs| over max(|lhs|, |rhs|), floored at the rounding scale eps * coefficient
+    * |Rm|^2 (and 1e-300); eps * coefficient comes first, so it cannot overflow."""
+    floor = np.finfo(float).eps * coefficient * rm_tensor.norm2()
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor, 1e-300)
+
+
 def kahler_sharp_identity(rm_tensor):
     """Norm identity between the u(n) sharp of Rm and its component norms.
 
@@ -472,7 +481,7 @@ def kahler_sharp_identity(rm_tensor):
     gram = rm_tensor.restricted_gram(algebra)
     gram_tf = gram - (np.trace(gram) / gram.shape[0]) * np.eye(gram.shape[0])
     rhs_tensor = 4.0 * (n + 1) * ringed_norm2 - 16.0 * tfric_norm2
-    report = {
+    return {
         "n": n,
         "lhs_tensor": lhs,
         "rhs_tensor": rhs_tensor,
@@ -482,10 +491,8 @@ def kahler_sharp_identity(rm_tensor):
         "ringed_norm2_operator": ringed_norm2 / 4.0,
         "ringed_norm2_gram_tracefree": float(np.sum(gram_tf * gram_tf)),
         "tf_ricci_norm2": tfric_norm2,
+        "relative_deviation": _relative_deviation(lhs, rhs_tensor, 4 * (n + 1), rm_tensor),
     }
-    denom = max(abs(report["lhs_tensor"]), abs(report["rhs_tensor"]), 1e-300)
-    report["relative_deviation"] = abs(report["lhs_tensor"] - report["rhs_tensor"]) / denom
-    return report
 
 
 def quaternion_sharp_identity(rm_tensor):
@@ -530,20 +537,22 @@ def quaternion_sharp_identity(rm_tensor):
         "sp1_slice_norm2": float(np.sum(sh.slice_norms2()[:3])),
         "hp_coefficient": dec.hp_coefficient,
     }
-    denom = max(abs(lhs), abs(report["rhs_measured"]), 1e-300)
-    report["relative_deviation_measured"] = abs(lhs - report["rhs_measured"]) / denom
-    denom = max(abs(lhs), abs(report["rhs_nominal"]), 1e-300)
-    report["relative_deviation_nominal"] = abs(lhs - report["rhs_nominal"]) / denom
+    for key in ("measured", "nominal"):
+        report[f"relative_deviation_{key}"] = _relative_deviation(
+            lhs, report[f"rhs_{key}"], 4 * (m + 2), rm_tensor)
     return report
 
 
 def sharp_norm_identities(rm_tensor):
-    """Dispatch the applicable sharp-norm identity report by flag."""
-    if rm_tensor.kahler:
-        return kahler_sharp_identity(rm_tensor)
-    if rm_tensor.quaternion:
-        return quaternion_sharp_identity(rm_tensor)
-    raise ValueError("tensor carries neither the kahler nor the quaternion flag")
+    """The applicable sharp-norm identity report by flag; a report with a value
+    that overflows a float is refused."""
+    if not (rm_tensor.kahler or rm_tensor.quaternion):
+        raise ValueError("tensor carries neither the kahler nor the quaternion flag")
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = (kahler_sharp_identity if rm_tensor.kahler else quaternion_sharp_identity)(rm_tensor)
+    if not all(map(math.isfinite, report.values())):
+        raise ValueError("sharp-norm report overflows a float; rescale the tensor")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +672,18 @@ def random_quaternion_kahler_curvature(space, rng):
 # JSON
 
 
-def _curvature_doc(rm_tensor):
-    """The curvature-file dict with "components" as the (N, 2) float64 array that
-    the writer takes (see `tensors._tensor_doc`), every imaginary part +0.0."""
-    obj = _tensor_doc(rm_tensor)
+def _curvature_doc(rm_tensor, compact=False):
+    """A curvature document.  Compact, it is the file format: "format": "operator"
+    and the operator's upper triangle with its diagonal, row-major in `wedge_pairs`
+    order, read from the array without the checks of `.operator`.  Otherwise it is
+    the "components" document of stdout, its [re, 0.0] rows one array (`_tensor_doc`)."""
+    if compact:
+        k, l = np.array(wedge_pairs(rm_tensor.space.dim)).T
+        a, b = np.triu_indices(len(k))
+        obj = {**_space_header(rm_tensor.space), "format": "operator",
+               "operator": rm_tensor.array[k[a], l[a], k[b], l[b]].tolist()}
+    else:
+        obj = _tensor_doc(rm_tensor)
     obj["kind"] = "curvature"
     flags = [f for f in ("kahler", "quaternion") if getattr(rm_tensor, f)]
     if flags:
@@ -675,27 +692,39 @@ def _curvature_doc(rm_tensor):
 
 
 def curvature_to_json(rm_tensor):
-    obj = _curvature_doc(rm_tensor)
-    obj["components"] = obj["components"].tolist()
-    return obj
+    """The curvature-file dict, the compact "operator" document."""
+    return _curvature_doc(rm_tensor, compact=True)
 
 
 def curvature_from_json(obj):
+    """The tensor of a curvature document, compact or with "components"."""
     if not isinstance(obj, dict) or obj.get("kind") != "curvature":
         raise ValueError("not a curvature file (missing kind == 'curvature')")
     flags = obj.get("flags", [])
     if not isinstance(flags, list):
         raise ValueError(f"curvature file \"flags\" must be a list, got {flags!r}")
     space = _file_space(obj, flags)
-    comps = _component_array(obj, space.dim)
-    if np.abs(comps.imag).max() > 1e-8 * max(1.0, np.abs(comps.real).max()):
-        raise ValueError("curvature components must be real")
-    return AlgebraicCurvatureTensor(space, comps.real, kahler="kahler" in flags,
-                                    quaternion="quaternion" in flags)
+    kahler, quaternion = "kahler" in flags, "quaternion" in flags
+    if "format" not in obj:
+        comps = _component_array(obj, space.dim)
+        if np.abs(comps.imag).max() > 1e-8 * max(1.0, np.abs(comps.real).max()):
+            raise ValueError("curvature components must be real")
+        return AlgebraicCurvatureTensor(space, comps.real, kahler=kahler, quaternion=quaternion)
+    if obj["format"] != "operator":
+        raise ValueError(f'curvature file "format" must be "operator", got {obj["format"]!r}')
+    P = len(wedge_pairs(space.dim))
+    i, j = np.triu_indices(P)
+    upper = _finite_floats(obj.get("operator"),
+                           'curvature file "operator" must be a list of finite numbers')
+    if upper.size != len(i):
+        raise ValueError(f'curvature file "operator" needs {len(i)} numbers, got {upper.size}')
+    M = np.zeros((P, P))
+    M[i, j] = M[j, i] = upper
+    return from_operator(space, M, kahler=kahler, quaternion=quaternion)
 
 
 def save_curvature(rm_tensor, path):
-    _write_json(_curvature_doc(rm_tensor), path)
+    _write_json(curvature_to_json(rm_tensor), path)
 
 
 def load_curvature(path):

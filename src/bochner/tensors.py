@@ -298,17 +298,17 @@ def hermitian_inner(T, S):
     return complex(np.sum(T.components * np.conj(S.components)))
 
 
+def _space_header(space):
+    """The "dim" and "j_convention" of a file over space, as `_file_space` reads them."""
+    return {"dim": space.dim, "j_convention": "none" if space.complex_structure is None else "block"}
+
+
 def _tensor_doc(T):
     """The interchange dict with "components" as the (N, 2) float64 array of
     [re, im] rows, which the writer takes without a list round trip."""
-    space = T.space
     flat = T.components.reshape(-1)
-    return {
-        "dim": space.dim,
-        "rank": T.components.ndim,
-        "j_convention": "none" if space.complex_structure is None else "block",
-        "components": np.stack([flat.real, flat.imag], -1),
-    }
+    return {**_space_header(T.space), "rank": T.components.ndim,
+            "components": np.stack([flat.real, flat.imag], -1)}
 
 
 def tensor_to_json(T):
@@ -330,19 +330,29 @@ def _int_field(obj, key):
     return value
 
 
-def _component_pairs(comps):
-    """The [re, im] pairs of a tensor file as a complex vector, bit for bit
-    `complex(re, im)` per pair.  Anything but a list of finite real number
-    pairs raises: the dtype check keeps numpy from reading null as NaN or
-    "1.5" as 1.5, and the type scan from reading true as 1.0."""
+def _finite_floats(values, message):
+    """A list of finite numbers as a float64 vector, or ValueError(message).
+    The dtype check keeps numpy from reading null as NaN or "1.5" as 1.5,
+    and the type scan from reading true as 1.0."""
     try:
-        entries = [*itertools.chain.from_iterable(comps)] if set(map(len, comps)) == {2} else None
-        flat = None if entries is None or bool in set(map(type, entries)) else np.array(entries)
+        flat = np.array(values) if type(values) is list and bool not in set(map(type, values)) else None
     except (TypeError, ValueError, OverflowError):
         flat = None
     if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf" or not np.isfinite(flat).all():
-        raise ValueError('tensor file "components" must be a list of finite [re, im] number pairs')
-    return flat.astype(float, copy=False).view(complex)
+        raise ValueError(message)
+    return flat.astype(float, copy=False)
+
+
+def _component_pairs(comps):
+    """The [re, im] pairs of a tensor file as a complex vector, bit for bit
+    `complex(re, im)` per pair; anything but a list of finite real number
+    pairs raises."""
+    try:
+        entries = [*itertools.chain.from_iterable(comps)] if set(map(len, comps)) == {2} else None
+    except TypeError:
+        entries = None
+    return _finite_floats(entries, 'tensor file "components" must be a list of finite '
+                                   '[re, im] number pairs').view(complex)
 
 
 def _component_array(obj, d):

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from bochner import EuclideanSpace, chsc_model, save_curvature
+from bochner import (EuclideanSpace, chsc_model, load_curvature, random_kahler_curvature,
+                     save_curvature)
 from bochner.cli import main
 
 
@@ -464,7 +465,10 @@ def test_verify_suites_pass(capsys):
     (["spectrum", "--algebra", "u", "-i", "chsc1e308.json"], "|Rm|^2 overflows"),
     (["check", "pq", "--n", "2", "--p", "1", "--q", "0", "--model", "chsc", "--c", "1e200"],
      "|Rm|^2 overflows"),
+    (["sharp-norm", "-i", "kahler2.json"], "sharp-norm report overflows a float"),
+    (["sharp-norm", "-i", "kahler3.json"], "sharp-norm report overflows a float"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
     # malformed input, non-finite weights, models that leak off the algebra
     # and empty suites exit 1 with an error line and no output, never a
@@ -480,6 +484,11 @@ def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, m
     # finite entries whose |Rm|^2 overflows, as `model` wrote them before it refused them
     for c in ("1e200", "1e308"):
         save_curvature(chsc_model(EuclideanSpace.complex_space(2), float(c)), f"chsc{c}.json")
+    # valid Kahler tensors, |Rm|^2 at 0.9 and 0.5 of the float maximum, whose
+    # sharp norms overflow
+    for n, share in ((2, 0.9), (3, 0.5)):
+        rm = random_kahler_curvature(EuclideanSpace.complex_space(n), np.random.default_rng(0))
+        save_curvature(rm * math.sqrt(share * np.finfo(float).max / rm.norm2()), f"kahler{n}.json")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -494,6 +503,22 @@ def test_a_curvature_file_just_below_the_overflow_prints_finite_numbers(tmp_path
         code, out, err = run_cli(capsys, *argv, "-i", path)
         assert code == 0, (argv, err)
         assert "NaN" not in out and "Infinity" not in out, argv
+
+
+def test_model_out_writes_what_stdout_prints_and_both_formats_load(tmp_path, capsys):
+    # `model -o` keeps the components document of stdout; save_curvature
+    # writes the operator document; every reader takes both alike
+    path, compact = tmp_path / "m.json", tmp_path / "c.json"
+    _, out, _ = run_cli(capsys, "model", "chsc", "--n", "3", "--c", "4")
+    assert run_cli(capsys, "model", "chsc", "--n", "3", "--c", "4", "-o", str(path))[0] == 0
+    assert path.read_text() == out and "components" in json.loads(out)
+    rm = chsc_model(EuclideanSpace.complex_space(3), 4.0)
+    save_curvature(rm, compact)
+    assert json.loads(compact.read_text())["format"] == "operator"
+    assert all(np.array_equal(load_curvature(p).array, rm.array) for p in (path, compact))
+    for argv in (["sharp-norm"], ["decompose", "kahler"], ["spectrum", "--algebra", "u"]):
+        outs = {run_cli(capsys, *argv, "-i", str(p))[1] for p in (path, compact)}
+        assert len(outs) == 1, argv
 
 
 def test_verify_prop28_samples_forms(capsys):
@@ -515,8 +540,12 @@ def test_forms_check_prop27_without_samples_checks_products(capsys):
     assert all(c["id"].startswith("product") for c in cases)
 
 
-def _malformed_curvature(path, edit):
-    assert main(["model", "chsc", "--n", "2", "-o", str(path)]) == 0
+def _malformed_curvature(path, edit, compact=False):
+    """The n = 2 chsc file, written by `model -o` or, compact, by save_curvature, then edited."""
+    if compact:
+        save_curvature(chsc_model(EuclideanSpace.complex_space(2)), path)
+    else:
+        assert main(["model", "chsc", "--n", "2", "-o", str(path)]) == 0
     obj = json.loads(path.read_text())
     edit(obj)
     path.write_text(json.dumps(obj))
@@ -566,17 +595,59 @@ def test_malformed_tensor_file_is_an_error_line(tmp_path, capsys, edit, named):
         assert err.startswith("error:") and named in err
 
 
-def test_an_overflowing_number_text_is_a_finite_error_line(tmp_path, capsys):
-    # 1e400 parses to inf, which the component reader refuses
+def _set_entry(index, value):
+    def edit(obj):
+        obj["operator"][index] = value
+    return edit
+
+
+# the upper triangle of the identity on Lambda^2 R^4, the cs model: Bianchi but not Kahler
+IDENTITY_UPPER = [float(i == j) for i in range(6) for j in range(i, 6)]
+NUMBERS = "list of finite numbers"
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda obj: obj["operator"].pop(), "needs 21 numbers"),
+    (lambda obj: obj.update(dim=6, flags=[]), "needs 120 numbers"),
+    (_set_entry(3, None), NUMBERS),
+    (_set_entry(3, True), NUMBERS),
+    (_set_entry(3, "0.5"), NUMBERS),
+    (_set_entry(3, [0.5, 0.0]), NUMBERS),
+    (_set_entry(3, math.nan), NUMBERS),
+    (_set_entry(3, math.inf), NUMBERS),
+    (lambda obj: obj.pop("operator"), NUMBERS),
+    (lambda obj: obj.update(operator=0.5), NUMBERS),
+    (lambda obj: obj.update(format="components"), '"format" must be "operator"'),
+    (lambda obj: obj.update(format=None), '"format" must be "operator"'),
+    (_set_entry(5, 1.0), "first Bianchi identity violated"),  # R(e12, e34) alone
+    (lambda obj: obj.update(operator=IDENTITY_UPPER), "Kahler pair invariance violated"),
+    (lambda obj: obj.update(j_convention="weird"), '"j_convention" must be "none" or "block"'),
+], ids=["short", "dim-6", "null-entry", "bool-entry", "string-entry", "pair-entry", "nan-entry",
+        "infinity-entry", "missing-operator", "scalar-operator", "unknown-format", "null-format",
+        "bianchi", "not-kahler", "unknown-j-convention"])
+def test_malformed_operator_document_is_an_error_line(tmp_path, capsys, edit, named):
     path = tmp_path / "bad.json"
-    _malformed_curvature(path, _set_component(17, [4321.5, 0.0]))
-    text = path.read_text()
-    assert text.count("4321.5") == 1
-    path.write_text(text.replace("4321.5", "1e400"))
+    _malformed_curvature(path, edit, compact=True)
     capsys.readouterr()
-    code, out, err = run_cli(capsys, "spectrum", "--algebra", "u", "-i", str(path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and "finite" in err
+    for argv in (["sharp-norm"], ["decompose", "kahler"], ["spectrum", "--algebra", "u"]):
+        code, out, err = run_cli(capsys, *argv, "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and named in err
+
+
+def test_an_overflowing_number_text_is_a_finite_error_line(tmp_path, capsys):
+    # 1e400 parses to inf, which the number reader refuses in either format
+    path = tmp_path / "bad.json"
+    for compact, edit in ((False, _set_component(17, [4321.5, 0.0])), (True, _set_entry(3, 4321.5))):
+        _malformed_curvature(path, edit, compact)
+        text = path.read_text()
+        assert text.count("4321.5") == 1
+        path.write_text(text.replace("4321.5", "1e400"))
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "spectrum", "--algebra", "u", "-i", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "finite" in err
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,6 @@
 """Curvature tensors, operators, models, decompositions, sharp-norm identities."""
 
+import json
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from bochner import (
     kahler_decompose,
     kahler_sharp_identity,
     kulkarni_nomizu,
+    load_curvature,
     model,
     quaternion_decompose,
     quaternion_sharp_identity,
@@ -32,15 +34,18 @@ from bochner import (
     random_quaternion_kahler_curvature,
     restricted_spectrum,
     ricci,
+    save_curvature,
     scalar_curvature,
     sharp,
+    sharp_norm_identities,
     tf_ricci,
 )
-from bochner.curvature import _hyperkahler_basis, _kahler_basis
+from bochner.curvature import _curvature_doc, _hyperkahler_basis, _kahler_basis
 from bochner.holonomy import _sp_m_commutant, cached_algebra
-from bochner.tensors import _act_matrix
+from bochner.tensors import _act_matrix, _write_json
 
 from oracles import (
+    component_pairs_naive,
     from_operator_naive,
     quaternion_sharp_constant_naive,
     ricci_naive,
@@ -539,6 +544,18 @@ def test_quaternion_sharp_constant_pattern_m3(rng):
     assert rep["relative_deviation_measured"] < 1e-10
 
 
+@pytest.mark.parametrize("size", [2, 3])
+def test_sharp_identities_where_both_sides_vanish_report_rounding_not_one(size):
+    # lhs and rhs vanish on chsc and hpm; the noise left (lhs 0.0 against rhs
+    # 2e-31 at c = 0.7, -1.2e170 at c = 1e100) is measured against the
+    # rounding scale eps * 4(n+1) |Rm|^2 or eps * 4(m+2) |Rm|^2
+    deviations = [sharp_norm_identities(chsc_model(EuclideanSpace.complex_space(size), c))
+                  ["relative_deviation"] for c in (0.7, 1e100, 1.0, 4.0)]
+    rep = sharp_norm_identities(quaternionic_projective_model(EuclideanSpace.quaternionic_space(size)))
+    deviations += [rep["relative_deviation_measured"], rep["relative_deviation_nominal"]]
+    assert max(deviations) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # action-norm inequalities used by the flatness criteria
 
@@ -592,6 +609,59 @@ def test_curvature_json_round_trip(c2, h2, rng):
     back = curvature_from_json(curvature_to_json(q))
     assert back.quaternion
     assert np.array_equal(back.array, q.array)
+
+
+def _generated_tensors(rng):
+    """Every model and flagged generator at n <= 5 and m <= 3."""
+    for n in range(1, 6):
+        space = EuclideanSpace.complex_space(n)
+        yield from (chsc_model(space, 0.7), constant_sectional_model(space, 2.5), flat_model(space),
+                    random_kahler_curvature(space, rng))
+    for m in range(1, 4):
+        space = EuclideanSpace.quaternionic_space(m)
+        yield from (quaternionic_projective_model(space), random_hyperkahler_curvature(space, rng),
+                    random_quaternion_kahler_curvature(space, rng))
+
+
+def test_curvature_files_round_trip_bit_for_bit(tmp_path, rng):
+    path = tmp_path / "rm.json"
+    for rm in _generated_tensors(rng):
+        P = len(rm.operator)
+        obj = curvature_to_json(rm)
+        assert obj["format"] == "operator" and len(obj["operator"]) == P * (P + 1) // 2
+        assert obj["operator"] == rm.operator[np.triu_indices(P)].tolist()
+        save_curvature(rm, path)
+        back = load_curvature(path)
+        assert np.array_equal(back.array, rm.array), rm
+        # zeros come back +0.0, as the models and generators make them at positive scale
+        assert back.array.tobytes() == rm.array.tobytes(), rm
+        assert (back.space, back.kahler, back.quaternion) == (rm.space, rm.kahler, rm.quaternion)
+
+
+def test_random_curvature_file_round_trip_within_rounding(tmp_path, rng):
+    # random_curvature is pair-antisymmetric only to rounding after its
+    # Bianchi projection, and the file keeps one entry per operator pair
+    path = tmp_path / "rm.json"
+    for n in range(1, 6):
+        for _ in range(3):
+            rm = random_curvature(EuclideanSpace.complex_space(n), rng)
+            save_curvature(rm, path)
+            dev = np.abs(load_curvature(path).array - rm.array).max()
+            assert dev <= 1e-15 * max(1.0, np.abs(rm.array).max())
+
+
+def test_components_documents_load_as_the_pair_reader_reads_them(tmp_path, rng):
+    # the documents stdout prints, and the files written before the
+    # operator format, load bit for bit as `complex(re, im)` per pair
+    path = tmp_path / "rm.json"
+    for rm in [*_generated_tensors(rng), random_curvature(EuclideanSpace.complex_space(3), rng)]:
+        _write_json(_curvature_doc(rm), path)
+        obj = json.loads(path.read_text())
+        assert "format" not in obj and "operator" not in obj
+        expected = component_pairs_naive(obj["components"]).real.reshape(rm.array.shape)
+        back = load_curvature(path)
+        assert back.array.tobytes() == expected.tobytes() == rm.array.tobytes()
+        assert (back.kahler, back.quaternion) == (rm.kahler, rm.quaternion)
 
 
 def test_curvature_json_rejects_plain_tensor(c2):

@@ -176,6 +176,7 @@ def test_saved_curvature_files_are_json_dumps_text(tmp_path):
               curv.chsc_model(EuclideanSpace.complex_space(3), 4.0)]
     for rm in models:
         obj = curv.curvature_to_json(rm)
+        assert obj["format"] == "operator" and "components" not in obj
         curv.save_curvature(rm, tmp_path / "rm.json")
         assert (tmp_path / "rm.json").read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -193,8 +194,12 @@ def test_public_json_dicts_hold_plain_lists_and_match_the_saved_text(tmp_path):
     for obj, save in [(tensor_to_json(T), lambda: save_tensor(T, path)),
                       (curv.curvature_to_json(rm), lambda: curv.save_curvature(rm, path)),
                       (forms.pqform_to_json(phi), lambda: _write_json(forms.pqform_to_json(phi), path))]:
-        comps = obj["components"]
-        assert type(comps) is list and comps
-        assert all(type(row) is list and list(map(type, row)) == [float, float] for row in comps)
+        if obj.get("format") == "operator":
+            values = obj["operator"]
+            assert type(values) is list and values and set(map(type, values)) == {float}
+        else:
+            comps = obj["components"]
+            assert type(comps) is list and comps
+            assert all(type(row) is list and list(map(type, row)) == [float, float] for row in comps)
         save()
         assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
