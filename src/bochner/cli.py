@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,8 +25,8 @@ from . import curvature as curv
 from . import forms as fms
 from . import weitzenbock as wb
 from .holonomy import AlgebraKind, cached_algebra
-from .tensors import (ComplexTensor, EuclideanSpace, _dumps, _read_json, _tensor_doc, _write_json,
-                      load_tensor)
+from .tensors import (ComplexTensor, EuclideanSpace, _dumps, _finite_floats, _read_json,
+                      _tensor_doc, _write_json, load_tensor)
 
 DEFAULT_SEED = 20240801
 
@@ -496,14 +495,6 @@ def cmd_forms(args):
     return _finish(rep, t0)
 
 
-def _finite_number(x):
-    """An int or a float that converts to a finite float (a 401-digit int does not)."""
-    try:
-        return type(x) in (int, float) and math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def _spectrum_from_args(args, algebra_kind):
     if args.spectrum:
         data = _read_json(args.spectrum)
@@ -512,13 +503,11 @@ def _spectrum_from_args(args, algebra_kind):
         if isinstance(data, dict):
             if "eigenvalues" not in data:
                 raise ValueError(f"spectrum file {args.spectrum} has no \"eigenvalues\"")
-            leak = data.get("leakage", 0.0)
-            if not _finite_number(leak):
-                raise ValueError(f"spectrum file {args.spectrum} has a non-numeric \"leakage\"")
+            (leak,) = _finite_floats([data.get("leakage", 0.0)],
+                                     f"spectrum file {args.spectrum} has a non-numeric \"leakage\"")
             data = data["eigenvalues"]
-        if not isinstance(data, list) or not all(map(_finite_number, data)):
-            raise ValueError(f"spectrum file {args.spectrum} must hold a list of finite numbers")
-        spectrum = [float(x) for x in data]
+        spectrum = _finite_floats(
+            data, f"spectrum file {args.spectrum} must hold a list of finite numbers").tolist()
         curv._refuse_leak(f"spectrum file {args.spectrum}", float(leak), spectrum)
         return spectrum
     if args.model:
@@ -540,26 +529,25 @@ def _require(args, *names):
         raise ValueError(f"check {args.what} requires {' and '.join(missing)}")
 
 
-_CHECK_NEEDS = {"pq": ("n", "p", "q"), "bochner": ("n",), "einstein": ("n",),
-                "quaternion": ("m",), "lq": ("n",)}
+# The one registry of check commands, name -> (required options, algebra of
+# the spectrum, call on the spectrum and the parsed arguments).
+_CHECKS = {
+    "pq": (("n", "p", "q"), AlgebraKind.U, lambda s, a: crit.check_pq(
+        s, a.n, a.p, a.q, kappa=a.kappa, rho=a.rho, Q=a.Q, k=a.stratum)),
+    "bochner": (("n",), AlgebraKind.U,
+                lambda s, a: crit.check_bochner(s, a.n, k=a.k, rho=a.rho, Q=a.Q)),
+    "einstein": (("n",), AlgebraKind.U,
+                 lambda s, a: crit.check_einstein_flat(s, a.n, k=a.k, rho=a.rho, Q=a.Q)),
+    "quaternion": (("m",), AlgebraKind.SP_SP1, lambda s, a: crit.check_quaternion(
+        s, a.m, k=a.k, rho=a.rho, Q=a.Q, scalar_flat=a.scalar_flat)),
+    "lq": (("n",), AlgebraKind.U, lambda s, a: crit.check_lq_nonneg(s, a.n)),
+}
 
 
 def cmd_check(args):
-    _require(args, *_CHECK_NEEDS[args.what])
-    spectrum = _spectrum_from_args(
-        args, AlgebraKind.SP_SP1 if args.what == "quaternion" else AlgebraKind.U)
-    if args.what == "pq":
-        verdict = crit.check_pq(spectrum, args.n, args.p, args.q, kappa=args.kappa,
-                                rho=args.rho, Q=args.Q, k=args.stratum)
-    elif args.what == "bochner":
-        verdict = crit.check_bochner(spectrum, args.n, k=args.k, rho=args.rho, Q=args.Q)
-    elif args.what == "einstein":
-        verdict = crit.check_einstein_flat(spectrum, args.n, k=args.k, rho=args.rho, Q=args.Q)
-    elif args.what == "quaternion":
-        verdict = crit.check_quaternion(spectrum, args.m, k=args.k, rho=args.rho,
-                                        Q=args.Q, scalar_flat=args.scalar_flat)
-    else:
-        verdict = crit.check_lq_nonneg(spectrum, args.n)
+    needs, algebra_kind, check = _CHECKS[args.what]
+    _require(args, *needs)
+    verdict = check(_spectrum_from_args(args, algebra_kind), args)
     _emit(verdict.to_json())
     _note(f"{verdict.theorem_id}: {verdict.conclusion} "
           f"(condition {verdict.condition_value:.6g} vs threshold {verdict.threshold:.6g})")
@@ -639,7 +627,7 @@ def build_parser():
     p.set_defaults(fn=cmd_forms)
 
     p = sub.add_parser("check", help="eigenvalue criterion verdicts")
-    p.add_argument("what", choices=["pq", "bochner", "einstein", "quaternion", "lq"])
+    p.add_argument("what", choices=list(_CHECKS))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=int)

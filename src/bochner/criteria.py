@@ -13,10 +13,9 @@ float-boundary errors; spectra are plain floats, summed exactly.
 
 One rule, `_verdict`, concludes: inconclusive outside the window or
 below the threshold, else the theorem's strict conclusion above it and
-its equality conclusion at it (`CONCLUSIONS`).  A verdict never claims
-more than the pointwise arithmetic: the global hypotheses (completeness,
-finite L^Q norm, weighted Poincare inequality, nonparabolicity) are
-echoed in the notes as user-asserted and are not verified here.
+its equality conclusion at it (`THEOREMS`).  A verdict never claims
+more than the pointwise arithmetic: the global hypotheses that its
+theorem's notes name are user-asserted and are not verified here.
 """
 
 from __future__ import annotations
@@ -85,15 +84,16 @@ def _check_type(n, p, q):
         raise ValueError(f"(p, q) = ({p}, {q}) out of range for n = {n}")
 
 
-def _require_spectrum(spectrum, name, size):
-    """Raise ValueError unless `size` is a dimension (n or m) and the spectrum
-    holds all dim u(n) = n^2, or dim sp(m)+sp(1) = m(2m+1)+3, eigenvalues:
-    a missing one could be the smallest."""
+def _require_spectrum(spectrum, theorem_id, size):
+    """The `_SPECTRA` row of the algebra `theorem_id` reads, once `size` is its
+    dimension (n or m) and the spectrum holds all dim u(n) = n^2, or
+    dim sp(m)+sp(1) = m(2m+1)+3, eigenvalues: a missing one could be the smallest."""
+    algebra = _SPECTRA[THEOREMS[theorem_id][2]]
+    name, rule, length = algebra[:3]
     _require_dimension(name, size)
-    rule, expected = {"n": ("n^2", size * size),
-                      "m": ("m(2m+1)+3", size * (2 * size + 1) + 3)}[name]
-    if len(spectrum) != expected:
-        raise ValueError(f"spectrum length {len(spectrum)} differs from {rule} = {expected}")
+    if len(spectrum) != length(size):
+        raise ValueError(f"spectrum length {len(spectrum)} differs from {rule} = {length(size)}")
+    return algebra
 
 
 def _weight_window(Q, c=1):
@@ -234,17 +234,42 @@ def serre_stratum(n, p, q, k):
     return k - (p + q - n)
 
 
-# The (strict, equality) conclusions of each theorem: a condition above its
-# threshold concludes the first, one at its threshold the second.
-CONCLUSIONS = {
-    "T3_2": ("vanishing", "parallel"),
-    "T3_4": ("vanishing", "parallel"),
-    "C3_3": ("vanishing", "parallel"),
-    "T3_6": ("vanishing", "vanishing"),
-    "C3_8": ("vanishing", "vanishing"),
-    "T1_5": ("bochner_flat", "bochner_flat"),
-    "T4_1": ("flat", "flat"),
-    "T4_4": ("flat", "flat"),
+# Per algebra: the dimension its spectrum is counted in, its length rule, and
+# the parity coefficient and weight window k < (Q - 1) / Q^power of the
+# parity-sum theorems that read it.
+_SPECTRA = {
+    "u": ("n", "n^2", lambda n: n * n, bochner_parity_coefficient, 2),
+    "sp": ("m", "m(2m+1)+3", lambda m: m * (2 * m + 1) + 3, quaternion_parity_coefficient, 1),
+}
+
+
+# The global hypotheses the user asserts are the first words of a note that
+# ends in _ASSERTED.  A parallel tensor of finite L^Q norm vanishes only where
+# the volume is infinite, so the flatness theorems assert it: the compact
+# Gr(2,4) meets the T1_5 and T4_1 conditions with equality.
+_ASSERTED = (" and, for weighted bounds, the weighted Poincare inequality with a "
+             "positive-at-infinity weight on a nonparabolic space are user-asserted and not "
+             "verified here")
+_FORMS = "completeness, finite L^Q norm" + _ASSERTED
+_FLATNESS = "completeness, infinite volume, finite L^Q norm" + _ASSERTED
+_GROUPED = "threshold constant follows the grouped reading (n + 2 - |p - q|) (p + q)"
+_ORTHOGONAL = "applies to forms orthogonal to the Kahler form power only"
+
+# The one table of theorems, id -> (strict conclusion, equality conclusion,
+# algebra whose spectrum it reads, fixed notes): a condition above its
+# threshold concludes the first, one at it the second, and every verdict's
+# notes end with the fixed ones.
+THEOREMS = {
+    "T3_2": ("vanishing", "parallel", "u", (_FORMS, _GROUPED)),
+    "T3_4": ("vanishing", "parallel", "u", (_ORTHOGONAL, _FORMS, _GROUPED)),
+    "C3_3": ("vanishing", "parallel", "u",
+             (_FORMS, "odd-degree reduced L^2 cohomology vanishes when the check passes")),
+    "T3_6": ("vanishing", "vanishing", "u", (_FORMS, _GROUPED)),
+    "C3_8": ("vanishing", "vanishing", "u", (_ORTHOGONAL, _FORMS, _GROUPED)),
+    "T1_5": ("bochner_flat", "bochner_flat", "u",
+             (_FLATNESS, "requires a divergence-free totally trace-free part")),
+    "T4_1": ("flat", "flat", "u", (_FLATNESS, "input asserted Kahler-Einstein")),
+    "T4_4": ("flat", "flat", "sp", (_FLATNESS,)),
 }
 
 
@@ -277,19 +302,15 @@ class VanishingVerdict:
 
 def _verdict(theorem_id, value, threshold, admissible, notes, arithmetic):
     """The one verdict rule: inconclusive outside the weight window or below the
-    threshold, else the strict or the equality conclusion of `theorem_id`."""
-    strict, equality = CONCLUSIONS[theorem_id]
+    threshold, else the strict or the equality conclusion of `theorem_id`.
+    The notes are the checker's own, then the theorem's fixed ones."""
+    strict, equality, _, fixed = THEOREMS[theorem_id]
     if admissible and value >= threshold:
         conclusion = strict if value > threshold else equality
     else:
         conclusion = "inconclusive"
     return VanishingVerdict(theorem_id, value, threshold, bool(admissible), conclusion,
-                            "; ".join(notes), arithmetic)
-
-
-_GLOBAL_HYPOTHESES = ("completeness, finite L^Q norm and, for weighted bounds, the weighted "
-                      "Poincare inequality with a positive-at-infinity weight on a nonparabolic "
-                      "space are user-asserted and not verified here")
+                            "; ".join([*notes, *fixed]), arithmetic)
 
 
 def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
@@ -304,7 +325,8 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
     notes record.  A type outside 0 <= p, q <= n, p + q >= 1 raises
     ValueError.
     """
-    _require_spectrum(spectrum, "n", n)
+    theorem_id = ("T3_4" if p == q else "T3_2") if kappa == 0 else ("C3_8" if p == q else "T3_6")
+    _require_spectrum(spectrum, theorem_id, n)
     if not (0 <= p <= n and 0 <= q <= n) or p + q < 1:
         raise ValueError(f"form type ({p}, {q}) out of range for n = {n}")
     _require_finite(kappa=kappa, rho=rho, Q=Q)
@@ -320,15 +342,8 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
         C = stratum_constant(n, p, q, k)
         notes.append(f"stratum constant at k = {k}")
     S = weighted_partial_sum(spectrum, C.floor, C.fractional)
-    if p == q:
-        theorem_id = "T3_4" if kappa == 0 else "C3_8"
-        notes.append("applies to forms orthogonal to the Kahler form power only")
-    else:
-        theorem_id = "T3_2" if kappa == 0 else "T3_6"
     arithmetic = {"C": C.value, "floor": C.floor, "fractional": C.fractional,
                   "S": S, "kappa": kappa, "rho": rho, "Q": Q}
-    notes.append(_GLOBAL_HYPOTHESES)
-    notes.append("threshold constant follows the grouped reading (n + 2 - |p - q|) (p + q)")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     cond, admissible = S, True
@@ -341,22 +356,18 @@ def check_pq(spectrum, n, p, q, kappa=0.0, rho=0.0, Q=2, k=None):
     return _verdict(theorem_id, cond, -(kappa * rho) or 0.0, admissible, notes, arithmetic)
 
 
-def _parity_sum_check(spectrum, name, size, k, rho, Q, theorem_id, notes):
-    """S = mu_1 + ... + mu_floor((size+1)/2) + parity * mu_{floor+1} against -k rho.
-
-    `name` "n" reads the spectrum of u(n), with the Kahler parity coefficient
-    and admissibility k < (Q - 1) / Q^2; "m" reads sp(m)+sp(1), with the
-    quaternionic one and k < (Q - 1) / Q.
+def _parity_sum_check(spectrum, size, k, rho, Q, theorem_id, notes=()):
+    """S = mu_1 + ... + mu_floor((size+1)/2) + parity * mu_{floor+1} against -k rho,
+    with the parity coefficient and weight window of the algebra `theorem_id`
+    reads: u(n), Kahler coefficient and k < (Q - 1) / Q^2; sp(m)+sp(1),
+    quaternionic coefficient and k < (Q - 1) / Q.
     """
-    _require_spectrum(spectrum, name, size)
+    *_, parity, power = _require_spectrum(spectrum, theorem_id, size)
     _require_finite(k=k, rho=rho, Q=Q)
     Qf, _ = _weight_window(Q)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if name == "n":
-        parity_coeff, bound = bochner_parity_coefficient(size), (Qf - 1) / (Qf * Qf)
-    else:
-        parity_coeff, bound = quaternion_parity_coefficient(size), (Qf - 1) / Qf
+    parity_coeff, bound = parity(size), (Qf - 1) / Qf**power
     count = (size + 1) // 2
     S = weighted_partial_sum(spectrum, count, parity_coeff)
     arithmetic = {"count": count, "parity_coefficient": parity_coeff, "S": S,
@@ -371,17 +382,14 @@ def check_bochner(spectrum, n, k=0.0, rho=0.0, Q=2):
     S = mu_1 + ... + mu_floor((n+1)/2) + (1 + (-1)^n)/4 mu_{floor+1}
     against -k rho, with admissibility k < (Q - 1) / Q^2.
     """
-    notes = [_GLOBAL_HYPOTHESES, "requires a divergence-free totally trace-free part"]
-    return _parity_sum_check(spectrum, "n", n, k, rho, Q, "T1_5", notes)
+    return _parity_sum_check(spectrum, n, k, rho, Q, "T1_5")
 
 
 def check_einstein_flat(spectrum, n, k=0.0, rho=0.0, Q=2):
     """Same condition shape as the trace-free check, for Einstein Kahler input;
     a passing verdict concludes flat.  Warns below complex dimension four."""
-    notes = [_GLOBAL_HYPOTHESES, "input asserted Kahler-Einstein"]
-    if n < 4:
-        notes.append(f"complex dimension {n} is below the stated range n >= 4")
-    return _parity_sum_check(spectrum, "n", n, k, rho, Q, "T4_1", notes)
+    notes = [f"complex dimension {n} is below the stated range n >= 4"] if n < 4 else []
+    return _parity_sum_check(spectrum, n, k, rho, Q, "T4_1", notes)
 
 
 def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
@@ -391,14 +399,13 @@ def check_quaternion(spectrum, m, k=0.0, rho=0.0, Q=2, scalar_flat=False):
     against -k rho, with admissibility k < (Q - 1) / Q.  For k = 0 the
     scalar-flatness assertion is not needed and the notes say so.
     """
-    notes = [_GLOBAL_HYPOTHESES]
     if k == 0:
-        notes.append("k = 0: the scalar-flatness hypothesis is not needed")
+        note = "k = 0: the scalar-flatness hypothesis is not needed"
     elif scalar_flat:
-        notes.append("scalar curvature asserted zero by the caller")
+        note = "scalar curvature asserted zero by the caller"
     else:
-        notes.append("warning: k > 0 requires the scalar-flatness assertion")
-    return _parity_sum_check(spectrum, "m", m, k, rho, Q, "T4_4", notes)
+        note = "warning: k > 0 requires the scalar-flatness assertion"
+    return _parity_sum_check(spectrum, m, k, rho, Q, "T4_4", [note])
 
 
 def check_lq_nonneg(spectrum, n):
@@ -408,9 +415,7 @@ def check_lq_nonneg(spectrum, n):
     L^Q assertion); the reduced-cohomology consequence is trivial in odd
     degrees, which the notes record.
     """
-    _require_spectrum(spectrum, "n", n)
+    _require_spectrum(spectrum, "C3_3", n)
     count = math.ceil(n / 2)
     S = weighted_partial_sum(spectrum, count)
-    notes = [_GLOBAL_HYPOTHESES,
-             "odd-degree reduced L^2 cohomology vanishes when the check passes"]
-    return _verdict("C3_3", S, 0.0, True, notes, {"count": count, "S": S})
+    return _verdict("C3_3", S, 0.0, True, [], {"count": count, "S": S})

@@ -149,7 +149,8 @@ class AlgebraicCurvatureTensor:
             raise ValueError(f"first Bianchi identity violated, deviation {dev:.2e}")
         if self.kahler:
             J = self.space.j_matrix()
-            jj = np.einsum("ax,by,xyzw->abzw", J, J, self.array)
+            # one J at a time: both at once is one d^6 loop, over ten times slower at d = 10
+            jj = np.einsum("by,ayzw->abzw", J, np.einsum("ax,xyzw->ayzw", J, self.array))
             dev = np.abs(jj - self.array).max()
             if dev > tol:
                 raise ValueError(f"Kahler pair invariance violated, deviation {dev:.2e}")

@@ -333,9 +333,13 @@ def _int_field(obj, key):
 def _finite_floats(values, message):
     """A list of finite numbers as a float64 vector, or ValueError(message).
     The dtype check keeps numpy from reading null as NaN or "1.5" as 1.5,
-    and the type scan from reading true as 1.0."""
+    and the type scan from reading true as 1.0.  An integer past int64
+    (JavaScript writes 1e20 as 100000000000000000000) leaves numpy an object
+    array; it reads as the float it converts to, if that is finite."""
     try:
         flat = np.array(values) if type(values) is list and bool not in set(map(type, values)) else None
+        if flat is not None and flat.dtype == object:
+            flat = np.array([float(x) if type(x) is int else x for x in values])
     except (TypeError, ValueError, OverflowError):
         flat = None
     if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf" or not np.isfinite(flat).all():

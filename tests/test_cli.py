@@ -650,6 +650,41 @@ def test_an_overflowing_number_text_is_a_finite_error_line(tmp_path, capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("compact", [False, True], ids=["components", "operator"])
+def test_an_integer_past_int64_reads_as_its_float(tmp_path, capsys, compact):
+    # JavaScript's JSON.stringify(1e20) prints 100000000000000000000, an integer
+    # that no numpy integer holds; a curvature file reads it as 1e20, as a
+    # spectrum file does
+    path = tmp_path / "cs.json"
+    assert main(["model", "cs", "--d", "4", "-o", str(path)]) == 0
+    if compact:
+        save_curvature(load_curvature(str(path)), str(path))
+    text = path.read_text()
+    outputs = []
+    for number in ("100000000000000000000", "1e+20"):
+        path.write_text(text.replace("1.0", number))
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "spectrum", "--algebra", "so", "-i", str(path))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["eigenvalues"] == [1e20] * 6
+
+
+@pytest.mark.parametrize("what,conclusion", [("einstein", "flat"), ("bochner", "bochner_flat")])
+def test_gr24_flatness_verdicts_name_infinite_volume(tmp_path, capsys, what, conclusion):
+    # the exact spectrum of the compact, non-flat Gr(2,4) meets the T4_1 and
+    # T1_5 conditions with equality: the verdict holds only where the volume
+    # is infinite, which the notes must name
+    spec = tmp_path / "gr24.json"
+    spec.write_text(json.dumps([0.0] * 9 + [4.0] * 6 + [8.0]))
+    code, out, _ = run_cli(capsys, "check", what, "--n", "4", "--spectrum", str(spec))
+    v = json.loads(out)
+    assert (code, v["conclusion"], v["condition_value"], v["threshold"]) == (0, conclusion, 0.0, 0.0)
+    assert "completeness, infinite volume, finite L^Q norm" in v["notes"]
+    assert "user-asserted" in v["notes"]
+
+
 @pytest.mark.parametrize("text", [
     "[0.5, null, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",
     "[0.5, NaN, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]",

@@ -474,3 +474,63 @@ def test_each_theorem_follows_the_one_verdict_rule(theorem_id, strict, equality)
         v = check(at, outside)
         assert (v.theorem_id, v.conclusion, v.kappa_admissible) == (theorem_id, "inconclusive", False)
         assert v.condition_value > v.threshold
+
+
+FORMS = ("completeness, finite L^Q norm and, for weighted bounds, the weighted Poincare "
+         "inequality with a positive-at-infinity weight on a nonparabolic space are "
+         "user-asserted and not verified here")
+FLATNESS = FORMS.replace("completeness, ", "completeness, infinite volume, ")
+GROUPED = "threshold constant follows the grouped reading (n + 2 - |p - q|) (p + q)"
+ORTHOGONAL = "applies to forms orthogonal to the Kahler form power only"
+
+
+@pytest.mark.parametrize("call,theorem_id,notes", [
+    (lambda: check_pq([1.0] * 9, 3, 1, 0), "T3_2", [FORMS, GROUPED]),
+    (lambda: check_pq([1.0] * 9, 3, 3, 1), "T3_2",
+     ["type remapped to (0, 2) by duality", FORMS, GROUPED]),
+    (lambda: check_pq([1.0] * 9, 3, 2, 1, k=1), "T3_2",
+     ["stratum constant at k = 1", FORMS, GROUPED]),
+    (lambda: check_pq([1.0] * 9, 3, 3, 2, k=2), "T3_2",
+     ["type remapped to (0, 1) by duality", "stratum constant at k = 0", FORMS, GROUPED]),
+    (lambda: check_pq([1.0] * 9, 3, 1, 1), "T3_4", [ORTHOGONAL, FORMS, GROUPED]),
+    (lambda: check_pq([1.0] * 9, 3, 1, 0, kappa=0.1, rho=1.0), "T3_6", [FORMS, GROUPED]),
+    (lambda: check_pq([1.0] * 9, 3, 1, 1, kappa=0.1, rho=1.0), "C3_8",
+     [ORTHOGONAL, FORMS, GROUPED]),
+    (lambda: check_lq_nonneg([1.0] * 9, 3), "C3_3",
+     [FORMS, "odd-degree reduced L^2 cohomology vanishes when the check passes"]),
+    (lambda: check_bochner([1.0] * 9, 3), "T1_5",
+     [FLATNESS, "requires a divergence-free totally trace-free part"]),
+    (lambda: check_einstein_flat([1.0] * 9, 3), "T4_1",
+     ["complex dimension 3 is below the stated range n >= 4", FLATNESS,
+      "input asserted Kahler-Einstein"]),
+    (lambda: check_einstein_flat([1.0] * 16, 4), "T4_1",
+     [FLATNESS, "input asserted Kahler-Einstein"]),
+    (lambda: check_quaternion([1.0] * 13, 2), "T4_4",
+     ["k = 0: the scalar-flatness hypothesis is not needed", FLATNESS]),
+    (lambda: check_quaternion([1.0] * 13, 2, k=0.1, rho=1.0, scalar_flat=True), "T4_4",
+     ["scalar curvature asserted zero by the caller", FLATNESS]),
+    (lambda: check_quaternion([1.0] * 13, 2, k=0.1, rho=1.0), "T4_4",
+     ["warning: k > 0 requires the scalar-flatness assertion", FLATNESS]),
+], ids=["pq", "pq-remapped", "pq-stratum", "pq-remapped-stratum", "pq-equal-types",
+        "pq-kappa", "pq-equal-types-kappa", "lq", "bochner", "einstein-n3", "einstein-n4",
+        "quaternion-k0", "quaternion-scalar-flat", "quaternion-k-without-scalar-flat"])
+def test_each_checker_path_prints_its_exact_notes(call, theorem_id, notes):
+    # the checker's own notes first, then its theorem's; the flatness theorems
+    # name infinite volume, without which the compact Gr(2,4) would be flat
+    v = call()
+    assert v.theorem_id == theorem_id
+    assert v.notes == "; ".join(notes)
+
+
+def test_readme_theorem_table_is_the_table():
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([TC]\d_\d)` \| `(\w+)` \| `(\w+)` \| `(\w+)` \| (.+?) \|$", text, re.M)
+    assert sorted(theorem_id for theorem_id, *_ in rows) == sorted(criteria.THEOREMS)
+    for theorem_id, strict, equality, algebra, hypotheses in rows:
+        row_strict, row_equality, row_algebra, notes = criteria.THEOREMS[theorem_id]
+        assert (strict, equality, algebra) == (row_strict, row_equality, row_algebra)
+        # the global hypotheses open the note that says the user asserts them
+        assert [note for note in notes if note.endswith(criteria._ASSERTED)] == \
+            [hypotheses + criteria._ASSERTED]
