@@ -2,7 +2,7 @@
 
 A curvature tensor here is a purely pointwise object: a real rank-4
 tensor with the pair symmetries and the first Bianchi identity, no
-manifold attached.  It is one real (d, d, d, d) array from file to sharp.
+manifold attached.  It is one real (d, d, d, d) array, never a complex copy.
 Files hold the upper triangle of its operator; the reader also takes the
 [re, im] pairs that stdout prints, refusing imaginary parts above
 1e-8 max(1, |Re|_max).  Its curvature operator R on Lambda^2 V is a view
@@ -20,7 +20,7 @@ read from the tensor.  The module provides
   Ricci and totally trace-free (Bochner) parts, and the quaternionic
   splitting into a model multiple plus a Ricci-flat remainder,
 * restricted spectra on holonomy subalgebras and the sharp-norm
-  identities that relate |Rm^g|^2 to the component norms,
+  identities that relate |Rm^g|^2, read from the operator, to the component norms,
 * random generators for curvature classes supported on a holonomy
   subalgebra, drawn on closed-form orthonormal bases of those classes.
 
@@ -40,7 +40,7 @@ from functools import lru_cache, partialmethod
 
 import numpy as np
 
-from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
+from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra
 from .tensors import (_avatars, _coframe, _component_array, _file_space, _finite_floats,
                       _read_json, _space_header, _tensor_doc, _write_json, wedge_pairs)
 
@@ -284,12 +284,15 @@ def _outer22(a, b):
     return np.einsum("xy,zw->xyzw", a, b)
 
 
-def _structure_model(forms):
-    """1/2 g ow g + the sum of 1/2 om ow om + 2 om (x) om over the 2-forms om."""
-    g = np.eye(len(forms[0]))
+@lru_cache(maxsize=None)
+def _structure_model(space, quaternionic):
+    """1/2 g ow g + sum of 1/2 om ow om + 2 om (x) om, om the 2-forms of I, J, K or the Kahler form."""
+    forms = [A.T for A in space.quaternionic_structure] if quaternionic else [_kahler_form_array(space)]
+    g = np.eye(space.dim)
     arr = 0.5 * kulkarni_nomizu(g, g)
     for om in forms:
         arr = arr + 0.5 * kulkarni_nomizu(om, om) + 2.0 * _outer22(om, om)
+    arr.setflags(write=False)
     return arr
 
 
@@ -314,7 +317,7 @@ def chsc_model(space, c=1.0):
     (c/4) (1/2 g ow g + 1/2 omega ow omega + 2 omega (x) omega); Einstein
     with Ric = c (n+1)/2 g and scal = c n (n+1).
     """
-    arr = (c / 4.0) * _structure_model([_kahler_form_array(space)])
+    arr = (c / 4.0) * _structure_model(space, False)
     return AlgebraicCurvatureTensor(space, arr, kahler=True, validate=False)
 
 
@@ -328,8 +331,8 @@ def quaternionic_projective_model(space):
     """
     if space.quaternionic_structure is None:
         raise ValueError("quaternionic projective model needs a quaternionic structure")
-    arr = _structure_model([A.T for A in space.quaternionic_structure])
-    return AlgebraicCurvatureTensor(space, arr, quaternion=True, validate=False)
+    return AlgebraicCurvatureTensor(space, _structure_model(space, True), quaternion=True,
+                                    validate=False)
 
 
 def model(kind, space, c=1.0):
@@ -428,7 +431,7 @@ def quaternion_decompose(rm_tensor):
     scal = scalar_curvature(rm_tensor)
     coeff = scal / (16.0 * m * (m + 2))
     r0 = AlgebraicCurvatureTensor(
-        space, rm_tensor.array - coeff * quaternionic_projective_model(space).array,
+        space, rm_tensor.array - coeff * _structure_model(space, True),
         quaternion=True, validate=False)
     return QuaternionDecomposition(coeff, r0, leak)
 
@@ -446,6 +449,27 @@ def restricted_spectrum(rm_tensor, algebra):
 
 # ---------------------------------------------------------------------------
 # sharp-norm identities
+
+
+@lru_cache(maxsize=None)
+def _adjoint_stack(algebra):
+    """Read-only (N, P, P) stack of ad Xi_a, [M, E_ij] in wedge pairs: ad_M[(k,l),(i,j)] =
+    M_ki d_jl - M_li d_jk + M_lj d_ik - M_kj d_il, each term sign M[x, y] set where u = v."""
+    k, l = np.array(wedge_pairs(algebra.space.dim)).T
+    ad = np.zeros((algebra.dim, len(k), len(k)))
+    for sign, x, y, u, v in ((1, k, k, l, l), (-1, l, k, k, l), (1, l, l, k, k), (-1, k, l, l, k)):
+        rows, cols = np.nonzero(u[:, None] == v)
+        ad[:, rows, cols] += sign * algebra.matrices[:, x[rows], y[cols]]
+    ad.setflags(write=False)
+    return ad
+
+
+def _sharp_norms2(rm_tensor, algebra):
+    """|Xi_a Rm|^2 = 4 |[ad Xi_a, R]|_F^2, on the algebra or off it: Xi_a acts on Lambda^2 by
+    ad.  With ad skew and the operator R symmetric the commutator is X + X^T, X = ad R."""
+    X = _adjoint_stack(algebra) @ rm_tensor.operator
+    X = X + X.transpose(0, 2, 1)
+    return 4.0 * np.einsum("aij,aij->a", X, X)
 
 
 def _relative_deviation(lhs, rhs, coefficient, rm_tensor):
@@ -474,7 +498,7 @@ def kahler_sharp_identity(rm_tensor):
     n = space.n
     algebra = cached_algebra(space, AlgebraKind.U)
     dec = kahler_decompose(rm_tensor)
-    lhs = sharp(rm_tensor, algebra).norm2()
+    lhs = float(np.sum(_sharp_norms2(rm_tensor, algebra)))
     ringed_norm2 = (rm_tensor - dec.scalar_part).norm2()
     tfric_norm2 = float(np.sum(dec.tf_ricci * dec.tf_ricci))
     # the trace-free Gram restriction does not vanish on the chsc model,
@@ -524,8 +548,8 @@ def quaternion_sharp_identity(rm_tensor):
     m = space.m
     algebra = cached_algebra(space, AlgebraKind.SP_SP1)
     dec = quaternion_decompose(rm_tensor)
-    sh = sharp(rm_tensor, algebra)
-    lhs = sh.norm2()
+    norms2 = _sharp_norms2(rm_tensor, algebra)
+    lhs = float(np.sum(norms2))
     r0_norm2 = dec.r0.norm2()
     report = {
         "m": m,
@@ -535,7 +559,7 @@ def quaternion_sharp_identity(rm_tensor):
         "rhs_measured": 4.0 * (m + 2) * r0_norm2,
         "nominal_coefficient": (4.0 / 3.0) * (3 * m + 4),
         "rhs_nominal": (4.0 / 3.0) * (3 * m + 4) * r0_norm2,
-        "sp1_slice_norm2": float(np.sum(sh.slice_norms2()[:3])),
+        "sp1_slice_norm2": float(np.sum(norms2[:3])),
         "hp_coefficient": dec.hp_coefficient,
     }
     for key in ("measured", "nominal"):

@@ -347,6 +347,11 @@ def sharp_coefficient(n, p, q, k):
     return 2 * (p - k) * (q - k) + (p + q - 2 * k) * ((n + 1) - (p + q - 2 * k))
 
 
+def _vacuous(phi, ringed2):
+    """Weight p + q - 2k = 0, or a reduced part of rounding size: |circ(phi)|^2 < 1e-14 |phi|^2."""
+    return phi.p + phi.q - 2 * phi.k == 0 or ringed2 < 1e-14 * max(phi.norm2(), 1e-300)
+
+
 def sharp_norm_coefficient_check(phi):
     """Compare |phi^u|^2 against the closed-form multiple of |circ(phi)|^2.
 
@@ -375,7 +380,7 @@ def sharp_norm_coefficient_check(phi):
         "circ_norm2": rhs_base,
         "coefficient_times_circ": rhs,
         "relative_deviation": abs(lhs - rhs) / denom,
-        "vacuous": rhs_base < 1e-300,
+        "vacuous": _vacuous(phi, rhs_base),
     }
 
 
@@ -389,12 +394,11 @@ def action_bound_check(phi):
     if phi.k is None:
         raise ValueError("action bound check needs a declared stratum index k")
     p, q, k = phi.p, phi.q, phi.k
-    weight = p + q - 2 * k
     ringed2 = circ(phi).norm2()
-    if weight == 0 or ringed2 < 1e-14 * max(phi.norm2(), 1e-300):
+    if _vacuous(phi, ringed2):
         return {"p": p, "q": q, "k": k, "max_ratio": 0.0, "vacuous": True}
     algebra = cached_algebra(phi.space, AlgebraKind.U)
-    ratio = sharp_form(phi, algebra).max_action_norm2() / (weight * ringed2)
+    ratio = sharp_form(phi, algebra).max_action_norm2() / ((p + q - 2 * k) * ringed2)
     return {"p": p, "q": q, "k": k, "max_ratio": ratio, "vacuous": False}
 
 

@@ -236,6 +236,7 @@ class SharpDecomposition:
 
 
 def sharp(T, algebra):
-    """stack[alpha] = Xi_alpha T for a ComplexTensor or a (real) curvature tensor T."""
+    """stack[alpha] = Xi_alpha T for a ComplexTensor or a (real) curvature tensor T; the
+    library reads curvature sharp norms from the operator (`curvature._sharp_norms2`)."""
     _check_same_space(T, algebra)
     return SharpDecomposition(algebra, T, _act_matrix(algebra.matrices, T.components))

@@ -43,27 +43,23 @@ def weitzenbock_ric(rm_tensor, T):
 
     Evaluates the double sum by splitting the inner derivation action
     into the diagonal part (a Ricci contraction in each slot) and the
-    mixed part (a curvature double contraction for each ordered slot
-    pair); linear in T, rank preserving and self-adjoint for the
-    hermitian pairing.
+    mixed part (a curvature double contraction for each slot pair); linear
+    in T, rank preserving and self-adjoint for the hermitian pairing.  The
+    real Rm and Ric act on the float64 view of T, (re, im) on a trailing
+    axis.  By pair symmetry Rm_ajbp = Rm_bpaj the ordered pairs (i, s) and
+    (s, i) contract alike, so each unordered pair is taken once, twice over.
     """
     _check_same_space(rm_tensor, T)
-    arr = T.components
-    k = arr.ndim
-    Rm = rm_tensor.array
+    src = T.components[..., None].view(np.float64)
     ric = ricci(rm_tensor)
-    out = np.zeros_like(arr)
-    for i in range(k):
-        out += np.moveaxis(np.tensordot(arr, ric, axes=([i], [1])), -1, i)
-    for i in range(k):
-        for s in range(k):
-            if s == i:
-                continue
+    out = np.zeros_like(src)
+    for i in range(T.rank):
+        out += np.moveaxis(np.tensordot(src, ric, axes=([i], [1])), -1, i)
+        for s in range(i + 1, T.rank):
             # contract T over slots (i, s) against Rm_{a j b p} in (j, p)
-            contr = np.tensordot(arr, Rm, axes=([i, s], [1, 3]))
-            contr = np.moveaxis(contr, (-2, -1), (i, s))
-            out -= contr
-    return ComplexTensor(T.space, out)
+            contr = np.tensordot(src, rm_tensor.array, axes=([i, s], [1, 3]))
+            out -= 2.0 * np.moveaxis(contr, (-2, -1), (i, s))
+    return ComplexTensor(T.space, out.view(complex)[..., 0])
 
 
 def lichnerowicz_zero_order(rm_tensor, T, c):

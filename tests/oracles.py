@@ -61,6 +61,22 @@ def ricci_naive(Rm):
     return out
 
 
+def structure_model_naive(forms):
+    """1/2 g ow g + sum over the 2-forms om of 1/2 om ow om + 2 om (x) om, entry by entry:
+    (h ow k)_xyzw = h_xz k_yw + h_yw k_xz - h_xw k_yz - h_yz k_xw."""
+    d = len(forms[0])
+    g = np.eye(d)
+
+    def kn(h, k, x, y, z, w):
+        return h[x, z] * k[y, w] + h[y, w] * k[x, z] - h[x, w] * k[y, z] - h[y, z] * k[x, w]
+
+    out = np.zeros((d,) * 4)
+    for x, y, z, w in itertools.product(range(d), repeat=4):
+        out[x, y, z, w] = 0.5 * kn(g, g, x, y, z, w) + sum(
+            0.5 * kn(om, om, x, y, z, w) + 2.0 * om[x, y] * om[z, w] for om in forms)
+    return out
+
+
 def weitzenbock_naive(Rm, arr):
     """Literal double sum: slot substitution against the bivector images.
 

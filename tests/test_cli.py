@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from bochner import (EuclideanSpace, chsc_model, load_curvature, random_kahler_curvature,
-                     save_curvature)
+                     random_quaternion_kahler_curvature, save_curvature)
 from bochner.cli import main
+
+from oracles import ricci_naive, structure_model_naive
 
 
 def run_cli(capsys, *argv):
@@ -840,12 +842,42 @@ def test_weitz_verify_lemma26_without_compared_cases_fails(tmp_path, capsys, ext
 
 @pytest.mark.parametrize("what", ["check-prop27", "check-prop28"])
 def test_forms_check_on_a_vacuous_stratum_fails(capsys, what):
-    # p + q - 2k = 0 leaves every form vacuous
-    code, out, err = run_cli(capsys, "forms", what, "--n", "2", "--p", "1", "--q", "1",
-                             "--k", "1", "--samples", "3")
-    assert code == 1
-    assert json.loads(out)["cases"] == []
-    assert "no case was checked" in err
+    # p + q - 2k = 0 leaves every form vacuous, also where rounding leaves the
+    # reduced part 3e-32 against a coefficient of 0 (the stratum at n = 3, seed 0)
+    for stratum in (["--n", "2", "--p", "1", "--q", "1", "--k", "1"],
+                    ["--n", "3", "--p", "2", "--q", "2", "--k", "2", "--seed", "0"]):
+        code, out, err = run_cli(capsys, "forms", what, *stratum, "--samples", "3")
+        assert code == 1, stratum
+        assert json.loads(out)["cases"] == []
+        assert "no case was checked" in err
+
+
+@pytest.mark.parametrize("kind,size", [("kahler", 5), ("quaternion", 3)])
+def test_sharp_norm_at_the_served_sizes_meets_its_closed_form(tmp_path, capsys, kind, size):
+    # n = 5 and m = 3, the sizes of the per-request benchmark; the closed forms are
+    # computed here: 4(n+1)|Rm - S|^2 - 16|tfRic|^2 and 4(m+2)|R0|^2
+    rng = np.random.default_rng(32)
+    if kind == "kahler":
+        space = EuclideanSpace.complex_space(size)
+        rm = random_kahler_curvature(space, rng)
+    else:
+        space = EuclideanSpace.quaternionic_space(size)
+        rm = random_quaternion_kahler_curvature(space, rng)
+    path = tmp_path / "rm.json"
+    save_curvature(rm, str(path))
+    Rm = rm.array
+    ric = ricci_naive(Rm)
+    scal = np.trace(ric)
+    if kind == "kahler":
+        S = scal / (4 * size * (size + 1)) * structure_model_naive([space.j_matrix().T])
+        tfric = ric - scal / space.dim * np.eye(space.dim)
+        expected = 4 * (size + 1) * np.sum((Rm - S) ** 2) - 16 * np.sum(tfric ** 2)
+    else:
+        hpm = structure_model_naive([A.T for A in space.quaternionic_structure])
+        expected = 4 * (size + 2) * np.sum((Rm - scal / (16 * size * (size + 2)) * hpm) ** 2)
+    code, out, _ = run_cli(capsys, "sharp-norm", "-i", str(path))
+    assert code == 0
+    assert json.loads(out)["lhs_tensor"] == pytest.approx(expected, rel=1e-10)
 
 
 def test_forms_check_prop27_fails_on_a_wrong_coefficient(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Curvature tensors, operators, models, decompositions, sharp-norm identities."""
 
+import itertools
 import json
 import math
 import os
@@ -40,15 +41,18 @@ from bochner import (
     sharp_norm_identities,
     tf_ricci,
 )
-from bochner.curvature import _curvature_doc, _hyperkahler_basis, _kahler_basis
+from bochner.curvature import (_adjoint_stack, _curvature_doc, _hyperkahler_basis, _kahler_basis,
+                               _sharp_norms2, _structure_model)
 from bochner.holonomy import _sp_m_commutant, cached_algebra
 from bochner.tensors import _act_matrix, _write_json
 
 from oracles import (
+    bracket_naive,
     component_pairs_naive,
     from_operator_naive,
     quaternion_sharp_constant_naive,
     ricci_naive,
+    structure_model_naive,
     supported_curvature_basis_naive,
 )
 
@@ -497,6 +501,62 @@ def test_sharp_of_the_real_tensor_matches_its_complex_copy(kind, size, rng):
     # the sp(1) slices vanish up to rounding, so slices are measured against the largest
     assert np.allclose(real.slice_norms2(), copy.slice_norms2(), rtol=1e-14,
                        atol=1e-14 * real.slice_norms2().max())
+
+
+_ALGEBRAS_TO_D12 = ([("so", d) for d in (4, 6, 8, 10, 12)] + [("u", d) for d in (4, 6, 8, 10, 12)]
+                    + [("sp", 8), ("sp", 12)])
+
+
+def _algebra(kind, d):
+    space = (EuclideanSpace.quaternionic_space(d // 4) if kind == "sp"
+             else EuclideanSpace.complex_space(d // 2))
+    return cached_algebra(space, kind)
+
+
+@pytest.mark.parametrize("kind,d", _ALGEBRAS_TO_D12)
+def test_adjoint_stack_is_the_bracket_on_wedge_pairs(kind, d):
+    # column (i, j) of ad_M holds the wedge coefficients [M, E_ij][l, k] of e_k ^ e_l
+    alg = _algebra(kind, d)
+    pairs = list(itertools.combinations(range(d), 2))
+    E = np.zeros((len(pairs), d, d))
+    for p, (i, j) in enumerate(pairs):
+        E[p, j, i], E[p, i, j] = 1.0, -1.0
+    k, l = np.array(pairs).T
+    ad = _adjoint_stack(alg)
+    assert ad.shape == (alg.dim, len(pairs), len(pairs)) and not ad.flags.writeable
+    for a, M in enumerate(alg.matrices):
+        assert np.allclose(ad[a], bracket_naive(M, E)[:, l, k].T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind,d", _ALGEBRAS_TO_D12)
+def test_sharp_norms_from_the_operator_match_the_stack(kind, d, rng):
+    # |Xi_a Rm|^2 = 4 |[R, ad Xi_a]|^2 for every curvature tensor: supported draws,
+    # the models, and a random_curvature that leaks off u(n) and sp(m)+sp(1)
+    alg = _algebra(kind, d)
+    space = alg.space
+    tensors = [random_curvature(space, rng), constant_sectional_model(space, 0.7),
+               chsc_model(space, -1.3)]
+    if kind == "u":
+        tensors.append(random_kahler_curvature(space, rng))
+    if kind == "sp":
+        tensors += [random_quaternion_kahler_curvature(space, rng),
+                    quaternionic_projective_model(space)]
+    for rm in tensors:
+        expected = sharp(rm, alg).slice_norms2()
+        assert np.allclose(_sharp_norms2(rm, alg), expected, rtol=1e-12, atol=1e-12 * rm.norm2())
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_structure_models_are_cached_read_only_and_literal(size):
+    # chsc scales, and hpm copies, one read-only array per space
+    kspace, qspace = EuclideanSpace.complex_space(2 * size), EuclideanSpace.quaternionic_space(size)
+    for space, quaternionic, forms in ((kspace, False, [kspace.j_matrix().T]),
+                                       (qspace, True, [A.T for A in qspace.quaternionic_structure])):
+        cached = _structure_model(space, quaternionic)
+        assert cached is _structure_model(space, quaternionic) and not cached.flags.writeable
+        assert np.array_equal(cached, structure_model_naive(forms))
+    hpm = quaternionic_projective_model(qspace).array
+    assert hpm is not cached and np.array_equal(hpm, cached)
 
 
 def test_kahler_sharp_component_constants(c2, c3, rng):

@@ -253,11 +253,17 @@ def test_coefficient_check_primitive_one_one(c2, rng):
         assert r["relative_deviation"] < 1e-9
 
 
-def test_coefficient_check_omega_vacuous(c2):
+def test_coefficient_check_omega_vacuous(c2, c3):
     f = PQForm(c2, 1, 1, omega_power(c2, 1), k=1, validate=False)
     r = sharp_norm_coefficient_check(f)
     assert r["vacuous"]
     assert r["sharp_norm2"] < 1e-20
+    # a random multiple of Omega^2 at n = 3 keeps a reduced part of rounding size
+    # against the coefficient 0; both form checks call it vacuous
+    f = random_stratum_form(c3, 2, 2, 2, np.random.default_rng(0))
+    r = sharp_norm_coefficient_check(f)
+    assert r["coefficient"] == 0.0 and 0.0 < r["circ_norm2"] < 1e-14 * f.norm2()
+    assert r["vacuous"] and action_bound_check(f)["vacuous"]
 
 
 def test_coefficient_exact_on_strata_full_grid(rng):

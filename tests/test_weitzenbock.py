@@ -12,6 +12,7 @@ from bochner import (
     lichnerowicz_zero_order,
     quaternionic_projective_model,
     random_kahler_curvature,
+    random_quaternion_kahler_curvature,
     verify_eigenvalue_sum_bound,
     verify_weitzenbock_restriction,
     weitzenbock_ric,
@@ -46,10 +47,13 @@ def test_constant_sectional_one_form_eigenvalue(c2, c3):
         assert np.allclose(out.components, (d - 1) * T.components, atol=1e-12)
 
 
-def test_weitzenbock_matches_naive_double_sum(c2, rng):
+def test_weitzenbock_matches_naive_double_sum(c2, c3, h2, rng):
+    # ranks 1-3 on C^2, and rank 3, where three slot pairs are each taken twice, on C^3 and H^2
     rm = random_kahler_curvature(c2, rng)
-    for rank in (1, 2, 3):
-        T = ComplexTensor.random(c2, rank, rng)
+    cases = [(rm, rank) for rank in (1, 2, 3)]
+    cases += [(random_kahler_curvature(c3, rng), 3), (random_quaternion_kahler_curvature(h2, rng), 3)]
+    for rm, rank in cases:
+        T = ComplexTensor.random(rm.space, rank, rng)
         expected = weitzenbock_naive(rm.array, T.components)
         got = weitzenbock_ric(rm, T)
         assert np.allclose(got.components, expected, atol=1e-10)
