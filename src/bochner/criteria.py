@@ -86,11 +86,15 @@ def _check_type(n, p, q):
 
 def _require_spectrum(spectrum, theorem_id, size):
     """The `_SPECTRA` row of the algebra `theorem_id` reads, once `size` is its
-    dimension (n or m) and the spectrum holds all dim u(n) = n^2, or
-    dim sp(m)+sp(1) = m(2m+1)+3, eigenvalues: a missing one could be the smallest."""
-    algebra = _SPECTRA[THEOREMS[theorem_id][2]]
-    name, rule, length = algebra[:3]
+    dimension (n or m), at least the algebra's smallest, and the spectrum holds
+    all dim u(n) = n^2, or dim sp(m)+sp(1) = m(2m+1)+3, eigenvalues: a missing
+    one could be the smallest."""
+    kind = THEOREMS[theorem_id][2]
+    algebra = _SPECTRA[kind]
+    name, least, rule, length = algebra[:4]
     _require_dimension(name, size)
+    if size < least:
+        raise ValueError(f"{kind} spectrum needs {name} >= {least}, got {size}")
     if len(spectrum) != length(size):
         raise ValueError(f"spectrum length {len(spectrum)} differs from {rule} = {length(size)}")
     return algebra
@@ -234,12 +238,13 @@ def serre_stratum(n, p, q, k):
     return k - (p + q - n)
 
 
-# Per algebra: the dimension its spectrum is counted in, its length rule, and
+# Per algebra: the dimension its spectrum is counted in, the smallest value
+# of it (`build_algebra` builds sp(m)+sp(1) from m = 2), its length rule, and
 # the parity coefficient and weight window k < (Q - 1) / Q^power of the
 # parity-sum theorems that read it.
 _SPECTRA = {
-    "u": ("n", "n^2", lambda n: n * n, bochner_parity_coefficient, 2),
-    "sp": ("m", "m(2m+1)+3", lambda m: m * (2 * m + 1) + 3, quaternion_parity_coefficient, 1),
+    "u": ("n", 1, "n^2", lambda n: n * n, bochner_parity_coefficient, 2),
+    "sp": ("m", 2, "m(2m+1)+3", lambda m: m * (2 * m + 1) + 3, quaternion_parity_coefficient, 1),
 }
 
 

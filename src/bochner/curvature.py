@@ -20,7 +20,8 @@ read from the tensor.  The module provides
   Ricci and totally trace-free (Bochner) parts, and the quaternionic
   splitting into a model multiple plus a Ricci-flat remainder,
 * restricted spectra on holonomy subalgebras and the sharp-norm
-  identities that relate |Rm^g|^2, read from the operator, to the component norms,
+  identities that relate |Rm^g|^2 (`holonomy.sharp`, from the operator)
+  to the component norms,
 * random generators for curvature classes supported on a holonomy
   subalgebra, drawn on closed-form orthonormal bases of those classes.
 
@@ -40,7 +41,7 @@ from functools import lru_cache, partialmethod
 
 import numpy as np
 
-from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra
+from .holonomy import AlgebraKind, _sp_m_commutant, cached_algebra, sharp
 from .tensors import (_avatars, _coframe, _component_array, _file_space, _finite_floats,
                       _read_json, _space_header, _tensor_doc, _write_json, wedge_pairs)
 
@@ -119,7 +120,7 @@ def _pair_symmetry_residual(arr):
 class AlgebraicCurvatureTensor:
     """Real rank-4 tensor with curvature symmetries and first Bianchi identity."""
 
-    components = property(lambda self: self.array)  # as `sharp` and `_tensor_doc` read it
+    components = property(lambda self: self.array)  # as `_tensor_doc` reads it
 
     def __init__(self, space, rm, kahler=False, quaternion=False, validate=True):
         self.space = space
@@ -451,27 +452,6 @@ def restricted_spectrum(rm_tensor, algebra):
 # sharp-norm identities
 
 
-@lru_cache(maxsize=None)
-def _adjoint_stack(algebra):
-    """Read-only (N, P, P) stack of ad Xi_a, [M, E_ij] in wedge pairs: ad_M[(k,l),(i,j)] =
-    M_ki d_jl - M_li d_jk + M_lj d_ik - M_kj d_il, each term sign M[x, y] set where u = v."""
-    k, l = np.array(wedge_pairs(algebra.space.dim)).T
-    ad = np.zeros((algebra.dim, len(k), len(k)))
-    for sign, x, y, u, v in ((1, k, k, l, l), (-1, l, k, k, l), (1, l, l, k, k), (-1, k, l, l, k)):
-        rows, cols = np.nonzero(u[:, None] == v)
-        ad[:, rows, cols] += sign * algebra.matrices[:, x[rows], y[cols]]
-    ad.setflags(write=False)
-    return ad
-
-
-def _sharp_norms2(rm_tensor, algebra):
-    """|Xi_a Rm|^2 = 4 |[ad Xi_a, R]|_F^2, on the algebra or off it: Xi_a acts on Lambda^2 by
-    ad.  With ad skew and the operator R symmetric the commutator is X + X^T, X = ad R."""
-    X = _adjoint_stack(algebra) @ rm_tensor.operator
-    X = X + X.transpose(0, 2, 1)
-    return 4.0 * np.einsum("aij,aij->a", X, X)
-
-
 def _relative_deviation(lhs, rhs, coefficient, rm_tensor):
     """|lhs - rhs| over max(|lhs|, |rhs|), floored at the rounding scale eps * coefficient
     * |Rm|^2 (and 1e-300); eps * coefficient comes first, so it cannot overflow."""
@@ -498,7 +478,7 @@ def kahler_sharp_identity(rm_tensor):
     n = space.n
     algebra = cached_algebra(space, AlgebraKind.U)
     dec = kahler_decompose(rm_tensor)
-    lhs = float(np.sum(_sharp_norms2(rm_tensor, algebra)))
+    lhs = sharp(rm_tensor, algebra).norm2()
     ringed_norm2 = (rm_tensor - dec.scalar_part).norm2()
     tfric_norm2 = float(np.sum(dec.tf_ricci * dec.tf_ricci))
     # the trace-free Gram restriction does not vanish on the chsc model,
@@ -548,8 +528,9 @@ def quaternion_sharp_identity(rm_tensor):
     m = space.m
     algebra = cached_algebra(space, AlgebraKind.SP_SP1)
     dec = quaternion_decompose(rm_tensor)
-    norms2 = _sharp_norms2(rm_tensor, algebra)
-    lhs = float(np.sum(norms2))
+    sh = sharp(rm_tensor, algebra)
+    sp1 = sh.stack[:3]  # build_algebra puts the sp(1) rows first
+    lhs = sh.norm2()
     r0_norm2 = dec.r0.norm2()
     report = {
         "m": m,
@@ -559,7 +540,7 @@ def quaternion_sharp_identity(rm_tensor):
         "rhs_measured": 4.0 * (m + 2) * r0_norm2,
         "nominal_coefficient": (4.0 / 3.0) * (3 * m + 4),
         "rhs_nominal": (4.0 / 3.0) * (3 * m + 4) * r0_norm2,
-        "sp1_slice_norm2": float(np.sum(norms2[:3])),
+        "sp1_slice_norm2": float(np.vdot(sp1, sp1)),
         "hp_coefficient": dec.hp_coefficient,
     }
     for key in ("measured", "nominal"):

@@ -335,7 +335,7 @@ def sharp_form(phi, algebra):
     moved = sign * np.append(phi.coeffs, 0)[source]
     stack = _coframe_action(algebra) @ moved
     stack *= math.sqrt(math.factorial(k) * 2 ** k)
-    return SharpDecomposition(algebra, phi, stack)
+    return SharpDecomposition(algebra, stack)
 
 
 def sharp_coefficient(n, p, q, k):

@@ -511,20 +511,10 @@ def save_tensor(T, path):
     _write_json(_tensor_doc(T), path)
 
 
-class _FloatMemo(dict):
-    """float(text) of each distinct number text, parsed on first lookup."""
-
-    def __missing__(self, text):
-        value = self[text] = float(text)
-        return value
-
-
 def _read_json(path):
-    """json.load of one file, parsing each distinct float text once.  The
-    memo lives for this one document; curvature files repeat a few hundred
-    number texts tens of thousands of times."""
+    """json.load of one file."""
     with open(path) as fh:
-        return json.load(fh, parse_float=_FloatMemo().__getitem__)
+        return json.load(fh)
 
 
 def load_tensor(path, space=None):

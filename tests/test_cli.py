@@ -469,6 +469,11 @@ def test_verify_suites_pass(capsys):
      "|Rm|^2 overflows"),
     (["sharp-norm", "-i", "kahler2.json"], "sharp-norm report overflows a float"),
     (["sharp-norm", "-i", "kahler3.json"], "sharp-norm report overflows a float"),
+    # sp(m)+sp(1) starts at m = 2 on both paths: a spectrum file of m(2m+1)+3 = 6 values at
+    # m = 1 printed T4_4 `flat` and exited 0
+    (["check", "quaternion", "--m", "1", "--spectrum", "six.json"],
+     "sp spectrum needs m >= 2, got 1"),
+    (["check", "quaternion", "--m", "1", "--model", "hpm"], "sp(m)+sp(1) needs m >= 2"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -481,6 +486,7 @@ def test_check_bad_input_is_an_error_line(tmp_path, monkeypatch, capsys, argv, m
         {"dim": 4, "rank": 1, "j_convention": "block", "components": [[1.0, 0.0]] * 4}))
     # every huge value is finite; only their sum overflows a float
     for name, values in (("one", [5]), ("three", [1, 2, 3]), ("four", [-1, 2, 3, 4]),
+                         ("six", [1] * 6),
                          ("huge4", [1e308] * 4), ("huge9", [1e308] * 9)):
         (tmp_path / f"{name}.json").write_text(json.dumps(values))
     # finite entries whose |Rm|^2 overflows, as `model` wrote them before it refused them

@@ -417,9 +417,10 @@ def test_serre_stratum_shifts_k_with_the_type():
     (lambda: criteria.check_pq([0.0], True, 1, 0), "n must be an integer"),
     (lambda: criteria.check_pq([1.0, 1.0, 1.0], 2, 1, 0), "spectrum length 3 differs from n^2 = 4"),
     (lambda: criteria.weighted_partial_sum([1.0, 2.0], -1), "count must be nonnegative"),
+    (lambda: criteria.check_quaternion([1.0] * 6, 1), "sp spectrum needs m >= 2, got 1"),
 ], ids=["lq-negative-n", "lq-short", "lq-n3-four-values", "quaternion-m0",
         "quaternion-negative-m", "bochner-negative-n", "einstein-float-n", "pq-bool-n",
-        "pq-short", "negative-count"])
+        "pq-short", "negative-count", "quaternion-m1"])
 def test_checkers_reject_bad_dimensions(call, message):
     # each of these printed a verdict from too few values, or a TypeError
     # traceback from (-1) ** -1 inside Fraction

@@ -15,6 +15,7 @@ from bochner import (
     AlgebraicCurvatureTensor,
     ComplexTensor,
     EuclideanSpace,
+    SharpDecomposition,
     chsc_model,
     constant_sectional_model,
     curvature_from_json,
@@ -41,9 +42,8 @@ from bochner import (
     sharp_norm_identities,
     tf_ricci,
 )
-from bochner.curvature import (_adjoint_stack, _curvature_doc, _hyperkahler_basis, _kahler_basis,
-                               _sharp_norms2, _structure_model)
-from bochner.holonomy import _sp_m_commutant, cached_algebra
+from bochner.curvature import _curvature_doc, _hyperkahler_basis, _kahler_basis, _structure_model
+from bochner.holonomy import _adjoint_stack, _sp_m_commutant, cached_algebra
 from bochner.tensors import _act_matrix, _write_json
 
 from oracles import (
@@ -485,9 +485,18 @@ def test_kahler_sharp_identity_tensor_reading_coefficient(c2, rng):
     assert abs(lhs - wrong_rhs) > 1e-3 * max(1.0, abs(lhs))
 
 
+def dense_sharp(rm, alg):
+    """The oracle of the operator route: the N x d^4 stack of a complex copy of Rm."""
+    return sharp(ComplexTensor(rm.space, rm.array), alg)
+
+
+def slice_norms2(dec):
+    return np.array([np.vdot(s, s).real for s in dec.stack])
+
+
 @pytest.mark.parametrize("kind,size", [("u", 2), ("u", 3), ("u", 4), ("sp", 2), ("sp", 3)])
 def test_sharp_of_the_real_tensor_matches_its_complex_copy(kind, size, rng):
-    # sharp takes the real array as it is; a complex copy only reorders the sums
+    # the oracle's stack takes the real array as it is; a complex copy only reorders the sums
     if kind == "u":
         space = EuclideanSpace.complex_space(size)
         rm = random_kahler_curvature(space, rng)
@@ -495,12 +504,12 @@ def test_sharp_of_the_real_tensor_matches_its_complex_copy(kind, size, rng):
         space = EuclideanSpace.quaternionic_space(size)
         rm = random_quaternion_kahler_curvature(space, rng)
     alg = cached_algebra(space, kind)
-    real, copy = sharp(rm, alg), sharp(ComplexTensor(rm.space, rm.array), alg)
-    assert real.stack.dtype == float
+    real, copy = SharpDecomposition(alg, _act_matrix(alg.matrices, rm.array)), dense_sharp(rm, alg)
+    assert real.stack.dtype == float and sharp(rm, alg).stack.dtype == float
     assert real.norm2() == pytest.approx(copy.norm2(), rel=1e-14)
     # the sp(1) slices vanish up to rounding, so slices are measured against the largest
-    assert np.allclose(real.slice_norms2(), copy.slice_norms2(), rtol=1e-14,
-                       atol=1e-14 * real.slice_norms2().max())
+    assert np.allclose(slice_norms2(real), slice_norms2(copy), rtol=1e-14,
+                       atol=1e-14 * slice_norms2(real).max())
 
 
 _ALGEBRAS_TO_D12 = ([("so", d) for d in (4, 6, 8, 10, 12)] + [("u", d) for d in (4, 6, 8, 10, 12)]
@@ -530,8 +539,9 @@ def test_adjoint_stack_is_the_bracket_on_wedge_pairs(kind, d):
 
 @pytest.mark.parametrize("kind,d", _ALGEBRAS_TO_D12)
 def test_sharp_norms_from_the_operator_match_the_stack(kind, d, rng):
-    # |Xi_a Rm|^2 = 4 |[R, ad Xi_a]|^2 for every curvature tensor: supported draws,
-    # the models, and a random_curvature that leaks off u(n) and sp(m)+sp(1)
+    # <Xi_a Rm, Xi_b Rm> = 4 <[R, ad Xi_a], [R, ad Xi_b]>_F for every curvature tensor:
+    # supported draws, the models, and a random_curvature that leaks off u(n) and
+    # sp(m)+sp(1); so the pairings and the exact supremum match the dense stack's
     alg = _algebra(kind, d)
     space = alg.space
     tensors = [random_curvature(space, rng), constant_sectional_model(space, 0.7),
@@ -542,8 +552,12 @@ def test_sharp_norms_from_the_operator_match_the_stack(kind, d, rng):
         tensors += [random_quaternion_kahler_curvature(space, rng),
                     quaternionic_projective_model(space)]
     for rm in tensors:
-        expected = sharp(rm, alg).slice_norms2()
-        assert np.allclose(_sharp_norms2(rm, alg), expected, rtol=1e-12, atol=1e-12 * rm.norm2())
+        got, expected = sharp(rm, alg), dense_sharp(rm, alg)
+        assert got.stack.shape == (alg.dim,) + rm.operator.shape
+        floor = 1e-12 * rm.norm2()
+        assert np.allclose(got.pairings(), expected.pairings().real, rtol=1e-12, atol=floor)
+        assert got.max_action_norm2() == pytest.approx(expected.max_action_norm2(),
+                                                       rel=1e-12, abs=floor)
 
 
 @pytest.mark.parametrize("size", [2, 3])
@@ -637,9 +651,12 @@ def test_einstein_kahler_action_bound(c2, c3, rng):
             rm = random_kahler_curvature(space, rng)
             dec = kahler_decompose(rm)
             rm_e = rm - dec.ricci_part
-            sharp2 = sharp(rm_e, alg).norm2()
+            sh = sharp(rm_e, alg)
+            sharp2, sup = sh.norm2(), sh.max_action_norm2()
+            assert sup <= (2.0 / (n + 1)) * sharp2 + 1e-9 * max(1.0, sharp2)
+            # the exact supremum bounds every sampled direction
             for lhs in unit_action_norms2(alg, rm_e, 20, rng):
-                assert lhs <= (2.0 / (n + 1)) * sharp2 + 1e-9 * max(1.0, sharp2)
+                assert lhs <= sup + 1e-12 * max(1.0, sharp2)
 
 
 def test_scalar_flat_quaternion_action_bound(h2, rng):
@@ -648,9 +665,11 @@ def test_scalar_flat_quaternion_action_bound(h2, rng):
     alg = cached_algebra(h2, "sp")
     for _ in range(5):
         r0 = random_hyperkahler_curvature(h2, rng)
-        sharp2 = sharp(r0, alg).norm2()
+        sh = sharp(r0, alg)
+        sharp2, sup = sh.norm2(), sh.max_action_norm2()
+        assert sup <= (6.0 / (3 * m + 4)) * sharp2 + 1e-9 * max(1.0, sharp2)
         for lhs in unit_action_norms2(alg, r0, 20, rng):
-            assert lhs <= (6.0 / (3 * m + 4)) * sharp2 + 1e-9 * max(1.0, sharp2)
+            assert lhs <= sup + 1e-12 * max(1.0, sharp2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from bochner import ComplexTensor, EuclideanSpace, build_algebra, sharp
-from bochner.forms import build_pq_basis, omega_power
+from bochner import (ComplexTensor, EuclideanSpace, build_algebra, random_curvature,
+                     random_quaternion_kahler_curvature, sharp)
+from bochner.forms import build_pq_basis, omega_power, random_stratum_form, sharp_form
 from bochner.holonomy import AlgebraKind, HolonomySubalgebra, _sp_m_commutant, cached_algebra
 from bochner.tensors import _act_matrix, _avatars, _wedge_coefficients
 
@@ -215,6 +216,11 @@ def test_sharp_one_zero_form_norm(c2, c3):
         assert dec.norm2() == pytest.approx(space.n * phi.norm2(), rel=1e-12)
 
 
+def reconstruct(dec):
+    """Components of T^g as an array with a trailing wedge-coefficient axis."""
+    return np.tensordot(dec.stack, dec.algebra.coeff_matrix, axes=([0], [0]))
+
+
 def test_sharp_equivariance(c2, rng):
     # g(L, T^g(indices)) = (L T)(indices) for L in the algebra, with T^g
     # reconstructed on the wedge basis and L T from L's avatar
@@ -226,7 +232,7 @@ def test_sharp_equivariance(c2, rng):
         L = rng.standard_normal(u.dim) @ u.coeff_matrix
         dec = sharp(T, u)
         idx = tuple(rng.integers(0, 4, size=rank))
-        lhs = dec.reconstruct()[idx] @ L
+        lhs = reconstruct(dec)[idx] @ L
         rhs = _act_matrix(_avatars(4, L)[None], T.components)[0][idx]
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-9
@@ -237,8 +243,21 @@ def test_sharp_norm_reconstruction(c2, rng):
     T = ComplexTensor.random(c2, 2, rng)
     dec = sharp(T, u)
     # |T^g|^2 from the reconstructed coefficient array agrees with slice sums
-    rec = dec.reconstruct()
+    rec = reconstruct(dec)
     assert np.sum(np.abs(rec) ** 2) == pytest.approx(dec.norm2(), rel=1e-12)
+
+
+def test_norm2_is_the_sum_of_row_norms(c3, h2, rng):
+    # one reader for the three stacks: dense slices, scaled coframe coefficients of a
+    # form and the operators of a curvature tensor's slices (on u(3), where it leaks)
+    u, sp = cached_algebra(c3, "u"), cached_algebra(h2, "sp")
+    decs = [sharp(ComplexTensor.random(c3, 3, rng), u), sharp(ComplexTensor.random(h2, 2, rng), sp),
+            sharp_form(random_stratum_form(c3, 2, 1, 1, rng), u),
+            sharp(random_curvature(c3, rng), u), sharp(random_quaternion_kahler_curvature(h2, rng), sp)]
+    for dec in decs:
+        rows = sum(np.vdot(s, s).real for s in dec.stack)
+        assert dec.norm2() == pytest.approx(rows, rel=1e-14)
+        assert dec.norm2() == pytest.approx(np.trace(dec.pairings()).real, rel=1e-13)
 
 
 def test_basis_independence_of_sharp_norm(c2, h2, rng):
